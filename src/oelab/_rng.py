@@ -2,11 +2,19 @@
 
 Every random quantity in the package is a pure function of (seed, counters),
 so Monte Carlo results are bit-for-bit reproducible and independent of
-evaluation order or worker count.  The mixer is SplitMix64, which is cheap,
-well distributed, and trivially portable.
+evaluation order.  The mixer is SplitMix64, which is cheap, well
+distributed, and trivially portable.
+
+Every Monte Carlo estimator runs the same loop over these streams:
+:class:`SampleLoop` calls the estimator's ``draw(i)``, which derives sample
+i from (seed, i), for each index in order, counts the draws that hit a
+truncation (rewrite depth or carry window) and streams the sums of v and
+v^2 of the others.
 """
 
 from __future__ import annotations
+
+import math
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -51,6 +59,57 @@ def randbelow(n: int, seed: int, *counters: int) -> int:
         attempt += 1
 
 
-def uniform01(seed: int, *counters: int) -> float:
-    """Uniform float in [0, 1) with 53 random bits."""
-    return (derive(seed, *counters) >> 11) * (1.0 / (1 << 53))
+class SampleLoop:
+    """One pass over draw(0), ..., draw(samples - 1).
+
+    Iterating yields each draw's value, or None for a draw that raised
+    ``exhausted_by``; those draws are counted in ``exhausted`` and left out
+    of the sums behind ``mean`` and ``stderr``.
+    """
+
+    def __init__(self, samples: int, draw, exhausted_by: type[Exception]):
+        self.samples = samples
+        self.used = 0
+        self.exhausted = 0
+        self.total = 0.0
+        self.total_sq = 0.0
+        self._draw = draw
+        self._exhausted_by = exhausted_by
+
+    def __iter__(self):
+        for i in range(self.samples):
+            try:
+                v = self._draw(i)
+            except self._exhausted_by:
+                self.exhausted += 1
+                yield None
+                continue
+            self.used += 1
+            self.total += v
+            self.total_sq += v * v
+            yield v
+
+    def run(self) -> "SampleLoop":
+        for _ in self:
+            pass
+        return self
+
+    @property
+    def mean(self) -> float:
+        return self.total / self.used if self.used else math.nan
+
+    @property
+    def stderr(self) -> float:
+        """Standard error of the mean; 0 with fewer than two used draws."""
+        n = self.used
+        if n < 2:
+            return 0.0
+        mean = self.total / n
+        var = max(0.0, (self.total_sq - n * mean * mean) / (n - 1))
+        return math.sqrt(var / n)
+
+
+def proportion(count: int, samples: int) -> tuple[float, float]:
+    """The frequency count / samples and its plug-in binomial stderr."""
+    p = count / samples
+    return p, math.sqrt(p * (1 - p) / samples)

@@ -24,10 +24,9 @@ event of probability <= k^-bound per step).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from ._rng import derive
+from ._rng import SampleLoop, derive, proportion
 from .errors import UsageError, WindowExhausted
 from .groups import BaumslagSolitar, Lamplighter
 
@@ -197,66 +196,30 @@ class BsLamplighterCoupling:
             return self.bs.word_length(z)
         raise UsageError(f"side_metric must be ll|bs, got {side_metric!r}")
 
-    def tail_bound_check(self, g, M: int, samples: int, seed: int) -> "TailBoundReport":
-        """Frequency of d_ll(g.x, x) >= (k+1)(2|g|_T + 2M + 3) vs the bound k^(1-M)."""
-        reports = self.tail_bound_sweep(g, [M], samples, seed)
-        return reports[M]
+    def tail_bound_sweep(self, g, Ms, samples: int, seed: int) -> dict[int, "TailBoundReport"]:
+        """Frequency of d_ll(g.x, x) >= (k+1)(2|g|_T + 2M + 3) vs the bound k^(1-M).
 
-    def tail_bound_sweep(
-        self, g, Ms, samples: int, seed: int, threads: int = 1
-    ) -> dict[int, "TailBoundReport"]:
-        """One sampling pass serving several M thresholds for the same g.
-
-        Per-sample seeds are a pure function of (seed, index), so splitting
-        the index range over a worker pool cannot change the counts.
+        One sampling pass serves every threshold M in Ms for the same g.
         """
         k = self.k
         glen = self.bs.word_length(g)
         thresholds = {M: (k + 1) * (2 * glen + 2 * M + 3) for M in Ms}
-        sorted_thr = sorted(set(thresholds.values()))
-        lowest = sorted_thr[0]
+        lowest = min(thresholds.values())
 
-        def run_chunk(bounds):
-            lo, hi = bounds
-            chunk_counts = {M: 0 for M in Ms}
-            chunk_exhausted = 0
-            for i in range(lo, hi):
-                x = self.point(derive(seed, i))
-                try:
-                    d = self.move_distance("ll", g, x)
-                except WindowExhausted:
-                    chunk_exhausted += 1
-                    # a carry past the window certainly exceeds every threshold
-                    for M in Ms:
-                        chunk_counts[M] += 1
-                    continue
-                if d < lowest:
-                    continue
-                for M, thr in thresholds.items():
-                    if d >= thr:
-                        chunk_counts[M] += 1
-            return chunk_counts, chunk_exhausted
+        def draw(i):
+            return self.move_distance("ll", g, self.point(derive(seed, i)))
 
-        step = max(1, samples // max(1, threads))
-        chunks = [(lo, min(lo + step, samples)) for lo in range(0, samples, step)]
+        loop = SampleLoop(samples, draw, WindowExhausted)
         counts = {M: 0 for M in Ms}
-        exhausted = 0
-        if threads > 1 and len(chunks) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(run_chunk, chunks))
-        else:
-            results = [run_chunk(c) for c in chunks]
-        for chunk_counts, chunk_exhausted in results:
-            exhausted += chunk_exhausted
-            for M in Ms:
-                counts[M] += chunk_counts[M]
+        for d in loop:
+            # a carry past the window (d is None) certainly exceeds every threshold
+            if d is None or d >= lowest:
+                for M, thr in thresholds.items():
+                    if d is None or d >= thr:
+                        counts[M] += 1
         out = {}
         for M in Ms:
-            freq = counts[M] / samples
-            stderr = math.sqrt(freq * (1 - freq) / samples)
-            bound = float(k) ** (1 - M)
+            freq, stderr = proportion(counts[M], samples)
             out[M] = TailBoundReport(
                 g=self.bs.format_element(g),
                 g_length=glen,
@@ -265,8 +228,8 @@ class BsLamplighterCoupling:
                 samples=samples,
                 freq=freq,
                 stderr=stderr,
-                bound=bound,
-                exhausted=exhausted,
+                bound=float(k) ** (1 - M),
+                exhausted=loop.exhausted,
             )
         return out
 

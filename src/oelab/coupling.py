@@ -18,13 +18,14 @@ reproducible from (seed, counters).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from ._rng import derive, randbelow
-from .errors import DepthExhausted, ResourceExhausted, UsageError
+from ._rng import SampleLoop, derive, proportion, randbelow
+from .errors import DepthExhausted, UsageError
 from .tilings import Orientation, TilingSequence
 
 DEFAULT_MAX_DEPTH = 32
@@ -192,24 +193,12 @@ class TilingAction:
         Right-oriented tilings rewrite h_k(x) gamma^-1, so their tail set is
         |T_k \\ T_k gamma| and the closed form is queried at gamma^-1.
         """
-        if self.tiling.orientation is Orientation.LEFT:
-            closed = self.tiling.escape_fraction(gamma, k)
-        else:
-            closed = self.tiling.escape_fraction(self.group.inverse(gamma), k)
+        t = self.tiling
+        h = gamma if t.orientation is Orientation.LEFT else self.group.inverse(gamma)
+        closed = t.escape_fraction(h, k)
         if closed is not None:
             return closed
-        size = self.tiling.tile_size(k)
-        if size > budget:
-            raise ResourceExhausted(f"|T_{k}| = {size} exceeds budget {budget}")
-        tile = self.tiling.build_tiles(k, budget)[k]
-        tset = set(tile)
-        mul = self.group.multiply
-        if self.tiling.orientation is Orientation.LEFT:
-            esc = sum(1 for t_ in tset if mul(gamma, t_) not in tset)
-        else:
-            ginv = self.group.inverse(gamma)
-            esc = sum(1 for t_ in tset if mul(t_, ginv) not in tset)
-        return Fraction(esc, size)
+        return t.enumerated_escape(h, set(t.build_tiles(k, budget)[k]))
 
 
 class MatchedCoupling:
@@ -306,27 +295,12 @@ def mc_integrability(
     if samples < 1:
         raise UsageError("mc_integrability needs samples >= 1")
     partner = coupling.partner(which).tiling
-    total = 0.0
-    total_sq = 0.0
-    used = 0
-    exhausted = 0
-    for i in range(samples):
-        x = CouplingPoint((), derive(seed, i))
-        try:
-            lam, _, _ = coupling.transfer_cocycle(which, gamma, x)
-        except DepthExhausted:
-            exhausted += 1
-            continue
-        v = gauge(partner.group.word_length(lam))
-        total += v
-        total_sq += v * v
-        used += 1
-    mean = total / used if used else float("nan")
-    if used > 1:
-        var = max(0.0, (total_sq - used * mean * mean) / (used - 1))
-        stderr = math.sqrt(var / used)
-    else:
-        stderr = 0.0
+
+    def draw(i):
+        lam, _, _ = coupling.transfer_cocycle(which, gamma, CouplingPoint((), derive(seed, i)))
+        return gauge(partner.group.word_length(lam))
+
+    loop = SampleLoop(samples, draw, DepthExhausted).run()
 
     terms = partial = diverging = None
     depth = coupling.max_depth if strata_depth is None else strata_depth
@@ -337,27 +311,20 @@ def mc_integrability(
         terms = [gauge(2 * radii[0])]
         for k in range(1, depth + 1):
             terms.append(gauge(2 * radii[k]) * float(eps[k - 1] - eps[k]))
-        partial = list(_running_sums(terms))
+        partial = list(itertools.accumulate(terms))
         # heuristic: the tail of the series is not decaying
         diverging = len(terms) >= 4 and terms[-1] >= terms[-2] >= terms[-3] and terms[-1] > terms[1]
     return IntegrabilityReport(
         gauge=gauge.describe(),
-        estimate=mean,
-        stderr=stderr,
+        estimate=loop.mean,
+        stderr=loop.stderr,
         samples=samples,
-        exhausted_fraction=exhausted / samples,
+        exhausted_fraction=loop.exhausted / samples,
         bound_terms=terms,
         bound_partial_sums=partial,
         truncated=True,
         diverging=diverging,
     )
-
-
-def _running_sums(values):
-    acc = 0.0
-    for v in values:
-        acc += v
-        yield acc
 
 
 def mc_tail_frequencies(
@@ -372,21 +339,18 @@ def mc_tail_frequencies(
     That event is "rewrite depth > k"; its exact probability is
     |T_k \\ gamma^-1 T_k| / |T_k| (see exact_tail).  One pass serves all k.
     """
+
+    def draw(i):
+        return action.act(gamma, CouplingPoint((), derive(seed, i)))[1]
+
     counts = {k: 0 for k in ks}
-    for i in range(samples):
-        x = CouplingPoint((), derive(seed, i))
-        try:
-            _, depth = action.act(gamma, x)
-        except DepthExhausted:
+    for depth in SampleLoop(samples, draw, DepthExhausted):
+        if depth is None:
             depth = action.max_depth + 1  # certainly beyond every tested k
         for k in ks:
             if depth > k:
                 counts[k] += 1
-    out = {}
-    for k, c in counts.items():
-        p = c / samples
-        out[k] = (p, math.sqrt(p * (1 - p) / samples))
-    return out
+    return {k: proportion(c, samples) for k, c in counts.items()}
 
 
 @dataclass(frozen=True)
@@ -406,10 +370,7 @@ class CylinderSet:
             raise UsageError("cylinder set must be nonempty")
 
     def measure(self, tiling: TilingSequence) -> Fraction:
-        denom = 1
-        for k in range(self.depth):
-            denom *= tiling.letter_count(k)
-        return Fraction(len(self.patterns), denom)
+        return Fraction(len(self.patterns), tiling.tile_size(self.depth - 1))
 
     def contains(self, action: TilingAction, x: CouplingPoint) -> bool:
         return tuple(action.coordinates(x, self.depth - 1)) in self.patterns
@@ -454,27 +415,26 @@ def return_time_density(
     ball = sorted(action.group.ball(n))
     V = len(ball)
     mu = float(x0.measure(action.tiling))
-    total = 0.0
-    total_sq = 0.0
     exhausted = 0
-    for i in range(samples):
+
+    def draw(i):
+        nonlocal exhausted
         x = x0.sample(seed, i)
         count = 0
         for gamma in ball:
             try:
                 y, _ = action.act(gamma, x)
             except DepthExhausted:
-                exhausted += 1
+                exhausted += 1  # one element of the ball; the sample still counts
                 continue
             if x0.contains(action, y):
                 count += 1
-        total += count / V
-        total_sq += (count / V) ** 2
-    mean = total / samples
-    var = max(0.0, (total_sq - samples * mean * mean) / max(1, samples - 1))
+        return count / V
+
+    loop = SampleLoop(samples, draw, DepthExhausted).run()
     return ReturnTimeReport(
-        lhs=mu * mean,
-        lhs_stderr=mu * math.sqrt(var / samples),
+        lhs=mu * loop.mean,
+        lhs_stderr=mu * loop.stderr,
         rhs=2 * mu - 1,
         measure=mu,
         ball_size=V,

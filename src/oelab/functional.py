@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from ._rng import derive
+from ._rng import SampleLoop, derive
 from .coupling import CouplingPoint, IntegrabilityGauge, MatchedCoupling, mc_integrability
 from .errors import DepthExhausted, ResourceExhausted, TruncationError, UsageError
 from .groups import Group
@@ -220,36 +220,28 @@ def induced_gradient_check(
     sup_inv = {pgrp.inverse(lam): abs(v) for lam, v in f.entries.items()}
     partner_side = "right" if which == "left" else "left"
 
-    total = 0.0
-    total_sq = 0.0
-    used = 0
-    exhausted = 0
     identical = side.tiling.name == partner.name
     n_samples = 1 if identical else samples
-    for i in range(n_samples):
+
+    def draw(i):
         x = CouplingPoint((), derive(seed, 1, i))
-        try:
-            fx = {}
-            for lam, v in sup_inv.items():
-                gamma, _, _ = coupling.transfer_cocycle(partner_side, lam, x)
-                fx[gamma] = v
-            val = 0.0
-            for s in grp.generators:
-                sinv = grp.inverse(s)
-                keys = set(fx) | {grp.multiply(s, g) for g in fx}
-                for g in keys:
-                    val += abs(fx.get(g, 0.0) - fx.get(grp.multiply(sinv, g), 0.0)) ** p
-        except DepthExhausted:
-            exhausted += 1
-            continue
-        total += val
-        total_sq += val * val
-        used += 1
-    if used == 0:
+        fx = {}
+        for lam, v in sup_inv.items():
+            gamma, _, _ = coupling.transfer_cocycle(partner_side, lam, x)
+            fx[gamma] = v
+        val = 0.0
+        for s in grp.generators:
+            sinv = grp.inverse(s)
+            keys = set(fx) | {grp.multiply(s, g) for g in fx}
+            for g in keys:
+                val += abs(fx.get(g, 0.0) - fx.get(grp.multiply(sinv, g), 0.0)) ** p
+        return val
+
+    loop = SampleLoop(n_samples, draw, DepthExhausted).run()
+    if loop.used == 0:
         raise DepthExhausted(coupling.max_depth)
-    mean = total / used
-    var = max(0.0, (total_sq - used * mean * mean) / max(1, used - 1))
-    lhs_stderr = math.sqrt(var / used) if used > 1 else 0.0
+    mean = loop.mean
+    lhs_stderr = loop.stderr
 
     # cocycle-moment constant over the generators of the acting side
     moment_gauge = gauge if gauge is not None else IntegrabilityGauge.power(p)
@@ -279,7 +271,7 @@ def induced_gradient_check(
         rhs_stderr=rhs_stderr,
         constant=C,
         samples=n_samples,
-        exhausted_fraction=exhausted / n_samples,
+        exhausted_fraction=loop.exhausted / n_samples,
         deterministic=identical,
     )
 

@@ -18,7 +18,9 @@ lamplighter switch+travel), breadth-first search from the identity elsewhere,
 with an explicit radius cap surfaced as :class:`CapExceeded`.
 
 All elements are plain hashable tuples and all groups are immutable after
-construction; the BFS layer caches only grow, so concurrent readers are safe.
+construction, apart from the BFS layer caches.  Those caches assume a single
+thread: concurrent growth() calls have been seen to misindex the layers, and
+oelab itself runs single-threaded.
 """
 
 from __future__ import annotations

@@ -116,6 +116,15 @@ class TilingSequence:
         in closed form, or None when only enumeration will do."""
         return None
 
+    def enumerated_escape(self, gamma, tile: set) -> Fraction:
+        """The escape fraction of gamma, counted over the materialized tile."""
+        mul = self.group.multiply
+        if self.orientation is Orientation.LEFT:
+            esc = sum(1 for t in tile if mul(gamma, t) not in tile)
+        else:
+            esc = sum(1 for t in tile if mul(t, gamma) not in tile)
+        return Fraction(esc, len(tile))
+
     # -- generic machinery ---------------------------------------------------
 
     def prefix_product(self, indices: Sequence[int]):
@@ -181,25 +190,14 @@ class TilingSequence:
         construction is stated in).  Uses closed forms when the built-in
         provides them, enumeration otherwise.
         """
-        per_gen = {}
         gens = self.group.generators
-        closed = {s: self.escape_fraction(self.group.inverse(s), k) for s in gens}
         # |T \ sT| = #{t in T : s^-1 t not in T} = escape fraction of s^-1
-        if all(v is not None for v in closed.values()):
-            per_gen = {s: closed[s] for s in gens}
-        else:
+        per_gen = {s: self.escape_fraction(self.group.inverse(s), k) for s in gens}
+        if any(v is None for v in per_gen.values()):
             if tiles_k is None:
                 tiles_k = self.build_tiles(k, budget)[k]
             tile_set = set(tiles_k)
-            size = len(tile_set)
-            mul = self.group.multiply
-            for s in gens:
-                sinv = self.group.inverse(s)
-                if self.orientation is Orientation.LEFT:
-                    esc = sum(1 for t in tile_set if mul(sinv, t) not in tile_set)
-                else:
-                    esc = sum(1 for t in tile_set if mul(t, sinv) not in tile_set)
-                per_gen[s] = Fraction(esc, size)
+            per_gen = {s: self.enumerated_escape(self.group.inverse(s), tile_set) for s in gens}
         value = max(per_gen.values())
         return FolnerReport(
             k=k,
@@ -261,33 +259,31 @@ def _first_duplicate(items):
     return None
 
 
+class _Claimed:
+    """A computed ``value`` beside the ``claimed`` bound of the construction."""
+
+    @property
+    def within_claim(self) -> bool | None:
+        if self.claimed is None:
+            return None
+        return self.value <= self.claimed
+
+
 @dataclass
-class FolnerReport:
+class FolnerReport(_Claimed):
     k: int
     value: Fraction
     per_generator: dict
     claimed: Fraction | None
     orientation: Orientation
 
-    @property
-    def within_claim(self) -> bool | None:
-        if self.claimed is None:
-            return None
-        return self.value <= self.claimed
-
 
 @dataclass
-class DiameterReport:
+class DiameterReport(_Claimed):
     k: int
     value: int
     lower_bound_only: bool
     claimed: int | None
-
-    @property
-    def within_claim(self) -> bool | None:
-        if self.claimed is None:
-            return None
-        return self.value <= self.claimed
 
 
 # ---------------------------------------------------------------------------
@@ -295,47 +291,22 @@ class DiameterReport:
 # ---------------------------------------------------------------------------
 
 
-class ZnTiling(TilingSequence):
-    """Z^n with F_k = {0, 2^k}^n; tiles are the boxes [0, 2^(k+1))^n.
+class _BoxTiling(TilingSequence):
+    """Left tiling of Z^n whose tile T_k is the box [0, side(k))^n.
 
-    Exact parameters: epsilon_k = 2^-(k+1) (equality, not just a bound) and
-    tile diameter n(2^(k+1) - 1) <= R_k = n 2^(k+1).
+    Membership, the escape fraction of a translation and the tile diameter
+    are closed forms in the side length.
     """
 
     exact_diameter_cheap = True  # box diameter is a closed form
+    n: int
 
-    def __init__(self, n: int):
-        self.group = groups.ZN(n)
-        self.n = n
-        self.name = f"zn:{n}"
-
-    def letter_count(self, k):
-        return 1 << self.n
-
-    def letter(self, k, idx):
-        if not 0 <= idx < (1 << self.n):
-            raise UsageError(f"letter index {idx} out of range for F_{k}")
-        return tuple(((idx >> j) & 1) << k for j in range(self.n))
-
-    def side(self, k):
-        return 1 << (k + 1)
+    def side(self, k: int) -> int:
+        raise NotImplementedError
 
     def contains(self, g, k):
         L = self.side(k)
         return all(0 <= a < L for a in g)
-
-    def decode(self, g, k):
-        if not self.contains(g, k):
-            raise NotInTile(f"{g} not in T_{k} of {self.name}")
-        return tuple(
-            sum(((a >> i) & 1) << j for j, a in enumerate(g)) for i in range(k + 1)
-        )
-
-    def claimed_epsilon(self, k):
-        return Fraction(1, 1 << (k + 1))
-
-    def claimed_radius(self, k):
-        return self.n << (k + 1)
 
     def escape_fraction(self, gamma, k):
         # box translation: survivors form the shifted sub-box
@@ -349,13 +320,11 @@ class ZnTiling(TilingSequence):
         return self.n * (self.side(k) - 1)
 
 
-class ZnGroupedTiling(TilingSequence):
+class ZnGroupedTiling(_BoxTiling):
     """Z^n with m levels grouped per step: F_k = (2^(mk) [0, 2^m))^n.
 
     Letter count 2^(nm) per level; epsilon_k = 2^-m(k+1) exactly.
     """
-
-    exact_diameter_cheap = True
 
     def __init__(self, n: int, m: int):
         if m < 1:
@@ -381,10 +350,6 @@ class ZnGroupedTiling(TilingSequence):
     def side(self, k):
         return 1 << (self.m * (k + 1))
 
-    def contains(self, g, k):
-        L = self.side(k)
-        return all(0 <= a < L for a in g)
-
     def decode(self, g, k):
         if not self.contains(g, k):
             raise NotInTile(f"{g} not in T_{k} of {self.name}")
@@ -403,15 +368,18 @@ class ZnGroupedTiling(TilingSequence):
     def claimed_radius(self, k):
         return self.n << (self.m * (k + 1))
 
-    def escape_fraction(self, gamma, k):
-        L = self.side(k)
-        stay = 1
-        for a in gamma:
-            stay *= max(0, L - abs(a))
-        return 1 - Fraction(stay, L**self.n)
 
-    def _exact_diameter(self, k, budget):
-        return self.n * (self.side(k) - 1)
+class ZnTiling(ZnGroupedTiling):
+    """Z^n with F_k = {0, 2^k}^n; tiles are the boxes [0, 2^(k+1))^n.
+
+    The grouped tiling with one level per step.  Exact parameters:
+    epsilon_k = 2^-(k+1) (equality, not just a bound) and tile diameter
+    n(2^(k+1) - 1) <= R_k = n 2^(k+1).
+    """
+
+    def __init__(self, n: int):
+        super().__init__(n, 1)
+        self.name = f"zn:{n}"
 
 
 class HeisTiling(TilingSequence):
@@ -596,7 +564,7 @@ class LamplighterTiling(TilingSequence):
         return Fraction(bad, L)
 
 
-class ZBlocksTiling(TilingSequence):
+class ZBlocksTiling(_BoxTiling):
     """Z tiled by intervals with prescribed letter counts.
 
     F_0 = [0, c_0) and F_k = |T_{k-1}| * [0, c_k), so T_k = [0, prod c_i).
@@ -605,25 +573,20 @@ class ZBlocksTiling(TilingSequence):
     uses exactly these letters).
     """
 
-    exact_diameter_cheap = True
+    n = 1
 
     def __init__(self, sizes: Callable[[int], int] | Sequence[int], name: str = "zblocks"):
         self.group = groups.ZN(1)
-        if callable(sizes):
-            self._sizes = sizes
-        else:
-            sz = list(sizes)
-
-            def _fn(k: int, _sz=sz) -> int:
-                if k >= len(_sz):
-                    raise UsageError(f"zblocks sizes given only up to k={len(_sz)-1}")
-                return _sz[k]
-
-            self._sizes = _fn
+        self._sizes = sizes if callable(sizes) else list(sizes)
         self.name = name
 
     def letter_count(self, k):
-        c = self._sizes(k)
+        if callable(self._sizes):
+            c = self._sizes(k)
+        elif k < len(self._sizes):
+            c = self._sizes[k]
+        else:
+            raise UsageError(f"zblocks sizes given only up to k={len(self._sizes)-1}")
         if c < 1:
             raise UsageError("letter counts must be >= 1")
         return c
@@ -633,8 +596,8 @@ class ZBlocksTiling(TilingSequence):
             raise UsageError(f"letter index {idx} out of range")
         return (idx * (self.tile_size(k - 1) if k > 0 else 1),)
 
-    def contains(self, g, k):
-        return 0 <= g[0] < self.tile_size(k)
+    def side(self, k):
+        return self.tile_size(k)
 
     def decode(self, g, k):
         if not self.contains(g, k):
@@ -651,13 +614,6 @@ class ZBlocksTiling(TilingSequence):
         return Fraction(2, self.tile_size(k))
 
     def claimed_radius(self, k):
-        return self.tile_size(k) - 1
-
-    def escape_fraction(self, gamma, k):
-        L = self.tile_size(k)
-        return 1 - Fraction(max(0, L - abs(gamma[0])), L)
-
-    def _exact_diameter(self, k, budget):
         return self.tile_size(k) - 1
 
 

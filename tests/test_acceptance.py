@@ -192,7 +192,7 @@ def test_criterion_6_bsll_coupling():
         C = BsLamplighterCoupling(k)
         for g in gs:
             assert C.bs.word_length(g) <= 3, (k, g)
-            sweeps = C.tail_bound_sweep(g, range(2, 9), N, seed=606, threads=1)
+            sweeps = C.tail_bound_sweep(g, range(2, 9), N, seed=606)
             for M, rep in sweeps.items():
                 assert rep.freq <= rep.bound + 4 * rep.stderr, (k, g, M, rep.freq, rep.bound)
                 checked += 1

@@ -208,14 +208,20 @@ def test_tail_bound_sweep_and_threads(c2):
         assert rep.passes, (M, rep)
         assert rep.threshold == 3 * (2 * 1 + 2 * M + 3)
     # shift element: distance is constant 1, so freq = 0
-    rep = c2.tail_bound_check((0, 0, 1), 2, 2000, 12)
+    rep = c2.tail_bound_sweep((0, 0, 1), [2], 2000, 12)[2]
     assert rep.freq == 0.0 and rep.passes
-    # worker-pool invariance
-    seq = c2.tail_bound_sweep((1, 0, 0), [3], 6000, 13, threads=1)[3]
-    par = c2.tail_bound_sweep((1, 0, 0), [3], 6000, 13, threads=4)[3]
-    assert seq.freq == par.freq and seq.stderr == par.stderr
 
 
 def test_side_metric_validation(c2):
     with pytest.raises(UsageError):
         c2.move_distance("nope", (1, 0, 0), c2.point(1))
+
+
+def test_window_exhausted_samples_exceed_every_threshold():
+    tight = BsLamplighterCoupling(2, carry_bound=2)
+    reps = tight.tail_bound_sweep((1, 0, 0), range(2, 9), 2000, 3)
+    exhausted = reps[2].exhausted
+    assert exhausted > 0
+    for M, rep in reps.items():
+        assert rep.exhausted == exhausted
+        assert rep.freq >= exhausted / rep.samples, (M, rep)

@@ -331,3 +331,14 @@ def test_determinism_across_runs(z2z):
     r1 = mc_integrability(z2z, "left", (0, 1), IntegrabilityGauge.power(0.4), 1000, 17)
     r2 = mc_integrability(z2z, "left", (0, 1), IntegrabilityGauge.power(0.4), 1000, 17)
     assert r1.estimate == r2.estimate and r1.stderr == r2.stderr
+
+
+def test_exhausted_points_fill_the_deepest_tail():
+    # at max_depth 2 a point has rewrite depth > 2 exactly when it exhausts,
+    # so both estimators must count the same samples
+    shallow = MatchedCoupling(LamplighterTiling(2), builtin("zmatch:ll:2"), max_depth=2)
+    gamma = ((), 1)
+    freqs = mc_tail_frequencies(shallow.left, gamma, [0, 1, 2], 2000, 3)
+    rep = mc_integrability(shallow, "left", gamma, IntegrabilityGauge.identity(), 2000, 3)
+    assert rep.exhausted_fraction == 0.1185
+    assert freqs[2][0] == rep.exhausted_fraction
