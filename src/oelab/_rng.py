@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 
+from .errors import UsageError
+
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -64,10 +66,13 @@ class SampleLoop:
 
     Iterating yields each draw's value, or None for a draw that raised
     ``exhausted_by``; those draws are counted in ``exhausted`` and left out
-    of the sums behind ``mean`` and ``stderr``.
+    of the sums behind ``mean`` and ``stderr``.  Fewer than one sample is a
+    usage error.
     """
 
     def __init__(self, samples: int, draw, exhausted_by: type[Exception]):
+        if samples < 1:
+            raise UsageError(f"Monte Carlo needs samples >= 1, got {samples}")
         self.samples = samples
         self.used = 0
         self.exhausted = 0

@@ -77,9 +77,6 @@ class BiInfinitePoint:
     def copy(self) -> "BiInfinitePoint":
         return BiInfinitePoint(self.k, self.seed, self.offset, dict(self.overrides))
 
-    def realized(self) -> dict:
-        return dict(self.overrides)
-
 
 def ll_act(group: Lamplighter, g, x: BiInfinitePoint) -> BiInfinitePoint:
     """(f, m) . x: shift by m, then add the lamp values coordinate-wise."""

@@ -5,7 +5,10 @@ results) with the command echo, parameters, seed, results, timing, and
 version.  Reports are bit-for-bit deterministic given (command, seed,
 version): all randomness flows through counter-based streams.  JSON
 reports are strict: non-finite floats are written as the strings "nan",
-"inf" and "-inf".
+"inf" and "-inf".  stdout carries the report alone: ``selftest`` writes its
+PASS/FAIL check lines to stderr.  Monte Carlo ``--samples`` must be at
+least 1 (``tiling verify --samples 0``, its default, skips the sampled
+diameter).
 
 Exit codes: 0 success / audit passed, 2 audit failed (an inequality the run
 was checking is violated), 1 usage or resource errors.
@@ -15,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
@@ -89,12 +91,8 @@ def _strict(x):
     return x
 
 
-def _emit(args, command: str, parameters: dict, results, started: float, rows=None):
-    clean = {
-        k: v
-        for k, v in parameters.items()
-        if k not in ("fn", "command", "subcommand", "command_args") and not callable(v)
-    }
+def _emit(args, command: str, results, started: float, rows) -> None:
+    clean = {k: v for k, v in vars(args).items() if k not in ("fn", "command", "subcommand")}
     report = {
         "command": command,
         "parameters": clean,
@@ -103,12 +101,8 @@ def _emit(args, command: str, parameters: dict, results, started: float, rows=No
         "timing_seconds": round(time.time() - started, 3),
         "version": __version__,
     }
-    if getattr(args, "format", "json") == "csv" and rows is not None:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        for row in rows:
-            writer.writerow(row)
-        sys.stdout.write(buf.getvalue())
+    if args.format == "csv" and rows is not None:
+        csv.writer(sys.stdout).writerows(rows)
     else:
         json.dump(_strict(report), sys.stdout, indent=2, default=str, allow_nan=False)
         sys.stdout.write("\n")
@@ -140,10 +134,12 @@ def _graph_from_args(args) -> MetricGraph:
 
 
 # -- subcommands -------------------------------------------------------------
+# Each handler returns (results, ok, rows): the report's results, whether the
+# audit passed, and the CSV table (None when the command has none).  main
+# times the run, writes the report and maps ok to the exit code.
 
 
-def cmd_tiling_verify(args) -> int:
-    started = time.time()
+def cmd_tiling_verify(args):
     t = tiling_builtin(args.builtin)
     if args.group and group_from_spec(args.group).name != t.group.name:
         raise UsageError(
@@ -177,8 +173,7 @@ def cmd_tiling_verify(args) -> int:
             row["ok"] = row["ok"] and diam.within_claim is not False
         ok = ok and row["ok"]
         results.append(row)
-    _emit(args, "tiling verify", vars(args) | {"command_args": None}, results, started)
-    return EXIT_OK if ok else EXIT_AUDIT_FAIL
+    return results, ok, None
 
 
 def _coupling_from_args(args) -> MatchedCoupling:
@@ -187,8 +182,7 @@ def _coupling_from_args(args) -> MatchedCoupling:
     )
 
 
-def cmd_couple_tail(args) -> int:
-    started = time.time()
+def cmd_couple_tail(args):
     c = _coupling_from_args(args)
     action = c.side(args.side)
     gamma = action.group.parse_element(args.gamma)
@@ -214,12 +208,10 @@ def cmd_couple_tail(args) -> int:
                 "within_4_stderr": within,
             }
         )
-    _emit(args, "couple tail", vars(args), results, started, rows=rows)
-    return EXIT_OK if ok else EXIT_AUDIT_FAIL
+    return results, ok, rows
 
 
-def cmd_couple_integrate(args) -> int:
-    started = time.time()
+def cmd_couple_integrate(args):
     c = _coupling_from_args(args)
     gamma = c.side(args.side).group.parse_element(args.gamma)
     gauge = IntegrabilityGauge.from_spec(args.gauge)
@@ -238,12 +230,10 @@ def cmd_couple_integrate(args) -> int:
     }
     rows = [("gauge", "estimate", "stderr", "stratified_bound", "exhausted_fraction")]
     rows.append((rep.gauge, rep.estimate, rep.stderr, rep.stratified_bound, rep.exhausted_fraction))
-    _emit(args, "couple integrate", vars(args), results, started, rows=rows)
-    return EXIT_OK
+    return results, True, rows
 
 
-def cmd_couple_return_time(args) -> int:
-    started = time.time()
+def cmd_couple_return_time(args):
     c = _coupling_from_args(args)
     action = c.side(args.side)
     patterns = []
@@ -262,12 +252,10 @@ def cmd_couple_return_time(args) -> int:
         "margin_sigmas": margin,
         "pass": margin >= -3,
     }
-    _emit(args, "couple return-time", vars(args), results, started)
-    return EXIT_OK if results["pass"] else EXIT_AUDIT_FAIL
+    return results, results["pass"], None
 
 
-def cmd_bsll_tail(args) -> int:
-    started = time.time()
+def cmd_bsll_tail(args):
     coupling = BsLamplighterCoupling(args.k, word_length_cap=args.cap)
     g = coupling.bs.parse_element(args.g)
     rep = coupling.tail_bound_sweep(g, [args.M], args.samples, args.seed)[args.M]
@@ -280,12 +268,10 @@ def cmd_bsll_tail(args) -> int:
         "exhausted": rep.exhausted,
         "pass": rep.passes,
     }
-    _emit(args, "bs-ll tail", vars(args), results, started)
-    return EXIT_OK if rep.passes else EXIT_AUDIT_FAIL
+    return results, rep.passes, None
 
 
-def cmd_profile(args) -> int:
-    started = time.time()
+def cmd_profile(args):
     group = group_from_spec(args.group)
     mode, _, maxval = args.mode.partition(":")
     res = isoperimetric_profile(
@@ -303,12 +289,12 @@ def cmd_profile(args) -> int:
         "convention": res.convention,
         "subsets_searched": res.subsets_searched,
     }
-    _emit(args, "profile", vars(args), results, started, rows=rows)
-    return EXIT_OK
+    return results, True, rows
 
 
-def cmd_wreath_check(args) -> int:
-    started = time.time()
+def cmd_wreath_check(args):
+    if args.samples < 1:
+        raise UsageError("wreath check needs --samples >= 1")
     bl, _, br = args.base.partition(",")
     ll_, _, lr = args.lamp.partition(",")
     base = MatchedCoupling(tiling_builtin(bl), tiling_builtin(br), max_depth=args.max_depth)
@@ -337,12 +323,10 @@ def cmd_wreath_check(args) -> int:
             }
         )
         ok = ok and base_pass == args.samples and lamp_pass == args.samples
-    _emit(args, "wreath check", vars(args), results, started)
-    return EXIT_OK if ok else EXIT_AUDIT_FAIL
+    return results, ok, None
 
 
-def cmd_hyp_delta(args) -> int:
-    started = time.time()
+def cmd_hyp_delta(args):
     G = _graph_from_args(args)
     delta = rips_delta(G, budget_mb=args.budget or _budget_mb())
     results = {
@@ -353,12 +337,10 @@ def cmd_hyp_delta(args) -> int:
     if args.four_point:
         fp = four_point_delta(G)
         results["four_point_delta"] = _frac(fp)
-    _emit(args, "hyp delta", vars(args), results, started)
-    return EXIT_OK
+    return results, True, None
 
 
-def cmd_hyp_audit_cycle(args) -> int:
-    started = time.time()
+def cmd_hyp_audit_cycle(args):
     G = _graph_from_args(args)
     if not args.cycle:
         raise UsageError("need --cycle v0,v1,...")
@@ -373,18 +355,15 @@ def cmd_hyp_audit_cycle(args) -> int:
         "bound": bound,
         "within_bound": ok,
     }
-    _emit(args, "hyp audit-cycle", vars(args), results, started)
-    return EXIT_OK if ok else EXIT_AUDIT_FAIL
+    return results, ok, None
 
 
-def cmd_hyp_extract(args) -> int:
-    started = time.time()
+def cmd_hyp_extract(args):
     G = _graph_from_args(args)
     try:
         res = extract_fat_cycle(G, budget_mb=args.budget or _budget_mb())
     except NotApplicable as exc:
-        _emit(args, "hyp extract", vars(args), {"not_applicable": str(exc)}, started)
-        return EXIT_OK
+        return {"not_applicable": str(exc)}, True, None
     results = {
         "delta": _frac(res.delta),
         "cycle_length": res.report.n,
@@ -398,12 +377,10 @@ def cmd_hyp_extract(args) -> int:
             and res.report.a >= Fraction(1, 2 * 17820),
         },
     }
-    _emit(args, "hyp extract", vars(args), results, started)
-    return EXIT_OK if results["self_audit"]["pass"] else EXIT_AUDIT_FAIL
+    return results, results["self_audit"]["pass"], None
 
 
-def cmd_selftest(args) -> int:
-    started = time.time()
+def cmd_selftest(args):
     checks: list[tuple[str, bool]] = []
 
     def check(name: str, fn):
@@ -412,7 +389,7 @@ def cmd_selftest(args) -> int:
         except Exception:
             ok = False
         checks.append((name, ok))
-        print(f"{'PASS' if ok else 'FAIL'}  {name}")
+        print(f"{'PASS' if ok else 'FAIL'}  {name}", file=sys.stderr)
 
     from .groups import ZN, BaumslagSolitar, Heisenberg, Lamplighter
     from .tilings import ZnTiling
@@ -445,15 +422,8 @@ def cmd_selftest(args) -> int:
             "bs-ll shift distance",
             lambda: coupling.move_distance("ll", (0, 0, 1), coupling.point(3)) == 1,
         )
-    ok = all(passed for _, passed in checks)
-    _emit(
-        args,
-        "selftest",
-        vars(args),
-        [{"name": n, "pass": p} for n, p in checks],
-        started,
-    )
-    return EXIT_OK if ok else EXIT_AUDIT_FAIL
+    results = [{"name": n, "pass": p} for n, p in checks]
+    return results, all(p for _, p in checks), None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -464,20 +434,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"oelab {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--format", choices=["json", "csv"], default="json")
-        sp.add_argument("--seed", type=int, default=0)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--format", choices=["json", "csv"], default="json")
+    common.add_argument("--seed", type=int, default=0)
 
     tiling = sub.add_parser("tiling", help="tiling construction and verification")
     tsub = tiling.add_subparsers(dest="subcommand", required=True)
-    tv = tsub.add_parser("verify", help="verify disjointness, epsilon_k, diameters")
+    tv = tsub.add_parser("verify", parents=[common], help="verify disjointness, epsilon_k, diameters")
     tv.add_argument("--builtin", required=True, help="zn:N | zn:N:grouped:M | heis | ll:M | zmatch:ll:M | zblocks:c0,c1,...")
     tv.add_argument("--group", help="optional group spec, cross-checked against the builtin")
     tv.add_argument("--k", type=int, required=True)
     tv.add_argument("--exact-diameter", action="store_true")
     tv.add_argument("--samples", type=int, default=0, help="sampled diameter pairs")
     tv.add_argument("--budget", type=int, default=None, help="element budget; default from OELAB_BUDGET_MB")
-    common(tv)
     tv.set_defaults(fn=cmd_tiling_verify)
 
     couple = sub.add_parser("couple", help="matched-tiling coupling estimators")
@@ -487,13 +456,12 @@ def build_parser() -> argparse.ArgumentParser:
         ("integrate", cmd_couple_integrate),
         ("return-time", cmd_couple_return_time),
     ):
-        cp = csub.add_parser(name)
+        cp = csub.add_parser(name, parents=[common])
         cp.add_argument("--left", required=True)
         cp.add_argument("--right", required=True)
         cp.add_argument("--side", choices=["left", "right"], default="left")
         cp.add_argument("--max-depth", type=int, default=32)
         cp.add_argument("--samples", type=int, default=100_000)
-        common(cp)
         if name == "tail":
             cp.add_argument("--gamma", required=True)
             cp.add_argument("--k", type=int, default=6)
@@ -508,31 +476,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     bsll = sub.add_parser("bs-ll", help="lamplighter / BS(1,k) bi-infinite coupling")
     bsub = bsll.add_subparsers(dest="subcommand", required=True)
-    bt = bsub.add_parser("tail", help="exponential-tail audit")
+    bt = bsub.add_parser("tail", parents=[common], help="exponential-tail audit")
     bt.add_argument("--k", type=int, required=True)
     bt.add_argument("--g", required=True, help="bs element, e.g. bs:a=1,s=0,n=0")
     bt.add_argument("--M", type=int, required=True)
     bt.add_argument("--samples", type=int, default=1_000_000)
     bt.add_argument("--cap", type=int, default=24)
-    common(bt)
     bt.set_defaults(fn=cmd_bsll_tail)
 
-    prof = sub.add_parser("profile", help="isoperimetric profile search")
+    prof = sub.add_parser("profile", parents=[common], help="isoperimetric profile search")
     prof.add_argument("--group", required=True)
     prof.add_argument("--n", type=int, required=True)
     prof.add_argument("--mode", default="sets", help="sets | int:MAXVAL")
     prof.add_argument("--budget", type=int, default=200_000)
-    common(prof)
     prof.set_defaults(fn=cmd_profile)
 
     wr = sub.add_parser("wreath", help="wreath coupling identity checks")
     wsub = wr.add_subparsers(dest="subcommand", required=True)
-    wc = wsub.add_parser("check")
+    wc = wsub.add_parser("check", parents=[common])
     wc.add_argument("--base", required=True, help="left,right tiling specs")
     wc.add_argument("--lamp", required=True, help="left,right tiling specs")
     wc.add_argument("--samples", type=int, default=20)
     wc.add_argument("--max-depth", type=int, default=24)
-    common(wc)
     wc.set_defaults(fn=cmd_wreath_check)
 
     hyp = sub.add_parser("hyp", help="hyperbolicity on finite graphs")
@@ -542,30 +507,30 @@ def build_parser() -> argparse.ArgumentParser:
         ("audit-cycle", cmd_hyp_audit_cycle),
         ("extract", cmd_hyp_extract),
     ):
-        hp = hsub.add_parser(name)
+        hp = hsub.add_parser(name, parents=[common])
         hp.add_argument("--family", help="grid:N | grid:WxH | cycle:N | path:N | tree:N:SEED | cayley-ball:GROUP:R")
         hp.add_argument("--edges", help="edge-list file, one 'u v' per line")
         hp.add_argument("--budget", type=int, default=None, help="tensor budget in MB; default from OELAB_BUDGET_MB")
-        common(hp)
         if name == "delta":
             hp.add_argument("--four-point", action="store_true")
         if name == "audit-cycle":
             hp.add_argument("--cycle", help="comma-separated vertex list")
         hp.set_defaults(fn=fn)
 
-    st = sub.add_parser("selftest", help="fast invariant checks")
+    st = sub.add_parser("selftest", parents=[common], help="fast invariant checks")
     st.add_argument("--quick", action="store_true")
-    common(st)
     st.set_defaults(fn=cmd_selftest)
 
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = " ".join(filter(None, (args.command, getattr(args, "subcommand", None))))
+    started = time.time()
     try:
-        return args.fn(args)
+        results, ok, rows = args.fn(args)
+        _emit(args, command, results, started, rows)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -575,6 +540,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    return EXIT_OK if ok else EXIT_AUDIT_FAIL
 
 
 if __name__ == "__main__":

@@ -29,6 +29,7 @@ from .errors import DepthExhausted, UsageError
 from .tilings import Orientation, TilingSequence
 
 DEFAULT_MAX_DEPTH = 32
+CHECK_LEVELS = 8  # letter counts compared up front; deeper levels as acts reach them
 
 
 @dataclass(frozen=True)
@@ -147,6 +148,15 @@ class TilingAction:
     def coordinates(self, x: CouplingPoint, upto: int) -> list[int]:
         return [self.coordinate(x, k) for k in range(upto + 1)]
 
+    def carrier(self, x: CouplingPoint, y: CouplingPoint, n: int):
+        """The element carrying x to y, read from their first n+1 coordinates."""
+        t = self.tiling
+        gx = t.prefix_product(self.coordinates(x, n))
+        gy = t.prefix_product(self.coordinates(y, n))
+        if t.orientation is Orientation.LEFT:
+            return self.group.multiply(gy, self.group.inverse(gx))
+        return self.group.multiply(self.group.inverse(gy), gx)
+
     def act(self, gamma, x: CouplingPoint) -> tuple[CouplingPoint, int]:
         """gamma . x and the rewrite depth n (smallest with the product in T_n)."""
         t = self.tiling
@@ -209,13 +219,12 @@ class MatchedCoupling:
         left: TilingSequence,
         right: TilingSequence,
         max_depth: int = DEFAULT_MAX_DEPTH,
-        check_levels: int = 8,
     ):
         self.left = TilingAction(left, max_depth)
         self.right = TilingAction(right, max_depth)
         self.max_depth = max_depth
         self._checked = -1
-        self._check_match(min(check_levels, max_depth))
+        self._check_match(min(CHECK_LEVELS, max_depth))
 
     def _check_match(self, upto: int) -> None:
         for k in range(self._checked + 1, upto + 1):
@@ -245,15 +254,7 @@ class MatchedCoupling:
     def transfer_cocycle(self, which: str, gamma, x: CouplingPoint):
         """The partner-group element carrying x to gamma.x along the orbit."""
         y, n = self.act(which, gamma, x)
-        partner = self.partner(which)
-        t = partner.tiling
-        gx = t.prefix_product(partner.coordinates(x, n))
-        gy = t.prefix_product(partner.coordinates(y, n))
-        if t.orientation is Orientation.LEFT:
-            lam = t.group.multiply(gy, t.group.inverse(gx))
-        else:
-            lam = t.group.multiply(t.group.inverse(gy), gx)
-        return lam, y, n
+        return self.partner(which).carrier(x, y, n), y, n
 
 
 @dataclass
@@ -292,8 +293,6 @@ def mc_integrability(
     truncated stratified upper-bound series gauge(2 R'_k)(eps_{k-1} - eps_k)
     is reported alongside.
     """
-    if samples < 1:
-        raise UsageError("mc_integrability needs samples >= 1")
     partner = coupling.partner(which).tiling
 
     def draw(i):

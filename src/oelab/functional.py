@@ -61,27 +61,33 @@ class FiniteSupportFunction:
         """
         if p <= 0:
             raise UsageError("gradient needs p > 0")
-        grp = self.group
-        total = 0.0
-        for s in grp.generators:
-            sinv = grp.inverse(s)
-            pts = set(self.entries)
-            if side == "left":
-                pts |= {grp.multiply(s, g) for g in self.entries}
-            elif side == "right":
-                pts |= {grp.multiply(g, sinv) for g in self.entries}
-            else:
-                raise UsageError(f"side must be left|right, got {side!r}")
-            for g in pts:
-                if side == "left":
-                    other = self.entries.get(grp.multiply(sinv, g), 0.0)
-                else:
-                    other = self.entries.get(grp.multiply(g, s), 0.0)
-                total += abs(self.entries.get(g, 0.0) - other) ** p
-        return total
+        return float(_gradient_power_sum(self.group, self.entries, side, p))
 
     def gradient_norm(self, side: str, p: float) -> float:
         return self.gradient_power_sum(side, p) ** (1.0 / p)
+
+
+def _gradient_power_sum(group: Group, entries: dict, side: str, p):
+    """sum over generators s and g of |f(g) - f(s^-1 g)|^p (left) or |f(g) - f(g s)|^p.
+
+    f is the finitely supported function ``entries``; only points where a
+    term can be nonzero are visited.  Int values and an int p give an int.
+    """
+    if side not in ("left", "right"):
+        raise UsageError(f"side must be left|right, got {side!r}")
+    mul = group.multiply
+    total = 0
+    for s in group.generators:
+        sinv = group.inverse(s)
+        if side == "left":
+            pts = set(entries) | {mul(s, g) for g in entries}
+            for g in pts:
+                total += abs(entries.get(g, 0) - entries.get(mul(sinv, g), 0)) ** p
+        else:
+            pts = set(entries) | {mul(g, sinv) for g in entries}
+            for g in pts:
+                total += abs(entries.get(g, 0) - entries.get(mul(g, s), 0)) ** p
+    return total
 
 
 class TransitiveAction:
@@ -229,13 +235,7 @@ def induced_gradient_check(
         for lam, v in sup_inv.items():
             gamma, _, _ = coupling.transfer_cocycle(partner_side, lam, x)
             fx[gamma] = v
-        val = 0.0
-        for s in grp.generators:
-            sinv = grp.inverse(s)
-            keys = set(fx) | {grp.multiply(s, g) for g in fx}
-            for g in keys:
-                val += abs(fx.get(g, 0.0) - fx.get(grp.multiply(sinv, g), 0.0)) ** p
-        return val
+        return _gradient_power_sum(grp, fx, "left", p)
 
     loop = SampleLoop(n_samples, draw, DepthExhausted).run()
     if loop.used == 0:
@@ -363,7 +363,7 @@ def isoperimetric_profile(
                     for values in itertools.product(range(1, max_value + 1), repeat=len(sup)):
                         fmap = dict(zip(sup, values))
                         num = sum(values)
-                        denom = _integer_gradient(group, fmap)
+                        denom = _gradient_power_sum(group, fmap, "left", 1)
                         val = Fraction(num, denom)
                         if val > best:
                             best, witness, witness_values = val, sup, values
@@ -385,16 +385,6 @@ def _indicator_gradient(group: Group, A) -> int:
     for s in group.generators:
         sA = {group.multiply(s, g) for g in A}
         total += len(sA.symmetric_difference(A))
-    return total
-
-
-def _integer_gradient(group: Group, fmap: dict) -> int:
-    total = 0
-    for s in group.generators:
-        sinv = group.inverse(s)
-        pts = set(fmap) | {group.multiply(s, g) for g in fmap}
-        for g in pts:
-            total += abs(fmap.get(g, 0) - fmap.get(group.multiply(sinv, g), 0))
     return total
 
 

@@ -513,9 +513,6 @@ def _split_fields(body: str, sep: str, original: str):
         yield key, value
 
 
-_FAMILY_PREFIXES = ("zn", "heis", "ll", "bs", "cyclic")
-
-
 def group_from_spec(spec: str, word_length_cap: int = DEFAULT_WORD_CAP) -> Group:
     """Build a group from a CLI spec: zn:2, heis, ll:3, bs:2, cyclic:5."""
     head, _, rest = spec.partition(":")

@@ -191,19 +191,8 @@ class WreathCoupling:
     def _lamp_cocycle(self, side: int, before: CouplingPoint, after: CouplingPoint):
         """Partner lamp element carrying before to after (both realized)."""
         oname = self._side_name(2 if side == 1 else 1)
-        act = self.lamp.side(oname)
-        group = act.group
-        # search over the partner lamp group ball; lamp groups are small
-        # (finite cyclic in all shipped couplings), so direct solve suffices
         top = max(len(before.prefix), len(after.prefix), 1) - 1
-        t = act.tiling
-        gb = t.prefix_product(act.coordinates(before, top))
-        ga = t.prefix_product(act.coordinates(after, top))
-        from .tilings import Orientation
-
-        if t.orientation is Orientation.LEFT:
-            return group.multiply(ga, group.inverse(gb))
-        return group.multiply(group.inverse(ga), gb)
+        return self.lamp.side(oname).carrier(before, after, top)
 
     def _partner_address(self, other: int, key, Q: WreathPoint):
         """Side-`other` element h with h . (base of Q) = key . (base of Q), inverted.

@@ -2,6 +2,8 @@ import json
 import os
 import tempfile
 
+import pytest
+
 from oelab.cli import main
 
 
@@ -12,16 +14,18 @@ def run_cli(capsys, *argv):
 
 
 def run_json(capsys, *argv):
-    # selftest prints PASS/FAIL lines ahead of the report
     code, out, err = run_cli(capsys, *argv)
-    return code, json.loads(out[out.find("{"):]), err
+    return code, json.loads(out), err
 
 
 def test_selftest_quick(capsys):
-    code, report, _ = run_json(capsys, "selftest", "--quick")
+    code, out, err = run_cli(capsys, "selftest", "--quick")
     assert code == 0
+    # the check lines go to stderr, so stdout is one strict JSON document
+    report = _strict_loads(out)
     assert all(item["pass"] for item in report["results"])
     assert report["version"]
+    assert err.count("PASS") == len(report["results"])
 
 
 def test_tiling_verify_epsilon(capsys):
@@ -264,3 +268,47 @@ def test_reports_are_strict_json(capsys):
     assert code == 0
     results = _strict_loads(out)["results"]
     assert results["estimate"] == "nan" and results["exhausted_fraction"] == 1.0
+
+
+_COUPLE = ["--left", "zn:2", "--right", "zn:1:grouped:2"]
+_SAMPLES_ZERO = [
+    ["couple", "tail", *_COUPLE, "--gamma", "zn:1,0"],
+    ["couple", "integrate", *_COUPLE, "--gamma", "zn:1,0"],
+    ["couple", "return-time", *_COUPLE, "--x0", "0;1"],
+    ["bs-ll", "tail", "--k", "2", "--g", "bs:a=1,s=0,n=0", "--M", "3"],
+    ["wreath", "check", "--base", "zn:2,zn:1:grouped:2", "--lamp", "cyclic:3,cyclic:3"],
+]
+
+
+@pytest.mark.parametrize("argv", _SAMPLES_ZERO, ids=lambda a: " ".join(a[:2]))
+def test_zero_samples_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--samples", "0")
+    assert code == 1 and "usage error" in err
+    assert out == ""
+
+
+_CHEAP_RUNS = [
+    ("tiling verify", ["tiling", "verify", "--builtin", "zn:1", "--k", "1"]),
+    ("couple tail", ["couple", "tail", *_COUPLE, "--gamma", "zn:1,0", "--k", "1", "--samples", "20"]),
+    ("couple integrate", ["couple", "integrate", *_COUPLE, "--gamma", "zn:1,0", "--samples", "20"]),
+    ("couple return-time", ["couple", "return-time", *_COUPLE, "--x0", "0;1", "--n", "1", "--samples", "5"]),
+    ("bs-ll tail", ["bs-ll", "tail", "--k", "2", "--g", "bs:a=1,s=0,n=0", "--M", "3", "--samples", "20"]),
+    ("profile", ["profile", "--group", "zn:1", "--n", "2"]),
+    ("wreath check", ["wreath", "check", "--base", "zn:2,zn:1:grouped:2", "--lamp", "cyclic:3,cyclic:3", "--samples", "1"]),
+    ("hyp delta", ["hyp", "delta", "--family", "path:4"]),
+    ("hyp audit-cycle", ["hyp", "audit-cycle", "--family", "cycle:4", "--cycle", "0,1,2,3"]),
+    ("hyp extract", ["hyp", "extract", "--family", "path:4"]),
+    ("selftest", ["selftest", "--quick"]),
+]
+
+
+@pytest.mark.parametrize("command,argv", _CHEAP_RUNS, ids=[c for c, _ in _CHEAP_RUNS])
+def test_every_subcommand_reports_through_one_path(capsys, command, argv):
+    code, out, _ = run_cli(capsys, *argv, "--seed", "3")
+    assert code in (0, 2)
+    # only the report is pinned here; test_selftest_quick pins a clean stdout
+    report = json.loads(out[out.index("{"):])
+    assert set(report) == {"command", "parameters", "seed", "results", "timing_seconds", "version"}
+    assert report["command"] == command
+    assert report["seed"] == 3 == report["parameters"]["seed"]
+    assert report["parameters"]["format"] == "json"
