@@ -145,15 +145,17 @@ def cmd_tiling_verify(args):
         raise UsageError(
             f"builtin {args.builtin!r} tiles {t.group.name}, not {args.group!r}"
         )
+    if args.k < 0:
+        raise UsageError("--k must be >= 0")
     budget = args.budget if args.budget is not None else _budget_elements()
+    # one enumeration of every tile within budget proves disjointness by cardinality
+    fits = max((k for k in range(args.k + 1) if t.tile_size(k) <= budget), default=-1)
+    tiles = t.build_tiles(fits, budget) if fits >= 0 else []
     results = []
     ok = True
     for k in range(args.k + 1):
         size = t.tile_size(k)
-        tiles_k = None
-        if size <= budget:
-            tiles_k = t.build_tiles(k, budget)[k]  # proves disjointness by cardinality
-        fol = t.folner_constant(k, tiles_k=tiles_k)
+        fol = t.folner_constant(k, tiles_k=tiles[k] if k <= fits else None)
         row = {
             "k": k,
             "size": size,
@@ -161,14 +163,10 @@ def cmd_tiling_verify(args):
             "epsilon_claimed": _frac(fol.claimed) if fol.claimed is not None else None,
             "ok": fol.within_claim is not False,
         }
-        if args.exact_diameter:
-            diam = t.tile_diameter(k, mode="exact")
-            row["diameter"] = diam.value
-            row["radius_claimed"] = diam.claimed
-            row["ok"] = row["ok"] and diam.within_claim is not False
-        elif args.samples:
-            diam = t.tile_diameter(k, mode="sampled", samples=args.samples, seed=args.seed)
-            row["diameter_lower_bound"] = diam.value
+        if args.exact_diameter or args.samples:
+            mode = "exact" if args.exact_diameter else "sampled"
+            diam = t.tile_diameter(k, mode=mode, samples=args.samples, seed=args.seed)
+            row["diameter" if args.exact_diameter else "diameter_lower_bound"] = diam.value
             row["radius_claimed"] = diam.claimed
             row["ok"] = row["ok"] and diam.within_claim is not False
         ok = ok and row["ok"]
@@ -183,6 +181,8 @@ def _coupling_from_args(args) -> MatchedCoupling:
 
 
 def cmd_couple_tail(args):
+    if args.k < 0:
+        raise UsageError("--k must be >= 0")
     c = _coupling_from_args(args)
     action = c.side(args.side)
     gamma = action.group.parse_element(args.gamma)

@@ -26,7 +26,7 @@ from typing import Sequence
 
 from ._rng import SampleLoop, derive, proportion, randbelow
 from .errors import DepthExhausted, UsageError
-from .tilings import Orientation, TilingSequence
+from .tilings import DEFAULT_TILE_BUDGET, TilingSequence
 
 DEFAULT_MAX_DEPTH = 32
 CHECK_LEVELS = 8  # letter counts compared up front; deeper levels as acts reach them
@@ -153,26 +153,20 @@ class TilingAction:
         t = self.tiling
         gx = t.prefix_product(self.coordinates(x, n))
         gy = t.prefix_product(self.coordinates(y, n))
-        if t.orientation is Orientation.LEFT:
-            return self.group.multiply(gy, self.group.inverse(gx))
-        return self.group.multiply(self.group.inverse(gy), gx)
+        return t.oriented(t.grow(gy, self.group.inverse(gx)))
 
     def act(self, gamma, x: CouplingPoint) -> tuple[CouplingPoint, int]:
         """gamma . x and the rewrite depth n (smallest with the product in T_n)."""
         t = self.tiling
         if gamma == self.group.identity:
             return x, 0
-        mul = self.group.multiply
-        left = t.orientation is Orientation.LEFT
-        ginv = None if left else self.group.inverse(gamma)
+        grow = t.grow
+        h = t.oriented(gamma)
         prod = None
         for n in range(self.max_depth + 1):
             f = t.letter(n, self.coordinate(x, n))
-            if prod is None:
-                prod = f
-            else:
-                prod = mul(prod, f) if left else mul(f, prod)
-            cand = mul(gamma, prod) if left else mul(prod, ginv)
+            prod = f if prod is None else grow(prod, f)
+            cand = grow(h, prod)
             if t.contains(cand, n):
                 new = t.decode(cand, n)
                 if len(x.prefix) > n + 1:
@@ -197,14 +191,14 @@ class TilingAction:
                 rho = k + 1
         return rho
 
-    def exact_tail(self, gamma, k: int, budget: int = 4_000_000) -> Fraction:
+    def exact_tail(self, gamma, k: int, budget: int = DEFAULT_TILE_BUDGET) -> Fraction:
         """Exact mu({x : rho(gamma.x, x) > k}) = |T_k \\ gamma^-1 T_k| / |T_k|.
 
         Right-oriented tilings rewrite h_k(x) gamma^-1, so their tail set is
         |T_k \\ T_k gamma| and the closed form is queried at gamma^-1.
         """
         t = self.tiling
-        h = gamma if t.orientation is Orientation.LEFT else self.group.inverse(gamma)
+        h = t.oriented(gamma)
         closed = t.escape_fraction(h, k)
         if closed is not None:
             return closed

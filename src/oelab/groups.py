@@ -98,6 +98,8 @@ class Group:
         return set(self._layers[radius])
 
     def _check_radius(self, radius: int) -> None:
+        if radius < 0:
+            raise UsageError(f"radius must be >= 0, got {radius}")
         if radius > self.word_length_cap:
             raise CapExceeded(
                 f"radius {radius} exceeds word-length cap {self.word_length_cap}",

@@ -52,7 +52,6 @@ class MetricGraph:
         self.adj = [sorted(a) for a in adj]
         self.labels = labels
         self.dist = self._all_pairs()
-        self._interval_cache: dict = {}
 
     def _all_pairs(self) -> np.ndarray:
         n = self.n
@@ -141,12 +140,7 @@ class MetricGraph:
 
     def interval(self, a: int, b: int) -> np.ndarray:
         """Vertices on some geodesic from a to b (boolean mask)."""
-        key = (a, b) if a <= b else (b, a)
-        mask = self._interval_cache.get(key)
-        if mask is None:
-            mask = self.dist[a] + self.dist[b] == self.dist[a, b]
-            self._interval_cache[key] = mask
-        return mask
+        return self.dist[a] + self.dist[b] == self.dist[a, b]
 
     def geodesic(self, a: int, b: int) -> list[int]:
         """A canonical geodesic path from a to b (min-index descent)."""
@@ -161,23 +155,11 @@ class MetricGraph:
         return path
 
     def dist_to_set(self, vertices) -> np.ndarray:
-        """Distances from every vertex to a vertex set (multi-source BFS)."""
-        out = np.full(self.n, -1, dtype=np.int32)
-        q = deque()
-        for v in vertices:
-            if out[v] < 0:
-                out[v] = 0
-                q.append(v)
-        if not q:
+        """Distances from every vertex to a vertex set: the minimum of its rows."""
+        rows = self.dist[np.fromiter(vertices, dtype=np.intp)]
+        if not len(rows):
             raise UsageError("dist_to_set needs a nonempty set")
-        while q:
-            u = q.popleft()
-            du = out[u]
-            for v in self.adj[u]:
-                if out[v] < 0:
-                    out[v] = du + 1
-                    q.append(v)
-        return out
+        return rows.min(axis=0)
 
 
 def _interval_distance_tensor(G: MetricGraph, budget_mb: int) -> list[np.ndarray]:

@@ -17,6 +17,8 @@ verifier can compare computed boundary ratios and diameters against them.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -40,6 +42,22 @@ class TilingSequence:
     group: groups.Group
     orientation: Orientation = Orientation.LEFT
     name: str = "?"
+
+    # -- orientation ---------------------------------------------------------
+
+    @functools.cached_property
+    def grow(self) -> Callable:
+        """The product in tile order: (t, f) -> t f for left tilings, f t for right."""
+        mul = self.group.multiply
+        if self.orientation is Orientation.LEFT:
+            return mul
+        return lambda t, f: mul(f, t)
+
+    def oriented(self, gamma):
+        """gamma (left) or gamma^-1 (right): grow(oriented(gamma), g) is gamma acting on g."""
+        if self.orientation is Orientation.LEFT:
+            return gamma
+        return self.group.inverse(gamma)
 
     # -- letters -----------------------------------------------------------
 
@@ -76,9 +94,10 @@ class TilingSequence:
         """Letter indices (i_0, ..., i_k) of the unique factorization of g.
 
         Left orientation: g = f_0 f_1 ... f_k; right: g = f_k ... f_1 f_0.
-        Raises NotInTile when g in not in T_k.  Built-ins override this with
-        digit extraction; the default falls back to a memo table built by
-        materializing the tile, which only works within the budget.
+        Raises NotInTile when g is not in T_k.  Built-ins override this with
+        digit extraction; the default reads a memo table off build_tiles,
+        which only works within the budget and raises TilingViolation first
+        when the letters do not tile.
         """
         memo = self._decode_memo(k)
         idxs = memo.get(g)
@@ -87,21 +106,14 @@ class TilingSequence:
         return idxs
 
     def _decode_memo(self, k: int) -> dict:
-        cache = getattr(self, "_memo_tables", None)
-        if cache is None:
-            cache = {}
-            self._memo_tables = cache
+        cache = vars(self).setdefault("_memo_tables", {})
         memo = cache.get(k)
         if memo is None:
-            mul = self.group.multiply
-            left = self.orientation is Orientation.LEFT
-            memo = {f: (i,) for i, f in enumerate(self.letters(0))}
-            for lvl in range(1, k + 1):
-                prev, memo = memo, {}
-                for j, f in enumerate(self.letters(lvl)):
-                    for t, idxs in prev.items():
-                        g = mul(t, f) if left else mul(f, t)
-                        memo[g] = idxs + (j,)
+            # position p of T_k holds the letters whose indices are p's
+            # mixed-radix digits, least significant (level 0) first
+            radices = [range(self.letter_count(i)) for i in reversed(range(k + 1))]
+            tile = self.build_tiles(k)[k]
+            memo = {g: idxs[::-1] for g, idxs in zip(tile, itertools.product(*radices))}
             cache[k] = memo
         return memo
 
@@ -112,32 +124,25 @@ class TilingSequence:
         return None
 
     def escape_fraction(self, gamma, k: int) -> Fraction | None:
-        """Exact |T_k \\ gamma^-1 T_k| / |T_k| (left; right uses T_k gamma)
-        in closed form, or None when only enumeration will do."""
+        """Exact #{t in T_k : grow(gamma, t) not in T_k} / |T_k| in closed form,
+        or None when only enumeration will do.  That is |T_k \\ gamma^-1 T_k|
+        for left tilings and |T_k \\ T_k gamma^-1| for right ones."""
         return None
 
     def enumerated_escape(self, gamma, tile: set) -> Fraction:
         """The escape fraction of gamma, counted over the materialized tile."""
-        mul = self.group.multiply
-        if self.orientation is Orientation.LEFT:
-            esc = sum(1 for t in tile if mul(gamma, t) not in tile)
-        else:
-            esc = sum(1 for t in tile if mul(t, gamma) not in tile)
+        grow = self.grow
+        esc = sum(1 for t in tile if grow(gamma, t) not in tile)
         return Fraction(esc, len(tile))
 
     # -- generic machinery ---------------------------------------------------
 
     def prefix_product(self, indices: Sequence[int]):
         """Product of the letters addressed by indices, in tile order."""
-        g = None
+        grow, g = self.grow, None
         for k, idx in enumerate(indices):
             f = self.letter(k, idx)
-            if g is None:
-                g = f
-            elif self.orientation is Orientation.LEFT:
-                g = self.group.multiply(g, f)
-            else:
-                g = self.group.multiply(f, g)
+            g = f if g is None else grow(g, f)
         return self.group.identity if g is None else g
 
     def random_letter_index(self, k: int, seed: int, *counters: int) -> int:
@@ -155,28 +160,23 @@ class TilingSequence:
             raise ResourceExhausted(
                 f"|T_{K}| = {self.tile_size(K)} exceeds budget {budget}"
             )
-        mul = self.group.multiply
-        left = self.orientation is Orientation.LEFT
-        tiles = [list(self.letters(0, budget))]
+        grow = self.grow
+        tiles = [self.letters(0, budget)]
         if len(set(tiles[0])) != self.letter_count(0):
             raise TilingViolation(0, _first_duplicate(tiles[0]))
         for k in range(1, K + 1):
-            new = []
-            seen: set = set()
-            for f in self.letters(k, budget):
-                for t in tiles[k - 1]:
-                    g = mul(t, f) if left else mul(f, t)
+            prev, letters = tiles[k - 1], self.letters(k, budget)
+            new, seen = [], set()
+            for f in letters:
+                for t in prev:
+                    g = grow(t, f)
                     new.append(g)
                     seen.add(g)
             if len(seen) != len(new):
-                # disjointness failed; rebuild with provenance to find a witness
-                prov: dict = {}
-                for f in self.letters(k, budget):
-                    for t in tiles[k - 1]:
-                        g = mul(t, f) if left else mul(f, t)
-                        if g in prov:
-                            raise TilingViolation(k, (prov[g], (t, f), g))
-                        prov[g] = (t, f)
+                # position p holds letters[p // |prev|] acting on prev[p % |prev|]
+                i, j, g = _first_duplicate(new)
+                (a, b), (c, d) = divmod(i, len(prev)), divmod(j, len(prev))
+                raise TilingViolation(k, ((prev[b], letters[a]), (prev[d], letters[c]), g))
             tiles.append(new)
         return tiles
 
@@ -204,7 +204,6 @@ class TilingSequence:
             value=value,
             per_generator=per_gen,
             claimed=self.claimed_epsilon(k),
-            orientation=self.orientation,
         )
 
     def tile_diameter(
@@ -228,6 +227,8 @@ class TilingSequence:
             return DiameterReport(k, value, False, self.claimed_radius(k))
         if mode != "sampled":
             raise UsageError(f"diameter mode must be auto|exact|sampled, got {mode!r}")
+        if samples < 1:
+            raise UsageError("sampled diameter needs samples >= 1")
         best = 0
         mul, inv = self.group.multiply, self.group.inverse
         for i in range(samples):
@@ -275,7 +276,6 @@ class FolnerReport(_Claimed):
     value: Fraction
     per_generator: dict
     claimed: Fraction | None
-    orientation: Orientation
 
 
 @dataclass

@@ -287,6 +287,22 @@ def test_zero_samples_is_a_usage_error(capsys, argv):
     assert out == ""
 
 
+_OUT_OF_RANGE = [
+    # each of these used to pass vacuously with exit 0, or crash
+    ("tiling verify --samples -3", ["tiling", "verify", "--builtin", "zn:1", "--k", "1", "--samples", "-3"]),
+    ("tiling verify --k -1", ["tiling", "verify", "--builtin", "zn:1", "--k", "-1"]),
+    ("couple tail --k -1", ["couple", "tail", *_COUPLE, "--gamma", "zn:1,0", "--k", "-1", "--samples", "20"]),
+    ("couple return-time --n -1", ["couple", "return-time", *_COUPLE, "--x0", "0;1", "--n", "-1", "--samples", "5"]),
+]
+
+
+@pytest.mark.parametrize("argv", [a for _, a in _OUT_OF_RANGE], ids=[i for i, _ in _OUT_OF_RANGE])
+def test_out_of_range_argument_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and "usage error" in err
+    assert out == ""
+
+
 _CHEAP_RUNS = [
     ("tiling verify", ["tiling", "verify", "--builtin", "zn:1", "--k", "1"]),
     ("couple tail", ["couple", "tail", *_COUPLE, "--gamma", "zn:1,0", "--k", "1", "--samples", "20"]),

@@ -138,16 +138,22 @@ def test_orbit_identity(z2z, z4heis, llz):
 
 
 def test_transfer_identity_coupling_returns_gamma():
-    cid = MatchedCoupling(ZnTiling(2), ZnTiling(2), max_depth=20)
+    # heis is left-oriented and ll:2 right-oriented; neither is abelian, so a
+    # product taken in the wrong order shows up as a wrong cocycle
     rng = random.Random(4)
-    for _ in range(100):
-        gamma = (rng.randrange(-4, 5), rng.randrange(-4, 5))
-        x = CouplingPoint((), rng.getrandbits(60))
-        lam, _, _ = cid.transfer_cocycle("left", gamma, x)
-        assert lam == gamma
-    # identity element transfers to the identity
-    lam, _, _ = cid.transfer_cocycle("left", (0, 0), CouplingPoint((), 9))
-    assert lam == (0, 0)
+    for spec in ("zn:2", "heis", "ll:2"):
+        cid = MatchedCoupling(builtin(spec), builtin(spec), max_depth=20)
+        group = cid.left.group
+        for _ in range(100):
+            gamma = group.identity
+            for _ in range(rng.randrange(1, 6)):
+                gamma = group.multiply(gamma, rng.choice(group.generators))
+            x = CouplingPoint((), rng.getrandbits(60))
+            lam, _, _ = cid.transfer_cocycle("left", gamma, x)
+            assert lam == gamma, spec
+        # identity element transfers to the identity
+        lam, _, _ = cid.transfer_cocycle("left", group.identity, CouplingPoint((), 9))
+        assert lam == group.identity
 
 
 def test_transfer_depth0_letter_difference(z2z):

@@ -211,3 +211,11 @@ def test_growth_cap_enforced():
     with pytest.raises(CapExceeded):
         bs.growth(4)
     assert bs.growth(3) > 0
+
+
+def test_negative_radius_is_a_usage_error():
+    g = ZN(1)
+    g.ball(3)  # cached layers must not make a negative index read one of them
+    for call in (g.ball, g.growth, g.sphere):
+        with pytest.raises(UsageError):
+            call(-1)

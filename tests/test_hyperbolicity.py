@@ -234,3 +234,17 @@ def test_extract_sampled_fallback_on_tiny_budget():
     audit = cycle_distortion(G, res.cycle)
     assert audit.a == res.report.a and audit.b == res.report.b
     assert res.report.n >= 3
+
+
+def test_rips_delta_leaves_no_allocations_behind():
+    import tracemalloc
+
+    g = MetricGraph.grid_graph(11, 11)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert rips_delta(g) == 10
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 0.5e6

@@ -60,7 +60,8 @@ def test_forced_collision_reports_witness():
     with pytest.raises(TilingViolation) as exc:
         Collides([2, 2]).build_tiles(1)
     assert exc.value.k == 1
-    assert exc.value.witness is not None
+    # (t, f) = (1, 0) and (t', f') = (0, 1) both give 1
+    assert exc.value.witness == (((1,), (0,)), ((0,), (1,)), (1,))
 
 
 @pytest.mark.parametrize("t", BUILTINS, ids=lambda t: t.name)
@@ -239,6 +240,19 @@ def test_generic_decode_memo_fallback():
         assert t.prefix_product(t.decode(g, 2)) == g
     with pytest.raises(NotInTile):
         t.decode((99,), 2)
+
+
+def test_generic_decode_rejects_a_non_tiling():
+    # letters that collide have two factorizations; decode must not pick one
+    class Collides(ZBlocksTiling):
+        decode = TilingSequence.decode
+        contains = TilingSequence.contains
+
+        def letter(self, k, idx):
+            return (idx,)
+
+    with pytest.raises(TilingViolation):
+        Collides([2, 2]).decode((1,), 1)
 
 
 def test_diameter_auto_mode():
