@@ -196,8 +196,11 @@ class BsLamplighterCoupling:
     def tail_bound_sweep(self, g, Ms, samples: int, seed: int) -> dict[int, "TailBoundReport"]:
         """Frequency of d_ll(g.x, x) >= (k+1)(2|g|_T + 2M + 3) vs the bound k^(1-M).
 
-        One sampling pass serves every threshold M in Ms for the same g.
+        One sampling pass serves every threshold M in Ms for the same g.  M must
+        be at least 2: for M <= 1 the bound is at least 1 and cannot fail.
         """
+        if any(M < 2 for M in Ms):
+            raise UsageError(f"tail thresholds need M >= 2, got {list(Ms)}")
         k = self.k
         glen = self.bs.word_length(g)
         thresholds = {M: (k + 1) * (2 * glen + 2 * M + 3) for M in Ms}

@@ -8,7 +8,9 @@ reports are strict: non-finite floats are written as the strings "nan",
 "inf" and "-inf".  stdout carries the report alone: ``selftest`` writes its
 PASS/FAIL check lines to stderr.  Monte Carlo ``--samples`` must be at
 least 1 (``tiling verify --samples 0``, its default, skips the sampled
-diameter).
+diameter).  ``tiling verify --k``, ``couple tail --k``, ``--max-depth`` and
+``--strata-depth`` must be at least 0, and ``bs-ll tail --M`` at least 2
+(below that the bound k^(1-M) cannot fail); anything else is a usage error.
 
 Exit codes: 0 success / audit passed, 2 audit failed (an inequality the run
 was checking is violated), 1 usage or resource errors.

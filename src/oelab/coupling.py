@@ -136,6 +136,8 @@ class TilingAction:
     """One side of a coupling: the tiled group acting on the index space."""
 
     def __init__(self, tiling: TilingSequence, max_depth: int = DEFAULT_MAX_DEPTH):
+        if max_depth < 0:
+            raise UsageError(f"max_depth must be >= 0, got {max_depth}")
         self.tiling = tiling
         self.group = tiling.group
         self.max_depth = max_depth
@@ -287,6 +289,8 @@ def mc_integrability(
     truncated stratified upper-bound series gauge(2 R'_k)(eps_{k-1} - eps_k)
     is reported alongside.
     """
+    if strata_depth is not None and strata_depth < 0:
+        raise UsageError(f"strata_depth must be >= 0, got {strata_depth}")
     partner = coupling.partner(which).tiling
 
     def draw(i):

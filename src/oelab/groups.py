@@ -1,26 +1,34 @@
-"""Exact arithmetic and word metrics for four concrete group families.
+"""Exact arithmetic and word metrics for five concrete group families.
 
 Families and normal forms:
 
 * ``ZN(n)``        -- integer vectors, generators +-e_i.
 * ``Heisenberg()`` -- triples (x, y, z) with product
                       (x,y,z)(x',y',z') = (x+x', y+y', z+z'+y*x'),
-                      generators E1 = (1,0,0), E2 = (0,1,0) and inverses.
+                      generators (1,0,0), (0,1,0) and their inverses.
 * ``Lamplighter(m)`` -- Z/mZ wr Z; elements are (lamps, pos) where lamps is a
                       sorted tuple of (position, value) pairs with values in
                       1..m-1 (identity lamps are never stored).
 * ``BaumslagSolitar(k)`` -- Z[1/k] x| Z; elements are (a, s, n) meaning
                       (a / k**s, n) with s >= 0 and k not dividing a when
                       s > 0, so the form is unique.
+* ``CyclicGroup(q)`` -- Z/qZ as ints 0..q-1, generators +-1.
+
+A family declares its data: ``identity`` and ``generators`` are plain values
+handed to :class:`Group`, next to ``multiply``, ``inverse``,
+``check_element``, ``format_element`` and a ``_parse_body`` hook.  The base
+class writes the shared procedures once: the strict element parser, the BFS
+word metric and the balls, spheres and growth read off its layers.
 
 Word lengths are exact: closed forms where one exists (ZN ell^1 norm,
-lamplighter switch+travel), breadth-first search from the identity elsewhere,
-with an explicit radius cap surfaced as :class:`CapExceeded`.
+lamplighter switch+travel, cyclic distance), breadth-first search from the
+identity elsewhere, with an explicit radius cap surfaced as
+:class:`CapExceeded`.
 
-All elements are plain hashable tuples and all groups are immutable after
-construction, apart from the BFS layer caches.  Those caches assume a single
-thread: concurrent growth() calls have been seen to misindex the layers, and
-oelab itself runs single-threaded.
+All elements are plain hashable tuples (ints for cyclic groups) and all
+groups are immutable after construction, apart from the BFS layer caches.
+Those caches assume a single thread: concurrent growth() calls have been
+seen to misindex the layers, and oelab itself runs single-threaded.
 """
 
 from __future__ import annotations
@@ -34,26 +42,21 @@ DEFAULT_BALL_BUDGET = 5_000_000
 
 
 class Group:
-    """Base class: exact normal forms plus a designated symmetric generating set."""
+    """Base class: exact normal forms plus a designated symmetric generating set.
+
+    ``generators`` is closed under inversion and omits the identity.
+    """
 
     name: str = "?"
-    word_length_cap: int
 
-    def __init__(self, word_length_cap: int = DEFAULT_WORD_CAP):
+    def __init__(self, identity, generators: tuple, word_length_cap: int = DEFAULT_WORD_CAP):
+        self.identity = identity
+        self.generators = generators
         self.word_length_cap = word_length_cap
         self._layers: list[set] = []  # BFS spheres, layer r = sphere of radius r
         self._dist: dict = {}
 
     # -- family-specific primitives -------------------------------------
-
-    @property
-    def identity(self):
-        raise NotImplementedError
-
-    @property
-    def generators(self) -> tuple:
-        """Symmetric generating set (closed under inversion, no identity)."""
-        raise NotImplementedError
 
     def multiply(self, g, h):
         raise NotImplementedError
@@ -68,36 +71,69 @@ class Group:
     def format_element(self, g) -> str:
         raise NotImplementedError
 
+    def _parse_body(self, body: str):
+        """The element a serialization spells after its tag; ValueError if malformed.
+
+        The default reads comma-separated integers (zn, heis).
+        """
+        return tuple(int(p) for p in body.split(","))
+
+    # -- serialization ---------------------------------------------------
+
     def parse_element(self, text: str):
-        raise NotImplementedError
+        """Parse a canonical serialization strictly: tag, body, normal form."""
+        tag = self.name.partition(":")[0]
+        head, _, body = text.partition(":")
+        if head != tag:
+            raise UsageError(f"expected {tag}:... serialization, got {text!r}")
+        try:
+            g = self._parse_body(body)
+        except ValueError:
+            raise UsageError(f"malformed {self.name} element: {text!r}") from None
+        self.check_element(g)
+        return g
 
     # -- word metric -----------------------------------------------------
 
     def word_length(self, g) -> int:
         """Exact word length w.r.t. the designated generators (BFS default)."""
-        return self._bfs_length(g)
+        self.check_element(g)
+        return self.word_lengths_of((g,))[g]
+
+    def word_lengths_of(self, elements: Iterable, cap: int | None = None) -> dict:
+        """Word lengths for a batch of elements via one shared BFS.
+
+        A cached element costs one dict lookup; the layers grow only as far
+        as the farthest element needs, and never beyond ``cap``.
+        """
+        cap = self.word_length_cap if cap is None else cap
+        dist = self._dist
+        found = {}
+        for g in elements:
+            d = dist.get(g)
+            while d is None and len(self._layers) <= cap:
+                self._extend_layers(len(self._layers), DEFAULT_BALL_BUDGET)
+                d = dist.get(g)
+            if d is None or d > cap:
+                raise CapExceeded(
+                    f"|{self.format_element(g)}| exceeds word-length cap {cap}", cap
+                )
+            found[g] = d
+        return found
 
     def ball(self, radius: int, budget: int = DEFAULT_BALL_BUDGET) -> set:
         """The exact ball B(e, radius) as a set of normal forms."""
-        self._check_radius(radius)
-        self._extend_layers(radius, budget)
-        out = set()
-        for layer in self._layers[: radius + 1]:
-            out |= layer
-        return out
+        return set().union(*self._spheres(radius, budget))
 
     def growth(self, radius: int, budget: int = DEFAULT_BALL_BUDGET) -> int:
         """|B(e, radius)|, by BFS layer counting."""
-        self._check_radius(radius)
-        self._extend_layers(radius, budget)
-        return sum(len(layer) for layer in self._layers[: radius + 1])
+        return sum(len(layer) for layer in self._spheres(radius, budget))
 
     def sphere(self, radius: int, budget: int = DEFAULT_BALL_BUDGET) -> set:
-        self._check_radius(radius)
-        self._extend_layers(radius, budget)
-        return set(self._layers[radius])
+        return set(self._spheres(radius, budget)[radius])
 
-    def _check_radius(self, radius: int) -> None:
+    def _spheres(self, radius: int, budget: int) -> list[set]:
+        """The cached spheres of radius 0..radius, after checking the radius."""
         if radius < 0:
             raise UsageError(f"radius must be >= 0, got {radius}")
         if radius > self.word_length_cap:
@@ -105,33 +141,15 @@ class Group:
                 f"radius {radius} exceeds word-length cap {self.word_length_cap}",
                 self.word_length_cap,
             )
-
-    def word_lengths_of(self, elements: Iterable, cap: int | None = None) -> dict:
-        """Word lengths for a batch of elements via one shared BFS."""
-        cap = self.word_length_cap if cap is None else cap
-        todo = set(elements)
-        found: dict = {}
-        radius = 0
-        while todo:
-            if radius > cap:
-                raise CapExceeded(
-                    f"{len(todo)} elements outside the radius-{cap} ball", cap
-                )
-            self._extend_layers(radius, DEFAULT_BALL_BUDGET)
-            for g in list(todo):
-                if g in self._dist and self._dist[g] <= radius:
-                    found[g] = self._dist[g]
-                    todo.discard(g)
-            radius += 1
-        return found
+        self._extend_layers(radius, budget)
+        return self._layers[: radius + 1]
 
     # -- shared BFS kernel ------------------------------------------------
 
     def _extend_layers(self, radius: int, budget: int) -> None:
         if not self._layers:
-            e = self.identity
-            self._layers.append({e})
-            self._dist[e] = 0
+            self._layers.append({self.identity})
+            self._dist[self.identity] = 0
         while len(self._layers) <= radius:
             frontier = self._layers[-1]
             r = len(self._layers)
@@ -149,25 +167,28 @@ class Group:
                 )
             self._layers.append(new)
 
-    def _bfs_length(self, g, cap: int | None = None) -> int:
-        cap = self.word_length_cap if cap is None else cap
-        self.check_element(g)
-        d = self._dist.get(g)
-        if d is not None:
-            return d
-        radius = len(self._layers)
-        while radius <= cap:
-            self._extend_layers(radius, DEFAULT_BALL_BUDGET)
-            d = self._dist.get(g)
-            if d is not None:
-                return d
-            radius += 1
-        raise CapExceeded(
-            f"|{self.format_element(g)}| exceeds word-length cap {cap}", cap
-        )
-
     def __repr__(self):
         return f"{type(self).__name__}({self.name})"
+
+
+def _fields(body: str, sep: str, keys: tuple) -> list[str]:
+    """The values of `key=value` fields naming each of keys once, in keys order."""
+    pairs = [part.split("=", 1) for part in body.split(sep)]
+    fields = dict(pairs)  # ValueError on a part without "="
+    if len(fields) != len(pairs) or set(fields) != set(keys):
+        raise ValueError(f"fields must be {keys}")
+    return [fields[key] for key in keys]
+
+
+def line_tour(points: Iterable[int], end: int) -> int:
+    """Shortest walk on Z from 0 that visits every point and stops at end.
+
+    The walk covers [lo, hi] (the span of the points, 0 and end) and goes
+    there and back except for the stretch between 0 and end, so it takes
+    2 (hi - lo) - |end| steps whichever side it sweeps first.
+    """
+    ps = [*points, 0, end]
+    return 2 * (max(ps) - min(ps)) - abs(end)
 
 
 class ZN(Group):
@@ -176,24 +197,12 @@ class ZN(Group):
     def __init__(self, n: int, word_length_cap: int = DEFAULT_WORD_CAP):
         if n < 1:
             raise UsageError("ZN needs n >= 1")
-        super().__init__(word_length_cap)
         self.n = n
         self.name = f"zn:{n}"
-
-    @property
-    def identity(self):
-        return (0,) * self.n
-
-    @property
-    def generators(self):
-        gens = []
-        for i in range(self.n):
-            e = [0] * self.n
-            e[i] = 1
-            gens.append(tuple(e))
-            e[i] = -1
-            gens.append(tuple(e))
-        return tuple(gens)
+        gens = tuple(
+            tuple(v if j == i else 0 for j in range(n)) for i in range(n) for v in (1, -1)
+        )
+        super().__init__((0,) * n, gens, word_length_cap)
 
     def multiply(self, g, h):
         return tuple(a + b for a, b in zip(g, h, strict=True))
@@ -212,31 +221,15 @@ class ZN(Group):
     def format_element(self, g):
         return "zn:" + ",".join(str(a) for a in g)
 
-    def parse_element(self, text):
-        body = _strip_tag(text, "zn")
-        try:
-            g = tuple(int(p) for p in body.split(","))
-        except ValueError:
-            raise UsageError(f"malformed zn element: {text!r}") from None
-        self.check_element(g)
-        return g
-
 
 class Heisenberg(Group):
-    """Integer Heisenberg group H(Z) with S = {E1^+-1, E2^+-1}."""
+    """Integer Heisenberg group H(Z) with S = {(1,0,0)^+-1, (0,1,0)^+-1}."""
 
     name = "heis"
 
-    E1 = (1, 0, 0)
-    E2 = (0, 1, 0)
-
-    @property
-    def identity(self):
-        return (0, 0, 0)
-
-    @property
-    def generators(self):
-        return ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))
+    def __init__(self, word_length_cap: int = DEFAULT_WORD_CAP):
+        gens = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))
+        super().__init__((0, 0, 0), gens, word_length_cap)
 
     def multiply(self, g, h):
         x, y, z = g
@@ -254,43 +247,24 @@ class Heisenberg(Group):
     def format_element(self, g):
         return "heis:" + ",".join(str(a) for a in g)
 
-    def parse_element(self, text):
-        body = _strip_tag(text, "heis")
-        parts = body.split(",")
-        if len(parts) != 3:
-            raise UsageError(f"malformed heis element: {text!r}")
-        try:
-            g = tuple(int(p) for p in parts)
-        except ValueError:
-            raise UsageError(f"malformed heis element: {text!r}") from None
-        return g
-
 
 class Lamplighter(Group):
     """Z/mZ wr Z with S = {(delta_0, 0)^+-1, (0, +-1)}.
 
-    Word lengths use the closed form: switch presses plus the cheaper of the
-    two monotone sweeps over supp(f) united with {0, pos}.  The formula is
-    validated against BFS in the test suite (radius-8 balls, m = 2 and 3).
+    Word lengths use the closed form: switch presses plus the shortest
+    :func:`line_tour` over supp(f) that ends at pos.  The formula is
+    validated against BFS in the test suite (m = 2 and 3).
     """
 
     def __init__(self, m: int, word_length_cap: int = DEFAULT_WORD_CAP):
         if m < 2:
             raise UsageError("Lamplighter needs m >= 2")
-        super().__init__(word_length_cap)
         self.m = m
         self.name = f"ll:{m}"
-
-    @property
-    def identity(self):
-        return ((), 0)
-
-    @property
-    def generators(self):
         lamp = ((((0, 1),), 0),)
-        if self.m > 2:
-            lamp += ((((0, self.m - 1),), 0),)
-        return lamp + (((), 1), ((), -1))
+        if m > 2:
+            lamp += ((((0, m - 1),), 0),)
+        super().__init__(((), 0), lamp + (((), 1), ((), -1)), word_length_cap)
 
     def make(self, lamps: dict, pos: int):
         """Normal form from a {position: value} dict (values taken mod m)."""
@@ -334,38 +308,19 @@ class Lamplighter(Group):
         self.check_element(g)
         lamps, pos = g
         switch = sum(min(v, self.m - v) for _, v in lamps)
-        ps = [p for p, _ in lamps] + [0, pos]
-        lo, hi = min(ps), max(ps)
-        left_first = (0 - lo) + (hi - lo) + (hi - pos)
-        right_first = (hi - 0) + (hi - lo) + (pos - lo)
-        return switch + min(left_first, right_first)
+        return switch + line_tour((p for p, _ in lamps), pos)
 
     def format_element(self, g):
         lamps, pos = g
         body = ",".join(f"{p}:{v}" for p, v in lamps)
         return f"ll:m={self.m};lamps={body};pos={pos}"
 
-    def parse_element(self, text):
-        body = _strip_tag(text, "ll")
-        fields = dict(_split_fields(body, ";", text))
-        if set(fields) != {"m", "lamps", "pos"}:
-            raise UsageError(f"malformed ll element: {text!r}")
-        if int(fields["m"]) != self.m:
-            raise UsageError(f"lamp modulus mismatch: {text!r} vs m={self.m}")
-        lamps = {}
-        if fields["lamps"]:
-            for pair in fields["lamps"].split(","):
-                p, _, v = pair.partition(":")
-                try:
-                    pi, vi = int(p), int(v)
-                except ValueError:
-                    raise UsageError(f"malformed ll lamps: {text!r}") from None
-                if not 0 < vi < self.m or pi in lamps:
-                    raise UsageError(f"malformed ll lamps: {text!r}")
-                lamps[pi] = vi
-        g = (tuple(sorted(lamps.items())), int(fields["pos"]))
-        self.check_element(g)
-        return g
+    def _parse_body(self, body):
+        m, lamps, pos = _fields(body, ";", ("m", "lamps", "pos"))
+        if int(m) != self.m:
+            raise ValueError(f"lamp modulus {m} is not {self.m}")
+        pairs = [pair.split(":") for pair in lamps.split(",")] if lamps else []
+        return (tuple(sorted((int(p), int(v)) for p, v in pairs)), int(pos))
 
 
 class BaumslagSolitar(Group):
@@ -378,17 +333,10 @@ class BaumslagSolitar(Group):
     def __init__(self, k: int, word_length_cap: int = DEFAULT_WORD_CAP):
         if k < 2:
             raise UsageError("BS(1,k) needs k >= 2")
-        super().__init__(word_length_cap)
         self.k = k
         self.name = f"bs:{k}"
-
-    @property
-    def identity(self):
-        return (0, 0, 0)
-
-    @property
-    def generators(self):
-        return ((1, 0, 0), (-1, 0, 0), (0, 0, 1), (0, 0, -1))
+        gens = ((1, 0, 0), (-1, 0, 0), (0, 0, 1), (0, 0, -1))
+        super().__init__((0, 0, 0), gens, word_length_cap)
 
     def _reduce(self, a: int, s: int):
         if a == 0:
@@ -440,17 +388,8 @@ class BaumslagSolitar(Group):
         a, s, n = g
         return f"bs:a={a},s={s},n={n}"
 
-    def parse_element(self, text):
-        body = _strip_tag(text, "bs")
-        fields = dict(_split_fields(body, ",", text))
-        if set(fields) != {"a", "s", "n"}:
-            raise UsageError(f"malformed bs element: {text!r}")
-        try:
-            g = (int(fields["a"]), int(fields["s"]), int(fields["n"]))
-        except ValueError:
-            raise UsageError(f"malformed bs element: {text!r}") from None
-        self.check_element(g)
-        return g
+    def _parse_body(self, body):
+        return tuple(int(v) for v in _fields(body, ",", ("a", "s", "n")))
 
 
 class CyclicGroup(Group):
@@ -459,19 +398,9 @@ class CyclicGroup(Group):
     def __init__(self, q: int):
         if q < 2:
             raise UsageError("CyclicGroup needs q >= 2")
-        super().__init__(word_length_cap=q)
         self.q = q
         self.name = f"cyclic:{q}"
-
-    @property
-    def identity(self):
-        return 0
-
-    @property
-    def generators(self):
-        if self.q == 2:
-            return (1,)
-        return (1, self.q - 1)
+        super().__init__(0, (1,) if q == 2 else (1, q - 1), word_length_cap=q)
 
     def multiply(self, g, h):
         return (g + h) % self.q
@@ -490,29 +419,11 @@ class CyclicGroup(Group):
     def format_element(self, g):
         return f"cyclic:q={self.q};v={g}"
 
-    def parse_element(self, text):
-        body = _strip_tag(text, "cyclic")
-        fields = dict(_split_fields(body, ";", text))
-        if set(fields) != {"q", "v"} or int(fields["q"]) != self.q:
-            raise UsageError(f"malformed cyclic element: {text!r}")
-        g = int(fields["v"])
-        self.check_element(g)
-        return g
-
-
-def _strip_tag(text: str, tag: str) -> str:
-    prefix = tag + ":"
-    if not text.startswith(prefix):
-        raise UsageError(f"expected {prefix}... serialization, got {text!r}")
-    return text[len(prefix):]
-
-
-def _split_fields(body: str, sep: str, original: str):
-    for part in body.split(sep):
-        key, eq, value = part.partition("=")
-        if not eq:
-            raise UsageError(f"malformed element serialization: {original!r}")
-        yield key, value
+    def _parse_body(self, body):
+        q, v = _fields(body, ";", ("q", "v"))
+        if int(q) != self.q:
+            raise ValueError(f"modulus {q} is not {self.q}")
+        return int(v)
 
 
 def group_from_spec(spec: str, word_length_cap: int = DEFAULT_WORD_CAP) -> Group:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from ._rng import derive, mix64
 from .coupling import CouplingPoint, MatchedCoupling
 from .errors import UsageError
+from .groups import line_tour
 
 
 @dataclass(frozen=True)
@@ -118,28 +119,23 @@ class WreathCoupling:
     def act(self, side: int, w: WreathElement, P: WreathPoint) -> WreathPoint:
         """(f, gamma) . (x, l) with lamp re-indexing through the orbit cocycle."""
         sname = self._side_name(side)
-        bgroup = self.base_group(side)
         key_group = self.base_group(1)
         gamma = w.gamma
-        newbase, _ = self.base.act(sname, gamma, P.base)
         # rename keys: y = g . x keeps its lamp, its key relative to the new
         # base point gamma.x becomes g * (side-1 translate of gamma)^-1
         anchor = key_group.identity if P.anchor is None else P.anchor
-        if gamma == bgroup.identity:
-            shift_inv = None
-        else:
+        newbase, renamed = P.base, dict(P.lamps)
+        if gamma != self.base_group(side).identity:
             if side == 1:
+                newbase, _ = self.base.act(sname, gamma, P.base)
                 translate = gamma
             else:
-                translate, _, _ = self.base.transfer_cocycle(sname, gamma, P.base)
+                translate, newbase, _ = self.base.transfer_cocycle(sname, gamma, P.base)
             shift_inv = key_group.inverse(translate)
             anchor = key_group.multiply(translate, anchor)
-        renamed = {}
-        for key, st in P.lamps.items():
-            renamed[key_group.multiply(key, shift_inv) if shift_inv else key] = st
+            renamed = {key_group.multiply(key, shift_inv): st for key, st in P.lamps.items()}
         out = WreathPoint(newbase, P.lamp_seed, renamed, anchor)
         # lamp actions: value f(h) acts on the lamp whose key is h^-1
-        lamp_side = self._side_name(side)
         for h, lam in w.lamps:
             if side == 1:
                 key = key_group.inverse(h)
@@ -148,7 +144,7 @@ class WreathCoupling:
                 hinv = self.base_group(2).inverse(h)
                 key, _, _ = self.base.transfer_cocycle("right", hinv, newbase)
             st = out.lamp_state(self, key)
-            newst, _ = self.lamp.act(lamp_side, lam, st)
+            newst, _ = self.lamp.act(sname, lam, st)
             out.lamps[key] = newst
         return out
 
@@ -220,11 +216,7 @@ class WreathCoupling:
         switch = sum(lgroup.word_length(lam) for _, lam in w.lamps)
         positions = [g for g, _ in w.lamps]
         if all(len(g) == 1 for g in positions) and w.gamma is not None and len(w.gamma) == 1:
-            ps = [g[0] for g in positions] + [0, w.gamma[0]]
-            lo, hi = min(ps), max(ps)
-            pos = w.gamma[0]
-            travel = min((0 - lo) + (hi - lo) + (hi - pos), (hi - 0) + (hi - lo) + (pos - lo))
-            return switch + travel
+            return switch + line_tour((g[0] for g in positions), w.gamma[0])
         # ell^1 bounds for Z^n bases: must reach every lamp and end at gamma
         dist = lambda a, b: sum(abs(u - v) for u, v in zip(a, b))
         lower = switch + max(
@@ -279,8 +271,7 @@ def check_move_identities(
     elif w.lamps and all(g == bgroup.identity for g, _ in w.lamps) and w.gamma == bgroup.identity:
         lam = w.lamps[0][1]
         st = P.lamp_state(coupling, coupling.base_group(1).identity)
-        lname = "left" if side == 1 else "right"
-        lam2, _, _ = coupling.lamp.transfer_cocycle(lname, lam, st)
+        lam2, _, _ = coupling.lamp.transfer_cocycle(sname, lam, st)
         expected = coupling.lamp_group(other).word_length(lam2)
         kind = "pure-lamp"
     elif not w.lamps and w.gamma == bgroup.identity:

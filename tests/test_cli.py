@@ -288,11 +288,14 @@ def test_zero_samples_is_a_usage_error(capsys, argv):
 
 
 _OUT_OF_RANGE = [
-    # each of these used to pass vacuously with exit 0, or crash
+    # each of these used to pass vacuously, fail every sample, or crash
     ("tiling verify --samples -3", ["tiling", "verify", "--builtin", "zn:1", "--k", "1", "--samples", "-3"]),
     ("tiling verify --k -1", ["tiling", "verify", "--builtin", "zn:1", "--k", "-1"]),
     ("couple tail --k -1", ["couple", "tail", *_COUPLE, "--gamma", "zn:1,0", "--k", "-1", "--samples", "20"]),
     ("couple return-time --n -1", ["couple", "return-time", *_COUPLE, "--x0", "0;1", "--n", "-1", "--samples", "5"]),
+    ("couple integrate --strata-depth -1", ["couple", "integrate", *_COUPLE, "--gamma", "zn:1,0", "--strata-depth", "-1", "--samples", "20"]),
+    ("couple tail --max-depth -1", ["couple", "tail", *_COUPLE, "--gamma", "zn:1,0", "--max-depth", "-1", "--samples", "20"]),
+    ("bs-ll tail --M 1", ["bs-ll", "tail", "--k", "2", "--g", "bs:a=1,s=0,n=0", "--M", "1", "--samples", "20"]),
 ]
 
 

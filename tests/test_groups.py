@@ -50,7 +50,7 @@ def test_group_axioms(group):
         group.check_element(a)
 
 
-@pytest.mark.parametrize("group", FAMILIES, ids=lambda g: g.name)
+@pytest.mark.parametrize("group", FAMILIES + [CyclicGroup(2), CyclicGroup(5)], ids=lambda g: g.name)
 def test_generators_symmetric_without_identity(group):
     gens = set(group.generators)
     assert group.identity not in gens
@@ -99,10 +99,16 @@ def test_word_length_symmetric_and_triangle(group):
         assert group.word_length(group.multiply(a, b)) <= la + group.word_length(b)
 
 
-@pytest.mark.parametrize("m", [2, 3])
-def test_lamplighter_closed_form_matches_bfs_radius8(m):
-    group = Lamplighter(m)
-    for g, d in group.word_lengths_of(group.ball(8)).items():
+@pytest.mark.parametrize(
+    "group",
+    [ZN(2), ZN(3), Lamplighter(2), Lamplighter(3), CyclicGroup(5)],
+    ids=lambda g: g.name,
+)
+def test_closed_form_matches_bfs(group):
+    # word_lengths_of reads BFS distances; word_length is the family's closed form
+    radius = min(8, group.word_length_cap)
+    bfs = group.word_lengths_of(group.ball(radius))
+    for g, d in bfs.items():
         assert group.word_length(g) == d, g
 
 
@@ -183,6 +189,15 @@ def test_serialization_strict():
         BaumslagSolitar(2).parse_element("bs:a=4,s=1,n=0")  # not reduced
     with pytest.raises(UsageError):
         Lamplighter(2).parse_element("ll:m=2;lamps=0:1,0:1;pos=0")  # dup position
+    malformed = {
+        Heisenberg(): ["heis:1,2", "heis:1,2,3,4", "heis:1,x,3", "heis", "zn:1,2,3"],
+        BaumslagSolitar(2): ["bs:a=1,s=0", "bs:a=1,s=0,n=0,n=1", "bs:a=x,s=0,n=0", "bs:a=1;s=0;n=0"],
+        CyclicGroup(5): ["cyclic:q=5;v=7", "cyclic:q=4;v=1", "cyclic:q=x;v=1", "cyclic:q=5", "cyclic:5"],
+    }
+    for group, texts in malformed.items():
+        for text in texts:
+            with pytest.raises(UsageError):
+                group.parse_element(text)
 
 
 def test_group_from_spec():
