@@ -18,7 +18,6 @@ which extract_fat_cycle constructs by the quadrilateral subdivision scheme.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -54,19 +53,29 @@ class MetricGraph:
         self.dist = self._all_pairs()
 
     def _all_pairs(self) -> np.ndarray:
+        """Breadth-first search from every source at once, one level at a time.
+
+        Row v of ``frontier`` marks the sources at the current level from v.
+        A vertex enters the next level through any neighbour, so one row
+        gather per neighbour slot advances all n searches; the distances are
+        symmetric, so the matrix reads the same either way round.
+        """
         n = self.n
+        width = max(map(len, self.adj))
+        # slot j of v is its j-th neighbour, or v itself past its degree
+        slots = np.repeat(np.arange(n, dtype=np.int32)[:, None], width, axis=1)
+        for v, nbrs in enumerate(self.adj):
+            slots[v, : len(nbrs)] = nbrs
         dist = np.full((n, n), -1, dtype=np.int32)
-        for src in range(n):
-            row = dist[src]
-            row[src] = 0
-            q = deque([src])
-            while q:
-                u = q.popleft()
-                du = row[u]
-                for v in self.adj[u]:
-                    if row[v] < 0:
-                        row[v] = du + 1
-                        q.append(v)
+        frontier = np.eye(n, dtype=bool)
+        level = 0
+        while frontier.any():
+            dist[frontier] = level
+            level += 1
+            reach = np.zeros((n, n), dtype=bool)
+            for col in slots.T:
+                reach |= frontier[col]
+            frontier = reach & (dist < 0)
         if (dist < 0).any():
             raise UsageError("graph must be connected")
         return dist
@@ -162,8 +171,19 @@ class MetricGraph:
         return rows.min(axis=0)
 
 
-def _interval_distance_tensor(G: MetricGraph, budget_mb: int) -> list[np.ndarray]:
-    """T[a][c, x] = d(x, I(a, c)) for all a, c, x; the Rips workhorse."""
+# every batch of pairs or rows in the kernels below spans at most this many
+# cells, so their temporaries stay small next to the n^3 tensor
+BLOCK_CELLS = 1 << 15
+
+
+def _interval_tensor(G: MetricGraph, budget_mb: int) -> np.ndarray:
+    """T[a, x, c] = d(x, I(a, c)) for all a, x, c; the Rips workhorse.
+
+    I(a, c) is {c} together with I(a, p) for every neighbour p of c one step
+    closer to a, so d(., I(a, c)) is the minimum of d(., c) and the
+    d(., I(a, p)) of those predecessors.  The rows for one source a are built
+    one BFS level from a at a time, then stored transposed.
+    """
     n = G.n
     need = 2 * n**3 / 1e6
     if need > budget_mb:
@@ -171,17 +191,31 @@ def _interval_distance_tensor(G: MetricGraph, budget_mb: int) -> list[np.ndarray
             f"interval tensor needs ~{need:.0f} MB > budget {budget_mb} MB "
             f"(|V| = {n})"
         )
-    D = G.dist
-    out = []
+    D = G.dist.astype(np.int16)
+    # directed edges (u, v), sorted by u
+    u = np.repeat(np.arange(n), [len(nbrs) for nbrs in G.adj])
+    v = np.fromiter((w for nbrs in G.adj for w in nbrs), dtype=np.intp, count=len(u))
+    T = np.empty((n, n, n), dtype=np.int16)
+    rows = np.empty((n, n), dtype=np.int16)  # rows[c] = d(., I(a, c))
     for a in range(n):
-        A = D[a]
-        # mask[c, y]: y lies on a geodesic from a to c
-        mask = (A[None, :] + D == A[:, None])
-        Ta = np.empty((n, n), dtype=np.int16)
-        for c in range(n):
-            Ta[c] = D[mask[c]].min(axis=0)
-        out.append(Ta)
-    return out
+        da = D[a]
+        rows[a] = da
+        # predecessor edges (c, p), sorted by the level of c, then by c
+        pred = da[v] == da[u] - 1
+        c, p = u[pred], v[pred]
+        order = np.argsort(da[c], kind="stable")
+        c, p = c[order], p[order]
+        first = np.flatnonzero(np.diff(c, prepend=-1))  # first edge of each c
+        ends = np.append(first, len(c))
+        # the c at level L own the runs levels[L - 1] to levels[L]
+        levels = np.searchsorted(da[c[first]], np.arange(1, int(da.max()) + 2))
+        for r0, r1 in zip(levels[:-1], levels[1:]):
+            lo, hi = ends[r0], ends[r1]
+            heads = c[first[r0:r1]]
+            via = np.minimum.reduceat(rows[p[lo:hi]], first[r0:r1] - lo, axis=0)
+            rows[heads] = np.minimum(via, D[heads])
+        T[a] = rows.T
+    return T
 
 
 @dataclass
@@ -193,6 +227,33 @@ class ThinnessWitness:
     defect: int
 
 
+def _pairs_by_distance(D: np.ndarray, step: int):
+    """Batches (k, a, b) of the pairs a < b with d(a, b) = k, k decreasing."""
+    for k in range(int(D.max()), 0, -1):
+        A, B = np.nonzero(np.triu(D == k))
+        for i in range(0, len(A), step):
+            yield k, A[i : i + step], B[i : i + step]
+
+
+def _interval_rows(D: np.ndarray, a: np.ndarray, b: np.ndarray, floor: int):
+    """(pair, x) for every x in I(a, b) with min(d(a,x), d(b,x)) >= floor."""
+    da, db = D[a], D[b]
+    keep = (da + db == D[a, b][:, None]) & (np.minimum(da, db) >= floor)
+    return np.nonzero(keep)
+
+
+def _row_defects(T: np.ndarray, a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """max over c of min(T[a, x, c], T[b, x, c]), one value per row."""
+    out = np.empty(len(x), dtype=T.dtype)
+    step = max(1, BLOCK_CELLS // T.shape[2])
+    for i in range(0, len(x), step):
+        s = slice(i, i + step)
+        m = T[a[s], x[s]]
+        np.minimum(m, T[b[s], x[s]], out=m)
+        out[s] = m.max(axis=1)
+    return out
+
+
 def rips_delta(
     G: MetricGraph, budget_mb: int = DEFAULT_MATRIX_BUDGET_MB, witness: bool = False
 ):
@@ -200,45 +261,68 @@ def rips_delta(
 
     delta = max over vertex triples (a,b,c) and x in I(a,b) of
     d(x, I(a,c) u I(b,c)), using metric intervals as the union of all
-    geodesics.  O(|V|^3) time and memory after the distance matrix.
+    geodesics.  The n^3 int16 tensor of d(x, I(a,c)) comes from a level
+    recursion over BFS layers; the pair scan then visits (a, b) in order of
+    decreasing d(a,b) and stops once d(a,b)//2, a bound on any defect in
+    I(a,b), cannot beat the best found.  The witness is the first pair
+    (a <= b) in lexicographic order that attains delta, with the first
+    (c, x) in row-major order inside it.
     """
-    tensor = _interval_distance_tensor(G, budget_mb)
-    n = G.n
+    T = _interval_tensor(G, budget_mb)
+    D = G.dist
+    step = max(1, BLOCK_CELLS // G.n)
     best = 0
-    best_wit = ThinnessWitness(0, 0, 0, 0, 0)
-    for a in range(n):
-        Ta = tensor[a]
-        for b in range(a, n):
-            X = np.flatnonzero(G.interval(a, b))
-            # defect of x in side [a,b] against corner c: min of the two
-            m = np.minimum(Ta[:, X], tensor[b][:, X])
-            here = int(m.max())
-            if here > best:
+    # a point x of I(a, b) has defect at most min(d(a,x), d(b,x)) <= d(a,b)//2
+    for k, a, b in _pairs_by_distance(D, step):
+        if k // 2 <= best:
+            break
+        p, x = _interval_rows(D, a, b, best + 1)
+        if len(x):
+            best = max(best, int(_row_defects(T, a[p], b[p], x).max()))
+    if not witness:
+        return Fraction(best)
+    wit = ThinnessWitness(0, 0, 0, 0, 0)
+    if best > 0:
+        A, B = np.nonzero(np.triu(D >= 2 * best))
+        for i in range(0, len(A), step):
+            a, b = A[i : i + step], B[i : i + step]
+            p, x = _interval_rows(D, a, b, best)
+            hit = np.flatnonzero(_row_defects(T, a[p], b[p], x) == best)
+            if len(hit):
+                a, b = int(a[p[hit[0]]]), int(b[p[hit[0]]])
+                X = np.flatnonzero(G.interval(a, b))
+                # defect of x in side [a,b] against corner c, laid out (c, x)
+                m = np.minimum(T[a, X], T[b, X]).T
                 c, xi = np.unravel_index(int(m.argmax()), m.shape)
-                best = here
-                best_wit = ThinnessWitness(a, b, int(c), int(X[xi]), here)
-    if witness:
-        return Fraction(best), best_wit
-    return Fraction(best)
+                wit = ThinnessWitness(a, b, int(c), int(X[xi]), best)
+                break
+    return Fraction(best), wit
 
 
 def four_point_delta(G: MetricGraph, budget: int = 100_000_000) -> Fraction:
-    """Gromov four-point condition: max defect / 2 over all quadruples."""
+    """Gromov four-point condition: max defect / 2 over all quadruples.
+
+    The defect of a quadruple is at most min(d(a,b), d(c,d)) for its pairing
+    (a,b), (c,d) with the largest sum, so pairs are visited in order of
+    decreasing d(a,b) and the scan stops once d(a,b) <= the best defect.
+    """
     n = G.n
     if n**4 > budget * 16:
         raise ResourceExhausted(f"|V|^4 = {n**4} too large for four-point scan")
-    D = G.dist.astype(np.int64)
+    D = G.dist
     best = 0
-    for a in range(n):
-        for b in range(a, n):
-            s1 = D[a, b] + D
-            s2 = D[a][:, None] + D[b][None, :]
-            s3 = D[b][:, None] + D[a][None, :]
-            stack = np.stack([s1, s2, s3])
-            stack.sort(axis=0)
-            defect = (stack[2] - stack[1]).max()
-            if defect > best:
-                best = int(defect)
+    for k, a, b in _pairs_by_distance(D, max(1, BLOCK_CELLS // (n * n))):
+        if k <= best:
+            break
+        s1 = k + D  # d(a,b) + d(c,d) over (c, d)
+        # d(a,c) + d(b,d) over (pair, c, d); its transpose is d(b,c) + d(a,d)
+        s2 = D[a, :, None] + D[b, None, :]
+        s3 = s2.transpose(0, 2, 1)
+        hi, lo = np.maximum(s2, s3), np.minimum(s2, s3)
+        # largest minus middle of (s1, s2, s3)
+        np.maximum(lo, np.minimum(s1, hi), out=lo)
+        np.maximum(hi, s1, out=hi)
+        best = max(best, int((hi - lo).max()))
     return Fraction(best, 2)
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from ._rng import derive, mix64
 from .coupling import CouplingPoint, MatchedCoupling
 from .errors import UsageError
-from .groups import line_tour
+from .groups import ZN, line_tour
 
 
 @dataclass(frozen=True)
@@ -206,8 +206,10 @@ class WreathCoupling:
         """Word length in S_Lambda u S_Gamma through the standard embeddings.
 
         Exact for pure-base and pure-lamp elements and for base = Z (the
-        lamplighter traversal); for higher-rank bases returns (lower, upper)
-        bounds since the travel subproblem is a TSP.
+        lamplighter traversal); otherwise returns (lower, upper) bounds on
+        the tour from e through every lamp to gamma, since that travel
+        subproblem is a TSP.  Each leg a -> b costs the base word length
+        |a^-1 b|.
         """
         bgroup = self.base_group(side)
         lgroup = self.lamp_group(side)
@@ -215,10 +217,12 @@ class WreathCoupling:
             return bgroup.word_length(w.gamma)
         switch = sum(lgroup.word_length(lam) for _, lam in w.lamps)
         positions = [g for g, _ in w.lamps]
-        if all(len(g) == 1 for g in positions) and w.gamma is not None and len(w.gamma) == 1:
+        if isinstance(bgroup, ZN) and bgroup.n == 1:
             return switch + line_tour((g[0] for g in positions), w.gamma[0])
-        # ell^1 bounds for Z^n bases: must reach every lamp and end at gamma
-        dist = lambda a, b: sum(abs(u - v) for u, v in zip(a, b))
+
+        def dist(a, b):
+            return bgroup.word_length(bgroup.multiply(bgroup.inverse(a), b))
+
         lower = switch + max(
             [dist(bgroup.identity, g) for g in positions]
             + [dist(g, w.gamma) for g in positions]

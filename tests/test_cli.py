@@ -134,22 +134,22 @@ def test_profile_csv(capsys):
     assert lines[1].startswith("3,3,4,")
 
 
-def test_wreath_check(capsys):
-    code, report, _ = run_json(
-        capsys,
-        "wreath",
-        "check",
-        "--base",
-        "zn:2,zn:1:grouped:2",
-        "--lamp",
-        "cyclic:3,cyclic:3",
-        "--samples",
-        "4",
-    )
+def assert_wreath_identities_hold(capsys, base, lamp):
+    code, report, _ = run_json(capsys, "wreath", "check", "--base", base, "--lamp", lamp, "--samples", "4")
     assert code == 0
     for side in report["results"]:
         assert side["pure_base_identity"]["pass"] == 4
         assert side["pure_lamp_identity"]["pass"] == 4
+
+
+def test_wreath_check(capsys):
+    assert_wreath_identities_hold(capsys, "zn:2,zn:1:grouped:2", "cyclic:3,cyclic:3")
+
+
+@pytest.mark.parametrize("base", ["ll:2,zmatch:ll:2", "cyclic:5,cyclic:5"])
+def test_wreath_check_off_z_bases(capsys, base):
+    # the wreath word length used to take coordinate differences of base elements
+    assert_wreath_identities_hold(capsys, base, "cyclic:5,cyclic:5")
 
 
 def test_hyp_delta_family_and_edges(capsys):

@@ -4,11 +4,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oelab.errors import NotApplicable, ResourceExhausted, UsageError
 from oelab.groups import ZN, BaumslagSolitar, Heisenberg, Lamplighter
 from oelab.hyperbolicity import (
     MetricGraph,
+    ThinnessWitness,
+    _interval_tensor,
     cycle_distortion,
     extract_fat_cycle,
     four_point_delta,
@@ -248,3 +252,132 @@ def test_rips_delta_leaves_no_allocations_behind():
     finally:
         tracemalloc.stop()
     assert retained < 0.5e6
+
+
+# -- oracles for the fast kernels ---------------------------------------------
+
+
+def scalar_interval_tensor(G):
+    """T[a][c, x] = d(x, I(a, c)), one masked row minimum per (a, c)."""
+    n = G.n
+    D = G.dist
+    out = []
+    for a in range(n):
+        A = D[a]
+        # mask[c, y]: y lies on a geodesic from a to c
+        mask = (A[None, :] + D == A[:, None])
+        Ta = np.empty((n, n), dtype=np.int16)
+        for c in range(n):
+            Ta[c] = D[mask[c]].min(axis=0)
+        out.append(Ta)
+    return out
+
+
+def scalar_rips(G):
+    """Every pair a <= b in lexicographic order; the first strict maximum wins."""
+    tensor = scalar_interval_tensor(G)
+    n = G.n
+    best = 0
+    best_wit = ThinnessWitness(0, 0, 0, 0, 0)
+    for a in range(n):
+        Ta = tensor[a]
+        for b in range(a, n):
+            X = np.flatnonzero(G.interval(a, b))
+            # defect of x in side [a,b] against corner c: min of the two
+            m = np.minimum(Ta[:, X], tensor[b][:, X])
+            here = int(m.max())
+            if here > best:
+                c, xi = np.unravel_index(int(m.argmax()), m.shape)
+                best = here
+                best_wit = ThinnessWitness(a, b, int(c), int(X[xi]), here)
+    return Fraction(best), best_wit
+
+
+def definition_rips(D):
+    """max over (a, b, c) and x in I(a, b) of d(x, I(a, c) u I(b, c))."""
+    n = len(D)
+    best = 0
+    for a in range(n):
+        for b in range(n):
+            X = np.flatnonzero(D[a] + D[b] == D[a, b])
+            # union[c, y]: y lies on a geodesic from a to c or from b to c
+            union = (D[a][None, :] + D == D[a][:, None]) | (D[b][None, :] + D == D[b][:, None])
+            to_union = np.where(union[:, None, :], D[X][None, :, :], n).min(axis=2)
+            best = max(best, int(to_union.max()))
+    return Fraction(best)
+
+
+def brute_four_point(D):
+    """Largest minus middle of the three pair sums, over all quadruples, / 2."""
+    D = D.astype(np.int64)
+    sums = np.stack(
+        [
+            D[:, :, None, None] + D[None, None, :, :],  # d(a,b) + d(c,d)
+            D[:, None, :, None] + D[None, :, None, :],  # d(a,c) + d(b,d)
+            D[:, None, None, :] + D[None, :, :, None],  # d(a,d) + d(b,c)
+        ]
+    )
+    sums.sort(axis=0)
+    return Fraction(int((sums[2] - sums[1]).max()), 2)
+
+
+@st.composite
+def connected_graphs(draw, max_vertices=25):
+    """A random spanning tree plus random extra edges."""
+    n = draw(st.integers(1, max_vertices))
+    tree = [(i, draw(st.integers(0, i - 1))) for i in range(1, n)]
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    return MetricGraph(n, tree + draw(st.lists(pairs, max_size=2 * n)))
+
+
+@given(connected_graphs())
+# a four-point scan that stops once d(a,b) <= 4 delta_best misses its defect 2
+@example(MetricGraph(7, [(1, 0), (2, 0), (3, 2), (4, 2), (5, 3), (6, 4), (6, 5), (3, 0), (6, 3)]))
+@settings(max_examples=150, deadline=None)
+def test_fast_kernels_match_oracles(G):
+    T = _interval_tensor(G, 1024)
+    assert T.dtype == np.int16
+    for a, Ta in enumerate(scalar_interval_tensor(G)):
+        assert np.array_equal(T[a], Ta.T)
+    value, wit = rips_delta(G, witness=True)
+    assert (value, wit) == scalar_rips(G)
+    assert value == definition_rips(G.dist)
+    assert rips_delta(G) == value
+    assert four_point_delta(G) == brute_four_point(G.dist)
+
+
+@pytest.mark.parametrize("G", graph_zoo(), ids=lambda G: str(G.n))
+def test_rips_witness_matches_scalar_kernel_on_zoo(G):
+    assert rips_delta(G, witness=True) == scalar_rips(G)
+
+
+def test_all_pairs_matches_per_source_bfs():
+    from collections import deque
+
+    for G in graph_zoo() + [MetricGraph(1, [])]:
+        for src in range(G.n):
+            row = {src: 0}
+            q = deque([src])
+            while q:
+                w = q.popleft()
+                for y in G.adj[w]:
+                    if y not in row:
+                        row[y] = row[w] + 1
+                        q.append(y)
+            assert G.dist.dtype == np.int32
+            assert G.dist[src].tolist() == [row[y] for y in range(G.n)]
+
+
+def test_rips_delta_peak_memory_is_the_tensor():
+    import tracemalloc
+
+    G = MetricGraph.cayley_ball(BaumslagSolitar(2), 5)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert rips_delta(G, witness=True)[0] == 5
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * G.n**3 + 2e6, peak

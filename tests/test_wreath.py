@@ -184,3 +184,22 @@ def test_wreath_word_lengths(W):
         w = WreathElement.make(llw.base_group(1), llw.lamp_group(1), lamps, gamma)
         expect = ll.word_length(ll.make({p[0]: v for p, v in lamps.items()}, gamma[0]))
         assert llw.wreath_word_length(1, w) == expect, (lamps, gamma)
+
+
+@pytest.mark.parametrize("base", ["ll:2,zmatch:ll:2", "heis,zn:4", "cyclic:5,cyclic:5"])
+def test_wreath_word_length_uses_the_base_metric(base):
+    # off Z bases each leg of the lamp tour costs |a^-1 b| in the base group,
+    # so a lamp lit at gamma itself costs its switch plus |gamma| exactly
+    # (heis:0,0,1 has word length 4, not its coordinate sum 1)
+    from oelab.tilings import builtin
+
+    left, _, right = base.partition(",")
+    W = WreathCoupling(
+        MatchedCoupling(builtin(left), builtin(right)),
+        MatchedCoupling(FiniteCyclicTiling(5), FiniteCyclicTiling(5)),
+    )
+    bg, lg = W.base_group(1), W.lamp_group(1)
+    for g in bg.ball(2):
+        for lam in lg.generators:
+            w = WreathElement.make(bg, lg, {g: lam}, g)
+            assert W.wreath_word_length(1, w) == lg.word_length(lam) + bg.word_length(g), (g, lam)
