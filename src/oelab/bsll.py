@@ -3,9 +3,10 @@
 Both groups act on X = prod_Z Z/kZ: the lamplighter acts by shift-and-add,
 and BS(1,k) = Z[1/k] x| Z acts with the Z part shifting and the Z[1/k] part
 running the k-adic odometer (add with rightward carries) from its scale
-position.  The two actions share orbits, and the element of one group
-carrying x to g.x for g in the other group is reconstructed exactly from
-the realized coordinate difference, which is what move_distance measures.
+position.  The two actions share orbits.  Each act returns the digit
+changes it made (position -> new - old), and the element of the other
+group carrying x to g.x is read off those changes, which is what
+move_distance measures.
 
 Shift orientation: reading a point as the k-adic number X = sum x_i k^i,
 the lamplighter element (f, m) acts by X -> f + k^m X, which is a left
@@ -16,7 +17,7 @@ coordinates the opposite way from the lamplighter's (0, 1) (they match
 after inverting the stable letter, an automorphism of BS(1,k) preserving
 the generating set, so every distance and tail statement is unaffected).
 
-Points hold a window of realized coordinates over a deterministic seeded
+Points hold the digits a move wrote over a deterministic seeded
 background, so every trajectory is reproducible and carries never silently
 overrun: a carry longer than the window bound raises WindowExhausted (an
 event of probability <= k^-bound per step).
@@ -24,6 +25,7 @@ event of probability <= k^-bound per step).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ._rng import SampleLoop, derive, proportion
@@ -34,11 +36,11 @@ DEFAULT_CARRY_BOUND = 64
 
 
 class BiInfinitePoint:
-    """A point of prod_Z Z/kZ: realized overrides atop a seeded background.
+    """A point of prod_Z Z/kZ: digits a move wrote atop a seeded background.
 
-    ``offset`` tracks accumulated shifts so unrealized coordinates stay a
-    pure function of (seed, original position); re-reading a coordinate
-    always yields the same value.
+    ``offset`` tracks accumulated shifts so unwritten coordinates stay a
+    pure function of (seed, original position).  Reading never writes: only
+    a move, or an assignment when the point is made, fills ``overrides``.
     """
 
     __slots__ = ("k", "seed", "offset", "overrides")
@@ -55,14 +57,6 @@ class BiInfinitePoint:
         v = self.overrides.get(i)
         if v is None:
             v = derive(self.seed, i - self.offset) % self.k
-            self.overrides[i] = v
-        return v
-
-    def peek(self, i: int) -> int:
-        """Like value() but without recording the realization."""
-        v = self.overrides.get(i)
-        if v is None:
-            v = derive(self.seed, i - self.offset) % self.k
         return v
 
     def shifted(self, m: int) -> "BiInfinitePoint":
@@ -74,19 +68,23 @@ class BiInfinitePoint:
             {i + m: v for i, v in self.overrides.items()},
         )
 
-    def copy(self) -> "BiInfinitePoint":
-        return BiInfinitePoint(self.k, self.seed, self.offset, dict(self.overrides))
 
+def ll_act(group: Lamplighter, g, x: BiInfinitePoint) -> tuple[BiInfinitePoint, dict[int, int]]:
+    """(f, m) . x: shift by m, then add the lamp values coordinate-wise.
 
-def ll_act(group: Lamplighter, g, x: BiInfinitePoint) -> BiInfinitePoint:
-    """(f, m) . x: shift by m, then add the lamp values coordinate-wise."""
+    Returns the new point and its digit changes: each lamp position mapped
+    to new - old, an integer in (-k, k).
+    """
     if group.m != x.k:
         raise UsageError("lamp modulus does not match the point alphabet")
     lamps, m = g
     y = x.shifted(m)
+    changes = {}
     for p, v in lamps:
-        y.overrides[p] = (y.value(p) + v) % y.k
-    return y
+        old = y.value(p)
+        y.overrides[p] = (old + v) % y.k
+        changes[p] = y.overrides[p] - old
+    return y, changes
 
 
 def bs_act(
@@ -94,20 +92,19 @@ def bs_act(
     g,
     x: BiInfinitePoint,
     carry_bound: int = DEFAULT_CARRY_BOUND,
-) -> tuple[BiInfinitePoint, list[int]]:
+) -> tuple[BiInfinitePoint, dict[int, int]]:
     """(a/k^s, n) . x = a/k^s + k^-n x: shift, then the k-adic odometer.
 
-    Returns the new point and the positions whose digit actually changed.
-    The carry walks rightward; if it survives past carry_bound positions the
-    call raises WindowExhausted rather than fabricating a tail.
+    Returns the new point and its digit changes: each position whose digit
+    the carry changed mapped to new - old, in carry order.  The carry walks
+    rightward; if it survives past carry_bound positions the call raises
+    WindowExhausted rather than fabricating a tail.
     """
     if group.k != x.k:
         raise UsageError("scale k does not match the point alphabet")
     a, s, n = g
     y = x.shifted(-n)
-    changed = []
-    if a == 0:
-        return y, changed
+    changes = {}
     k = y.k
     pos = -s
     cur = a
@@ -123,41 +120,15 @@ def bs_act(
         cur = t // k
         if new != old:
             y.overrides[pos] = new
-            changed.append(pos)
+            changes[pos] = new - old
         pos += 1
-    return y, changed
+    return y, changes
 
 
-def bs_element_between(group: BaumslagSolitar, x: BiInfinitePoint, y: BiInfinitePoint, coord_shift: int):
-    """The unique BS(1,k) element g with g . x = y.
-
-    ``coord_shift`` is the coordinate shift the move applied (y ~ diff +
-    coordinates of x moved by coord_shift), so the element's Z part is
-    -coord_shift; the Z[1/k] part is the exact digit-difference sum
-    (y_i - x'_i) k^i, finite because x and y share an orbit.
-    """
-    xs = x.shifted(coord_shift)
-    positions = set(xs.overrides) | set(y.overrides)
-    diffs = [(p, y.peek(p) - xs.peek(p)) for p in sorted(positions)]
-    diffs = [(p, d) for p, d in diffs if d != 0]
-    n = -coord_shift
-    if not diffs:
-        return group.make(0, 0, n)
-    scale = max(0, -min(p for p, _ in diffs))
-    num = sum(d * group.k ** (p + scale) for p, d in diffs)
-    return group.make(num, scale, n)
-
-
-def ll_element_between(group: Lamplighter, x: BiInfinitePoint, y: BiInfinitePoint, coord_shift: int):
-    """The unique (f, coord_shift) in Z/kZ wr Z with (f, coord_shift) . x = y."""
-    xs = x.shifted(coord_shift)
-    positions = set(xs.overrides) | set(y.overrides)
-    lamps = {}
-    for p in positions:
-        d = (y.peek(p) - xs.peek(p)) % group.m
-        if d:
-            lamps[p] = d
-    return group.make(lamps, coord_shift)
+def bs_element(group: BaumslagSolitar, changes: dict[int, int], n: int):
+    """The BS(1,k) element (sum_p d_p k^p, n): shift by -n, then add d_p at each p."""
+    scale = max(0, -min(changes, default=0))
+    return group.make(sum(d * group.k ** (p + scale) for p, d in changes.items()), scale, n)
 
 
 class BsLamplighterCoupling:
@@ -184,13 +155,11 @@ class BsLamplighterCoupling:
         ``side_metric`` is "ll" or "bs"; g belongs to the *other* group.
         """
         if side_metric == "ll":
-            y, changed = bs_act(self.bs, g, x, self.carry_bound)
-            h = ll_element_between(self.lamplighter, x, y, -g[2])
-            return self.lamplighter.word_length(h)
+            _, changes = bs_act(self.bs, g, x, self.carry_bound)
+            return self.lamplighter.word_length(self.lamplighter.make(changes, -g[2]))
         if side_metric == "bs":
-            y = ll_act(self.lamplighter, g, x)
-            z = bs_element_between(self.bs, x, y, g[1])
-            return self.bs.word_length(z)
+            _, changes = ll_act(self.lamplighter, g, x)
+            return self.bs.word_length(bs_element(self.bs, changes, -g[1]))
         raise UsageError(f"side_metric must be ll|bs, got {side_metric!r}")
 
     def tail_bound_sweep(self, g, Ms, samples: int, seed: int) -> dict[int, "TailBoundReport"]:
@@ -248,4 +217,8 @@ class TailBoundReport:
 
     @property
     def passes(self) -> bool:
-        return self.freq <= self.bound + 4 * self.stderr
+        """freq <= bound within 4 sigma, sigma taken at the bound itself.
+
+        The plug-in stderr is one-sided: a high frequency widens its own band.
+        """
+        return self.freq <= self.bound + 4 * math.sqrt(self.bound * (1 - self.bound) / self.samples)

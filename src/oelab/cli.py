@@ -13,7 +13,8 @@ diameter).  ``tiling verify --k``, ``couple tail --k``, ``--max-depth`` and
 (below that the bound k^(1-M) cannot fail); anything else is a usage error.
 
 Exit codes: 0 success / audit passed, 2 audit failed (an inequality the run
-was checking is violated), 1 usage or resource errors.
+was checking is violated), 1 usage or resource errors.  Every malformed
+argument, including those argparse rejects, is a usage error.
 """
 
 from __future__ import annotations
@@ -78,6 +79,13 @@ def _budget_elements() -> int:
     return _budget_mb() * 4000
 
 
+def _int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"{what} needs an integer, got {text!r}") from None
+
+
 def _frac(x: Fraction) -> list[int]:
     return [x.numerator, x.denominator]
 
@@ -113,21 +121,22 @@ def _emit(args, command: str, results, started: float, rows) -> None:
 def _graph_from_args(args) -> MetricGraph:
     if args.family:
         head, _, rest = args.family.partition(":")
+        family = f"--family {head}"
         if head == "grid":
             if "x" in rest:
                 a, _, b = rest.partition("x")
-                return MetricGraph.grid_graph(int(a), int(b))
-            return MetricGraph.grid_graph(int(rest), int(rest))
+                return MetricGraph.grid_graph(_int(a, family), _int(b, family))
+            return MetricGraph.grid_graph(_int(rest, family), _int(rest, family))
         if head == "cycle":
-            return MetricGraph.cycle_graph(int(rest))
+            return MetricGraph.cycle_graph(_int(rest, family))
         if head == "path":
-            return MetricGraph.path_graph(int(rest))
+            return MetricGraph.path_graph(_int(rest, family))
         if head == "tree":
             n, _, seed = rest.partition(":")
-            return MetricGraph.random_tree(int(n), int(seed or 0))
+            return MetricGraph.random_tree(_int(n, family), _int(seed or "0", family))
         if head == "cayley-ball":
             spec, _, radius = rest.rpartition(":")
-            return MetricGraph.cayley_ball(group_from_spec(spec), int(radius))
+            return MetricGraph.cayley_ball(group_from_spec(spec), _int(radius, family))
         raise UsageError(f"unknown graph family {args.family!r}")
     if args.edges:
         with open(args.edges) as fh:
@@ -240,21 +249,20 @@ def cmd_couple_return_time(args):
     action = c.side(args.side)
     patterns = []
     for pat in args.x0.split(";"):
-        patterns.append(tuple(int(p) for p in pat.split(",")))
+        patterns.append(tuple(_int(p, "--x0") for p in pat.split(",")))
     depth = len(patterns[0])
     cyl = CylinderSet(depth, frozenset(patterns))
     rep = return_time_density(action, cyl, args.n, args.samples, args.seed)
-    margin = rep.holds_within
     results = {
         "lhs": rep.lhs,
         "lhs_stderr": rep.lhs_stderr,
         "rhs": rep.rhs,
         "measure": rep.measure,
         "ball_size": rep.ball_size,
-        "margin_sigmas": margin,
-        "pass": margin >= -3,
+        "margin_sigmas": rep.holds_within,
+        "pass": rep.passes,
     }
-    return results, results["pass"], None
+    return results, rep.passes, None
 
 
 def cmd_bsll_tail(args):
@@ -277,7 +285,7 @@ def cmd_profile(args):
     group = group_from_spec(args.group)
     mode, _, maxval = args.mode.partition(":")
     res = isoperimetric_profile(
-        group, args.n, mode=mode, max_value=int(maxval or 1), budget=args.budget
+        group, args.n, mode=mode, max_value=_int(maxval or "1", "--mode int"), budget=args.budget
     )
     witness = [group.format_element(g) for g in res.witness]
     rows = [("n", "value_num", "value_den", "witness")]
@@ -346,7 +354,7 @@ def cmd_hyp_audit_cycle(args):
     G = _graph_from_args(args)
     if not args.cycle:
         raise UsageError("need --cycle v0,v1,...")
-    cycle = [int(v) for v in args.cycle.split(",")]
+    cycle = [_int(v, "--cycle") for v in args.cycle.split(",")]
     rep = cycle_distortion(G, cycle)
     delta = rips_delta(G, budget_mb=args.budget or _budget_mb())
     bound = cycle_contraction_bound(float(delta), rep.n / 2, float(rep.b))
@@ -428,15 +436,22 @@ def cmd_selftest(args):
     return results, all(p for _, p in checks), None
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are usage errors (exit 1), not exit 2."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="oelab",
         description="quantitative orbit-equivalence constructions, verified on the desk",
     )
     p.add_argument("--version", action="version", version=f"oelab {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--format", choices=["json", "csv"], default="json")
     common.add_argument("--seed", type=int, default=0)
 
@@ -527,10 +542,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    command = " ".join(filter(None, (args.command, getattr(args, "subcommand", None))))
-    started = time.time()
     try:
+        args = build_parser().parse_args(argv)
+        command = " ".join(filter(None, (args.command, getattr(args, "subcommand", None))))
+        started = time.time()
         results, ok, rows = args.fn(args)
         _emit(args, command, results, started, rows)
     except UsageError as exc:

@@ -390,10 +390,19 @@ class ReturnTimeReport:
 
     @property
     def holds_within(self) -> float:
-        """How many stderr units the inequality has to spare (>= 0 passes)."""
+        """How many plug-in stderr units the inequality has to spare; the verdict is ``passes``."""
         if self.lhs_stderr == 0:
             return math.inf if self.lhs >= self.rhs else -math.inf
         return (self.lhs - self.rhs) / self.lhs_stderr
+
+    @property
+    def passes(self) -> bool:
+        """lhs >= rhs within 4 sigma, sigma the distribution-free mu / (2 sqrt N).
+
+        Each sample lies in [0, 1], so its variance is at most 1/4; unlike the
+        plug-in stderr, this sigma is never 0.
+        """
+        return self.lhs >= self.rhs - 4 * self.measure / (2 * math.sqrt(self.samples))
 
 
 def return_time_density(

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -7,10 +8,10 @@ from oelab._rng import derive
 from oelab.bsll import (
     BiInfinitePoint,
     BsLamplighterCoupling,
+    TailBoundReport,
     bs_act,
-    bs_element_between,
+    bs_element,
     ll_act,
-    ll_element_between,
 )
 from oelab.errors import UsageError, WindowExhausted
 
@@ -30,15 +31,16 @@ def test_point_reads_are_stable():
     vals = [x.value(i) for i in range(-5, 6)]
     assert [x.value(i) for i in range(-5, 6)] == vals
     assert all(0 <= v < 3 for v in vals)
+    assert x.overrides == {}  # reading writes nothing
 
 
 def test_lamp_action(c2):
     x = c2.point(1, {0: 0})
-    y = ll_act(c2.lamplighter, (((0, 1),), 0), x)
+    y, _ = ll_act(c2.lamplighter, (((0, 1),), 0), x)
     assert y.value(0) == 1
     assert y.value(3) == x.value(3)
     # order k: applying the lamp k times returns to x
-    z = ll_act(c2.lamplighter, (((0, 1),), 0), y)
+    z, _ = ll_act(c2.lamplighter, (((0, 1),), 0), y)
     for i in range(-3, 4):
         assert z.value(i) == x.value(i)
 
@@ -48,7 +50,7 @@ def test_shift_actions_are_inverse_conventions(c2):
     # semidirect law forces it, and (0,-1) matches the lamplighter shift
     x = c2.point(2, {0: 1, 4: 1})
     ybs, _ = bs_act(c2.bs, (0, 0, -1), x)
-    yll = ll_act(c2.lamplighter, ((), 1), x)
+    yll, _ = ll_act(c2.lamplighter, ((), 1), x)
     for i in range(-4, 8):
         assert ybs.value(i) == yll.value(i) == x.value(i - 1)
     yup, _ = bs_act(c2.bs, (0, 0, 1), x)
@@ -60,10 +62,10 @@ def test_odometer_carry_rule(c2):
     x = c2.point(3, {0: 1, 1: 1, 2: 0})
     y, changed = bs_act(c2.bs, (1, 0, 0), x)
     assert [y.value(i) for i in (0, 1, 2)] == [0, 0, 1]
-    assert changed == [0, 1, 2]
+    assert list(changed) == [0, 1, 2]
     x2 = c2.point(4, {0: 0})
     y2, changed2 = bs_act(c2.bs, (1, 0, 0), x2)
-    assert y2.value(0) == 1 and changed2 == [0]
+    assert y2.value(0) == 1 and list(changed2) == [0]
 
 
 def test_odometer_from_scale_position(c2):
@@ -71,10 +73,10 @@ def test_odometer_from_scale_position(c2):
     x = c2.point(5, {-1: 0, 0: 1})
     y, changed = bs_act(c2.bs, (1, 1, 0), x)
     assert y.value(-1) == 1 and y.value(0) == 1
-    assert changed == [-1]
+    assert list(changed) == [-1]
     # negative numerators borrow
-    z, changed = bs_act(c2.bs, (-1, 0, 0), y.copy() if hasattr(y, "copy") else y)
-    assert changed[0] == 0
+    z, changed = bs_act(c2.bs, (-1, 0, 0), y)
+    assert list(changed)[0] == 0
 
 
 def test_bs_action_is_group_action(c2, c3):
@@ -89,7 +91,7 @@ def test_bs_action_is_group_action(c2, c3):
             y12, _ = bs_act(C.bs, g2, y1)
             y_prod, _ = bs_act(C.bs, C.bs.multiply(g2, g1), x)
             for i in set(y12.overrides) | set(y_prod.overrides):
-                assert y12.peek(i) == y_prod.peek(i), (g1, g2, i)
+                assert y12.value(i) == y_prod.value(i), (g1, g2, i)
 
 
 def test_ll_action_is_group_action(c3):
@@ -104,10 +106,11 @@ def test_ll_action_is_group_action(c3):
 
         g1, g2 = rand_ll(), rand_ll()
         x = c3.point(rng.getrandbits(50))
-        y12 = ll_act(c3.lamplighter, g2, ll_act(c3.lamplighter, g1, x))
-        y_prod = ll_act(c3.lamplighter, c3.lamplighter.multiply(g2, g1), x)
+        y1, _ = ll_act(c3.lamplighter, g1, x)
+        y12, _ = ll_act(c3.lamplighter, g2, y1)
+        y_prod, _ = ll_act(c3.lamplighter, c3.lamplighter.multiply(g2, g1), x)
         for i in set(y12.overrides) | set(y_prod.overrides):
-            assert y12.peek(i) == y_prod.peek(i)
+            assert y12.value(i) == y_prod.value(i)
 
 
 def test_orbit_equality_both_directions(c2, c3):
@@ -117,18 +120,50 @@ def test_orbit_equality_both_directions(c2, c3):
         for _ in range(120):
             x = C.point(rng.getrandbits(50), {i: rng.randrange(k) for i in range(-3, 4)})
             g = C.bs.make(rng.randrange(-8, 9), rng.randrange(0, 3), rng.randrange(-2, 3))
-            y, _ = bs_act(C.bs, g, x)
-            h = ll_element_between(C.lamplighter, x, y, -g[2])
-            z = ll_act(C.lamplighter, h, x)
+            # the element of the other group is read off the move's changes;
+            # equal offsets and equal written digits make the points equal
+            y, changes = bs_act(C.bs, g, x)
+            h = C.lamplighter.make(changes, -g[2])
+            z, _ = ll_act(C.lamplighter, h, x)
+            assert y.offset == z.offset
             for i in set(y.overrides) | set(z.overrides):
-                assert y.peek(i) == z.peek(i)
+                assert y.value(i) == z.value(i)
             lamps = {i: rng.randrange(1, k) for i in rng.sample(range(-3, 4), rng.randrange(3))}
             h2 = C.lamplighter.make(lamps, rng.randrange(-2, 3))
-            y2 = ll_act(C.lamplighter, h2, x)
-            z2 = bs_element_between(C.bs, x, y2, h2[1])
+            y2, changes2 = ll_act(C.lamplighter, h2, x)
+            z2 = bs_element(C.bs, changes2, -h2[1])
             y3, _ = bs_act(C.bs, z2, x)
+            assert y2.offset == y3.offset
             for i in set(y2.overrides) | set(y3.overrides):
-                assert y2.peek(i) == y3.peek(i)
+                assert y2.value(i) == y3.value(i)
+
+
+def _nonzero_diffs(y, xs, window):
+    diffs = {p: y.value(p) - xs.value(p) for p in window}
+    return {p: d for p, d in diffs.items() if d}
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_changes_match_a_brute_force_window(k):
+    # changes must be exactly the digits where g.x differs from the shifted x
+    C = BsLamplighterCoupling(k)
+    rng = random.Random(40 + k)
+    for _ in range(300):
+        digits = {i: rng.randrange(k) for i in range(-4, 5)}
+        start = rng.randrange(-4, 3)
+        run = rng.choice((0, k - 1))  # a run of 0s or k-1s makes a long borrow or carry
+        digits.update({i: run for i in range(start, start + rng.randrange(1, 7))})
+        x = C.point(rng.getrandbits(50), digits)
+        a, s, n = g = C.bs.make(rng.randrange(-30, 31), rng.randrange(0, 3), rng.randrange(-2, 3))
+        y, changes = bs_act(C.bs, g, x, C.carry_bound)
+        # bs_act raises before its carry passes the end of this window
+        reach = range(-s, -s + C.carry_bound + abs(a).bit_length() + 1)
+        assert changes == _nonzero_diffs(y, x.shifted(-n), reach), (g, digits)
+        assert list(changes) == sorted(changes)  # carry order
+        lamps = {i: rng.randrange(1, k) for i in rng.sample(range(-4, 5), rng.randrange(4))}
+        h = C.lamplighter.make(lamps, rng.randrange(-2, 3))
+        y, changes = ll_act(C.lamplighter, h, x)
+        assert changes == _nonzero_diffs(y, x.shifted(h[1]), range(-12, 13)), (h, digits)
 
 
 def test_shift_distance_is_one(c2, c3):
@@ -210,6 +245,17 @@ def test_tail_bound_sweep_and_threads(c2):
     # shift element: distance is constant 1, so freq = 0
     rep = c2.tail_bound_sweep((0, 0, 1), [2], 2000, 12)[2]
     assert rep.freq == 0.0 and rep.passes
+
+
+def test_tail_band_is_taken_at_the_bound():
+    # the plug-in stderr at freq 0.43 widens the band to 0.448; sigma at the
+    # bound 0.25 gives 0.423, which the frequency exceeds
+    rep = TailBoundReport(
+        g="bs:a=1,s=0,n=0", g_length=1, M=3, threshold=27, samples=100,
+        freq=0.43, stderr=math.sqrt(0.43 * 0.57 / 100), bound=0.25, exhausted=0,
+    )
+    assert not rep.passes
+    assert replace(rep, freq=0.42).passes
 
 
 def test_side_metric_validation(c2):

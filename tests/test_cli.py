@@ -288,7 +288,8 @@ def test_zero_samples_is_a_usage_error(capsys, argv):
 
 
 _OUT_OF_RANGE = [
-    # each of these used to pass vacuously, fail every sample, or crash
+    # each of these used to pass vacuously, fail every sample, crash, or
+    # exit 2 as if an audit had failed
     ("tiling verify --samples -3", ["tiling", "verify", "--builtin", "zn:1", "--k", "1", "--samples", "-3"]),
     ("tiling verify --k -1", ["tiling", "verify", "--builtin", "zn:1", "--k", "-1"]),
     ("couple tail --k -1", ["couple", "tail", *_COUPLE, "--gamma", "zn:1,0", "--k", "-1", "--samples", "20"]),
@@ -296,6 +297,14 @@ _OUT_OF_RANGE = [
     ("couple integrate --strata-depth -1", ["couple", "integrate", *_COUPLE, "--gamma", "zn:1,0", "--strata-depth", "-1", "--samples", "20"]),
     ("couple tail --max-depth -1", ["couple", "tail", *_COUPLE, "--gamma", "zn:1,0", "--max-depth", "-1", "--samples", "20"]),
     ("bs-ll tail --M 1", ["bs-ll", "tail", "--k", "2", "--g", "bs:a=1,s=0,n=0", "--M", "1", "--samples", "20"]),
+    ("couple tail --k abc", ["couple", "tail", *_COUPLE, "--gamma", "zn:1,0", "--k", "abc"]),
+    ("unknown command", ["nosuch"]),
+    ("hyp delta --family grid:abc", ["hyp", "delta", "--family", "grid:abc"]),
+    ("hyp delta --family tree:5:x", ["hyp", "delta", "--family", "tree:5:x"]),
+    ("hyp delta --family cayley-ball:zn:2:x", ["hyp", "delta", "--family", "cayley-ball:zn:2:x"]),
+    ("hyp audit-cycle --cycle 0,1,x", ["hyp", "audit-cycle", "--family", "cycle:5", "--cycle", "0,1,x"]),
+    ("couple return-time --x0 a", ["couple", "return-time", *_COUPLE, "--x0", "a", "--samples", "5"]),
+    ("profile --mode int:x", ["profile", "--group", "zn:1", "--n", "3", "--mode", "int:x"]),
 ]
 
 
@@ -304,6 +313,26 @@ def test_out_of_range_argument_is_a_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and "usage error" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["couple", "tail", "--help"]])
+def test_help_and_version_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "oelab" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("samples", ["1", "3"])
+def test_couple_return_time_band_survives_zero_stderr(capsys, samples):
+    # the plug-in stderr is 0 (or float cancellation) here, which put the
+    # margin at -inf (or -1e7); the distribution-free band still passes
+    code, report, _ = run_json(
+        capsys, "couple", "return-time", *_COUPLE, "--x0", "0;1;2", "--n", "1",
+        "--samples", samples, "--seed", "1",
+    )
+    assert code == 0
+    assert report["results"]["pass"] is True
 
 
 _CHEAP_RUNS = [
