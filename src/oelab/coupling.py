@@ -14,6 +14,17 @@ unique partner-group element carrying the point to its image.
 Points are a finite prefix of letter indices plus a seeded tail, so a point
 of the infinite product is finitely representable and every estimate is
 reproducible from (seed, counters).
+
+The tail estimator reads rewrite depths in blocks through
+:meth:`TilingAction.depths`.  On left tilings with array hooks (the box
+tilings ``zn:N``, ``zn:N:grouped:M``, ``zblocks`` and ``zmatch``, and
+``heis``) it walks the levels over a whole block of samples in numpy
+int64, each level only after ``int64_bound`` has proved, with Python ints,
+that no value there reaches 2^62.  The samples still unresolved at the
+first level that fails the proof finish through the scalar :meth:`act`,
+and every other tiling runs :meth:`act` per sample.  The scalar ``act``
+stays in place as the oracle of the kernel: both give the same depth for
+every sample.
 """
 
 from __future__ import annotations
@@ -24,12 +35,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from ._rng import SampleLoop, derive, proportion, randbelow
+import numpy as np
+
+from ._rng import SampleLoop, derive, derive_array, proportion, randbelow, require_samples
 from .errors import DepthExhausted, UsageError
-from .tilings import DEFAULT_TILE_BUDGET, TilingSequence
+from .tilings import DEFAULT_TILE_BUDGET, Orientation, TilingSequence
 
 DEFAULT_MAX_DEPTH = 32
 CHECK_LEVELS = 8  # letter counts compared up front; deeper levels as acts reach them
+DEPTH_BLOCK = 4096  # samples per pass of the rewrite-depth kernel: its memory is flat in N
+_INT64_SAFE = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -175,6 +190,45 @@ class TilingAction:
                     new = new + x.prefix[n + 1 :]
                 return CouplingPoint(new, x.tail_seed), n
         raise DepthExhausted(self.max_depth)
+
+    def depths(self, gamma, tail_seeds) -> np.ndarray:
+        """The rewrite depth of gamma at CouplingPoint((), s) for each s in tail_seeds.
+
+        A point that exhausts max_depth gets max_depth + 1, beyond every
+        tested k.  Equal, sample for sample, to act (see the module notes).
+        """
+        seeds = np.asarray(tail_seeds, dtype=np.uint64)
+        out = np.empty(len(seeds), dtype=np.int64)
+        for start in range(0, len(seeds), DEPTH_BLOCK):
+            out[start : start + DEPTH_BLOCK] = self._block_depths(gamma, seeds[start : start + DEPTH_BLOCK])
+        return out
+
+    def _block_depths(self, gamma, seeds: np.ndarray) -> np.ndarray:
+        t = self.tiling
+        depth = np.full(len(seeds), self.max_depth + 1, dtype=np.int64)
+        active = np.arange(len(seeds))  # the samples not yet rewritten
+        prod = None
+        for n in range(self.max_depth + 1):
+            if not len(active):
+                break
+            bound = t.int64_bound(gamma, n) if t.orientation is Orientation.LEFT else None
+            if bound is None or max(bound, t.letter_count(n)) >= _INT64_SAFE:
+                for i in active:
+                    depth[i] = self._scalar_depth(gamma, int(seeds[i]))
+                break
+            mul = self.group.multiply_array
+            f = t.letter_array(n, t.random_letter_indices(n, seeds[active]).astype(np.int64))
+            prod = f if prod is None else mul(prod, f)
+            hit = t.contains_array(mul(np.asarray(gamma, dtype=np.int64), prod), n)
+            depth[active[hit]] = n
+            active, prod = active[~hit], prod[~hit]
+        return depth
+
+    def _scalar_depth(self, gamma, tail_seed: int) -> int:
+        try:
+            return self.act(gamma, CouplingPoint((), tail_seed))[1]
+        except DepthExhausted:
+            return self.max_depth + 1
 
     def stabilization_depth(self, gamma, x: CouplingPoint) -> int:
         """rho(gamma.x, x): first index beyond which all coordinates agree.
@@ -334,19 +388,17 @@ def mc_tail_frequencies(
     """Monte Carlo frequency of the tail event {gamma g_k(x) not in T_k}.
 
     That event is "rewrite depth > k"; its exact probability is
-    |T_k \\ gamma^-1 T_k| / |T_k| (see exact_tail).  One pass serves all k.
+    |T_k \\ gamma^-1 T_k| / |T_k| (see exact_tail).  Sample i is the point
+    CouplingPoint((), derive(seed, i)); one pass over blocks of samples
+    serves all k.
     """
-
-    def draw(i):
-        return action.act(gamma, CouplingPoint((), derive(seed, i)))[1]
-
+    require_samples(samples)
     counts = {k: 0 for k in ks}
-    for depth in SampleLoop(samples, draw, DepthExhausted):
-        if depth is None:
-            depth = action.max_depth + 1  # certainly beyond every tested k
-        for k in ks:
-            if depth > k:
-                counts[k] += 1
+    for start in range(0, samples, DEPTH_BLOCK):
+        seeds = derive_array(seed, np.arange(start, min(start + DEPTH_BLOCK, samples)))
+        depths = action.depths(gamma, seeds)
+        for k in counts:
+            counts[k] += int(np.count_nonzero(depths > k))
     return {k: proportion(c, samples) for k, c in counts.items()}
 
 

@@ -345,6 +345,8 @@ def isoperimetric_profile(
         raise UsageError(f"profile mode must be sets|int, got {mode!r}")
     if n < 0:
         raise UsageError("profile needs n >= 0")
+    if mode == "int" and max_value < 1:
+        raise UsageError(f"int profile needs max_value >= 1, got {max_value}")
     best = Fraction(0)
     witness: tuple = ()
     witness_values = None

@@ -27,6 +27,9 @@ identity elsewhere, with an explicit radius cap surfaced as
 
 All elements are plain hashable tuples (ints for cyclic groups) and all
 groups are immutable after construction, apart from the BFS layer caches.
+``ZN`` and ``Heisenberg`` also multiply rows of (N, d) int64 arrays
+(``multiply_array``) for the batched rewrite-depth kernel; its caller
+proves beforehand that no value leaves int64.
 Those caches assume a single thread: concurrent growth() calls have been
 seen to misindex the layers, and oelab itself runs single-threaded.
 """
@@ -207,6 +210,10 @@ class ZN(Group):
     def multiply(self, g, h):
         return tuple(a + b for a, b in zip(g, h, strict=True))
 
+    def multiply_array(self, g, h):
+        """multiply on (N, n) int64 arrays (or broadcastable rows); int64 wraps."""
+        return g + h
+
     def inverse(self, g):
         return tuple(-a for a in g)
 
@@ -235,6 +242,12 @@ class Heisenberg(Group):
         x, y, z = g
         x2, y2, z2 = h
         return (x + x2, y + y2, z + z2 + y * x2)
+
+    def multiply_array(self, g, h):
+        """multiply on (N, 3) int64 arrays (or broadcastable rows); int64 wraps."""
+        out = g + h
+        out[..., 2] += g[..., 1] * h[..., 0]
+        return out
 
     def inverse(self, g):
         x, y, z = g

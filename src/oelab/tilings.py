@@ -13,6 +13,12 @@ that grow doubly exponentially.
 
 Built-ins carry the claimed quantitative parameters (epsilon_k, R_k) so the
 verifier can compare computed boundary ratios and diameters against them.
+
+The box tilings and the Heisenberg tiling also unrank letters and test
+membership on (N, d) int64 arrays (``letter_array``, ``contains_array``),
+and declare through ``int64_bound`` how large those values can get, so the
+batched rewrite-depth kernel in ``coupling`` can prove int64 exact before
+it uses them.  The scalar ``letter`` and ``contains`` are their oracles.
 """
 
 from __future__ import annotations
@@ -24,8 +30,10 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Sequence
 
+import numpy as np
+
 from . import groups
-from ._rng import randbelow
+from ._rng import randbelow, randbelow_array
 from .errors import NotInTile, ResourceExhausted, TilingViolation, UsageError
 
 DEFAULT_TILE_BUDGET = 4_000_000
@@ -147,6 +155,19 @@ class TilingSequence:
 
     def random_letter_index(self, k: int, seed: int, *counters: int) -> int:
         return randbelow(self.letter_count(k), seed, k, *counters)
+
+    def random_letter_indices(self, k: int, seeds: np.ndarray) -> np.ndarray:
+        """random_letter_index(k, s) for each s of a uint64 array."""
+        return randbelow_array(self.letter_count(k), seeds, k)
+
+    def int64_bound(self, gamma, k: int) -> int | None:
+        """Bound on every |value| the array hooks compute at level k of gamma's rewrite.
+
+        That covers ``letter_array(k, .)``, ``contains_array(., k)`` and the
+        group's ``multiply_array`` forming prefix products in T_k and
+        grow(gamma, prefix).  None when the family has no array hooks.
+        """
+        return None
 
     def build_tiles(self, K: int, budget: int = DEFAULT_TILE_BUDGET) -> list[list]:
         """Materialize T_0..T_K, proving disjointness by cardinality.
@@ -308,6 +329,14 @@ class _BoxTiling(TilingSequence):
         L = self.side(k)
         return all(0 <= a < L for a in g)
 
+    def contains_array(self, g, k):
+        L = self.side(k)
+        return ((g >= 0) & (g < L)).all(axis=1)
+
+    def int64_bound(self, gamma, k):
+        # letters and prefix products lie in the box; gamma shifts them by |gamma|
+        return max(map(abs, gamma)) + self.side(k)
+
     def escape_fraction(self, gamma, k):
         # box translation: survivors form the shifted sub-box
         L = self.side(k)
@@ -346,6 +375,10 @@ class ZnGroupedTiling(_BoxTiling):
             out.append((idx % base) << (self.m * k))
             idx //= base
         return tuple(out)
+
+    def letter_array(self, k, idx):
+        digits = (idx[:, None] >> (self.m * np.arange(self.n))) & ((1 << self.m) - 1)
+        return digits << (self.m * k)
 
     def side(self, k):
         return 1 << (self.m * (k + 1))
@@ -411,6 +444,9 @@ class HeisTiling(TilingSequence):
         z = idx >> 2
         return (x << k, y << k, z << (2 * k))
 
+    def letter_array(self, k, idx):
+        return np.stack([(idx & 1) << k, ((idx >> 1) & 1) << k, (idx >> 2) << (2 * k)], axis=1)
+
     @staticmethod
     def _cross(x: int, y: int) -> int:
         # sum over set bits i >= 1 of x: 2^i * (y mod 2^i)
@@ -422,6 +458,14 @@ class HeisTiling(TilingSequence):
             i += 1
         return total
 
+    @staticmethod
+    def _cross_array(x, y, k: int):
+        """_cross over int64 arrays with entries in [0, 2^(k+1))."""
+        total = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)), dtype=np.int64)
+        for i in range(1, k + 1):
+            total += ((x >> i) & 1) * ((y & ((1 << i) - 1)) << i)
+        return total
+
     def contains(self, g, k):
         x, y, z = g
         L = 1 << (k + 1)
@@ -429,6 +473,20 @@ class HeisTiling(TilingSequence):
             return False
         w = z - self._cross(x, y)
         return 0 <= w < (1 << (2 * (k + 1)))
+
+    def contains_array(self, g, k):
+        x, y, z = g.T
+        L = 1 << (k + 1)
+        inside = (x >= 0) & (x < L) & (y >= 0) & (y < L)
+        w = z - self._cross_array(np.where(inside, x, 0), np.where(inside, y, 0), k)
+        return inside & (w >= 0) & (w < L * L)
+
+    def int64_bound(self, gamma, k):
+        # T_k has x, y < L and z < 2 L^2; gamma (x, y, z) adds |y_gamma| x to z,
+        # and the membership test subtracts a cross term below L^2
+        p, q, r = gamma
+        L = 1 << (k + 1)
+        return abs(p) + (abs(q) + 1) * L + abs(r) + 3 * L * L
 
     def decode(self, g, k):
         if not self.contains(g, k):
@@ -450,23 +508,26 @@ class HeisTiling(TilingSequence):
         return 10 << (k + 2)
 
     def escape_fraction(self, gamma, k):
+        # gamma (X, Y, Z) = (X+p, Y+q, Z + r + q X) with Z = w + cross(X, Y):
+        # a column (X, Y) whose image leaves the square loses all W values
+        # of w, and one that stays loses min(W, |delta|) of them
         p, q, r = gamma
         L = 1 << (k + 1)
-        W = 1 << (2 * (k + 1))
-        esc = 0
-        for X in range(L):
-            X2 = X + p
-            if not 0 <= X2 < L:
-                esc += L * W
-                continue
-            for Y in range(L):
-                Y2 = Y + q
-                if not 0 <= Y2 < L:
-                    esc += W
-                    continue
-                # gamma * (X,Y,Z) = (X+p, Y+q, Z + r + q*X); Z = w + cross(X,Y)
-                delta = r + q * X + self._cross(X, Y) - self._cross(X2, Y2)
-                esc += min(W, abs(delta))
+        W = L * L
+        if k >= 20:
+            # the grid has 4^(k+1) columns, and its chunk sums would leave int64
+            raise ResourceExhausted(f"heis escape_fraction at k={k} needs a 4^{k + 1} grid")
+        # the columns whose image stays in the square: p + X and q + Y in [0, L)
+        xs = np.arange(L)[min(L, max(0, -p)) : max(0, L - max(0, p))]
+        ys = np.arange(L)[min(L, max(0, -q)) : max(0, L - max(0, q))]
+        esc = (L * L - len(xs) * len(ys)) * W
+        # |delta - r| < 2W, so clipping r to +-4W keeps every min(W, |delta|)
+        r = max(-4 * W, min(4 * W, r))
+        rows = max(1, (1 << 12) // L)  # a fixed number of columns per numpy pass
+        for start in range(0, len(xs) if len(ys) else 0, rows):
+            X = xs[start : start + rows, None]
+            delta = r + q * X + self._cross_array(X, ys, k) - self._cross_array(X + p, ys + q, k)
+            esc += int(np.minimum(W, np.abs(delta)).sum())
         return Fraction(esc, L * L * W)
 
 
@@ -595,6 +656,9 @@ class ZBlocksTiling(_BoxTiling):
         if not 0 <= idx < self.letter_count(k):
             raise UsageError(f"letter index {idx} out of range")
         return (idx * (self.tile_size(k - 1) if k > 0 else 1),)
+
+    def letter_array(self, k, idx):
+        return (idx * (self.tile_size(k - 1) if k > 0 else 1))[:, None]
 
     def side(self, k):
         return self.tile_size(k)

@@ -305,6 +305,8 @@ _OUT_OF_RANGE = [
     ("hyp audit-cycle --cycle 0,1,x", ["hyp", "audit-cycle", "--family", "cycle:5", "--cycle", "0,1,x"]),
     ("couple return-time --x0 a", ["couple", "return-time", *_COUPLE, "--x0", "a", "--samples", "5"]),
     ("profile --mode int:x", ["profile", "--group", "zn:1", "--n", "3", "--mode", "int:x"]),
+    ("profile --mode int:-1", ["profile", "--group", "zn:1", "--n", "3", "--mode", "int:-1"]),
+    ("profile --mode int:0", ["profile", "--group", "zn:1", "--n", "3", "--mode", "int:0"]),
 ]
 
 

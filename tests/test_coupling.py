@@ -1,12 +1,17 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oelab._rng import derive
+from oelab._rng import derive, derive_array
 from oelab.coupling import (
+    DEPTH_BLOCK,
     CouplingPoint,
     CylinderSet,
     IntegrabilityGauge,
@@ -203,6 +208,81 @@ def test_mc_tail_matches_exact(z2z, z4heis):
             for k, (p, se) in freqs.items():
                 exact = float(action.exact_tail(s, k))
                 assert abs(p - exact) <= 4 * se + 1e-9, (which, s, k, p, exact)
+
+
+# zn:1..4, grouped, heis (left tilings with array hooks), zmatch (a box
+# tiling whose letters leave int64 past level 4) and ll:2 (right, scalar)
+_DEPTH_SPECS = ["zn:1", "zn:2", "zn:3", "zn:4", "zn:1:grouped:2", "zn:2:grouped:3",
+                "zn:1:grouped:40", "heis", "zmatch:ll:2", "ll:2"]
+_ENTRY = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-(1 << 45), 1 << 45),
+    st.sampled_from([1 << 61, -(1 << 61), 1 << 62, 1 << 64]),
+)
+
+
+@st.composite
+def _tiling_and_gamma(draw):
+    spec = draw(st.sampled_from(_DEPTH_SPECS))
+    group = builtin(spec).group
+    if group.name.startswith("ll:"):
+        return spec, draw(st.sampled_from(sorted(group.ball(2))))
+    entries = st.tuples(*[_ENTRY] * len(group.identity))
+    return spec, draw(st.one_of(st.just(group.identity), entries))
+
+
+@given(
+    case=_tiling_and_gamma(),
+    max_depth=st.sampled_from([0, 1, 2, 3, 5, 40]),
+    seed=st.integers(0, (1 << 64) - 1),
+)
+@example(case=("heis", (0, 0, 1 << 61)), max_depth=40, seed=7)
+@example(case=("heis", (-5, 1, -100)), max_depth=40, seed=8)
+@example(case=("zn:1:grouped:40", (1,)), max_depth=40, seed=9)
+@example(case=("zmatch:ll:2", (1 << 40,)), max_depth=40, seed=10)
+@example(case=("zmatch:ll:2", (3,)), max_depth=40, seed=11)
+@example(case=("zn:2", (1, 0)), max_depth=2, seed=12)
+@example(case=("ll:2", ((), 1)), max_depth=5, seed=13)
+@settings(max_examples=80, deadline=None)
+def test_depths_match_act_per_sample(case, max_depth, seed):
+    spec, gamma = case
+    action = TilingAction(builtin(spec), max_depth)
+    samples = 40
+    got = action.depths(gamma, derive_array(seed, np.arange(samples)))
+    for i in range(samples):
+        try:
+            want = action.act(gamma, CouplingPoint((), derive(seed, i)))[1]
+        except DepthExhausted:
+            want = max_depth + 1
+        assert got[i] == want, (spec, gamma, max_depth, i)
+
+
+def test_depth_kernel_guard_and_blocks():
+    # the int64 guard: heis (0, 0, 2^61) runs its first levels in the kernel
+    # and leaves the box tilings' kernel at once when |gamma| >= 2^62
+    heis, zn = HeisTiling(), ZnTiling(1)
+    assert heis.int64_bound((0, 0, 1 << 61), 0) < 1 << 62 <= heis.int64_bound((0, 0, 1 << 61), 30)
+    assert zn.int64_bound((1 << 62,), 0) >= 1 << 62
+    assert LamplighterTiling(2).int64_bound(((), 1), 0) is None
+    # more samples than one block: blocks are cut and put back in order
+    action = TilingAction(ZnTiling(2), 40)
+    seeds = derive_array(5, np.arange(10_000))
+    whole = action.depths((1, 0), seeds)
+    assert list(whole[9000:]) == list(action.depths((1, 0), seeds[9000:]))
+    assert len(action.depths((1, 0), seeds[:0])) == 0
+
+
+def test_mc_tail_memory_is_flat_in_samples():
+    action = TilingAction(ZnTiling(1), 40)
+    tracemalloc.start()
+    try:
+        freqs = mc_tail_frequencies(action, (1,), range(3), 1_000_000, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a few block-sized int64 arrays; one array over all 10^6 samples is 8 MB
+    assert peak < 32 * 8 * DEPTH_BLOCK, peak
+    assert abs(freqs[0][0] - 0.5) < 0.005
 
 
 def test_depth_exhausted_is_reported(llz):

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -234,3 +235,16 @@ def test_negative_radius_is_a_usage_error():
     for call in (g.ball, g.growth, g.sphere):
         with pytest.raises(UsageError):
             call(-1)
+
+
+@pytest.mark.parametrize("group", [ZN(1), ZN(3), Heisenberg()], ids=lambda g: g.name)
+def test_multiply_array_matches_multiply(group):
+    rng = random.Random(5)
+    d = len(group.identity)
+    g = [tuple(rng.randint(-1000, 1000) for _ in range(d)) for _ in range(500)]
+    h = [tuple(rng.randint(-1000, 1000) for _ in range(d)) for _ in range(500)]
+    got = group.multiply_array(np.array(g), np.array(h))
+    assert [tuple(map(int, row)) for row in got] == [group.multiply(a, b) for a, b in zip(g, h)]
+    # a single row on the left, as the depth kernel forms gamma * prefix
+    row = group.multiply_array(np.array(g[0]), np.array(h))
+    assert [tuple(map(int, r)) for r in row] == [group.multiply(g[0], b) for b in h]

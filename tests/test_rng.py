@@ -1,0 +1,91 @@
+import numpy as np
+import pytest
+
+from oelab._rng import _MASK, derive, derive_array, randbelow, randbelow_array
+
+N = 100_000
+
+
+@pytest.fixture(scope="module")
+def seeds():
+    return derive_array(2024, np.arange(N))
+
+
+def test_derive_array_matches_derive(seeds):
+    assert [int(v) for v in seeds] == [derive(2024, i) for i in range(N)]
+    # array counters, scalar seeds and counters beyond 64 bits all reduce mod 2^64
+    counters = np.arange(-50, 50)
+    got = derive_array(seeds[:100], counters, 1 << 70, -3)
+    want = [derive(int(s), int(c), 1 << 70, -3) for s, c in zip(seeds[:100], counters)]
+    assert [int(v) for v in got] == want
+    assert int(derive_array(-7, 5)) == derive(-7, 5)
+    assert int(derive_array((1 << 64) + 9, 5)) == derive(9, 5)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 1000, (1 << 63) + 1, (1 << 64) - 1])
+def test_randbelow_array_matches_randbelow(seeds, n):
+    got = randbelow_array(n, seeds, 3)
+    assert got.dtype == np.uint64 and got.shape == (N,)
+    assert [int(v) for v in got] == [randbelow(n, int(s), 3) for s in seeds]
+
+
+def test_randbelow_array_rejects_and_advances_the_attempt(seeds):
+    # for n = 2^63 + 1 the acceptance limit is 2^63 + 1: about half of the
+    # first words reject, so most of the sample needs attempt 1 and some more
+    n = (1 << 63) + 1
+    limit = (1 << 64) - (1 << 64) % n
+    first = derive_array(seeds, 3, 0, 0)
+    rejected = np.flatnonzero(first >= np.uint64(limit))
+    assert 0.45 < len(rejected) / N < 0.55
+    again = derive_array(seeds[rejected], 3, 1, 0)
+    assert np.any(again >= np.uint64(limit))  # some need attempt 2
+    got = randbelow_array(n, seeds[rejected], 3)
+    assert [int(v) for v in got] == [randbelow(n, int(s), 3) for s in seeds[rejected]]
+
+
+@pytest.mark.parametrize("n", [1 << 64, (1 << 64) + 3, 10**30])
+def test_randbelow_array_beyond_64_bits_takes_the_scalar_path(seeds, n):
+    got = randbelow_array(n, seeds[:500], 3, 1)
+    assert got.dtype == object
+    assert list(got) == [randbelow(n, int(s), 3, 1) for s in seeds[:500]]
+
+
+def test_randbelow_array_broadcasts_and_validates():
+    counters = np.arange(6).reshape(2, 3)
+    got = randbelow_array(7, 11, counters)
+    assert got.shape == (2, 3)
+    assert [int(v) for v in got.ravel()] == [randbelow(7, 11, c) for c in range(6)]
+    assert int(randbelow_array(7, _MASK, 4)) == randbelow(7, _MASK, 4)
+    with pytest.raises(ValueError):
+        randbelow_array(0, 11, counters)
+
+
+def _unmix64(z: int) -> int:
+    """The inverse of mix64: undo each xorshift and odd multiplication."""
+
+    def unshift(z, s):
+        x = z
+        for _ in range(64 // s + 1):
+            x = z ^ (x >> s)
+        return x
+
+    z = unshift(z, 31)
+    z = unshift((z * pow(0x94D049BB133111EB, -1, 1 << 64)) & _MASK, 27)
+    return unshift((z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & _MASK, 30)
+
+
+def _seed_drawing(word: int, counter: int) -> int:
+    """The seed whose first randbelow word, derive(seed, counter, 0, 0), is word."""
+    h = _unmix64(_unmix64(word))  # the attempt and word counters are 0
+    return _unmix64(_unmix64(h) ^ ((counter * 0x9E3779B97F4A7C15) & _MASK))
+
+
+@pytest.mark.parametrize("n", [3, 1000, (1 << 63) + 1])
+def test_randbelow_array_rejects_exactly_from_the_limit(n):
+    limit = (1 << 64) - (1 << 64) % n
+    words = sorted({w for w in (limit - 1, limit, limit + 1, _MASK) if w <= _MASK})
+    seeds = np.array([_seed_drawing(w, 3) for w in words], dtype=np.uint64)
+    assert [int(derive(int(s), 3, 0, 0)) for s in seeds] == words
+    got = randbelow_array(n, seeds, 3)
+    assert [int(v) for v in got] == [randbelow(n, int(s), 3) for s in seeds]
+    assert int(got[0]) == (limit - 1) % n  # the last accepted word

@@ -1,5 +1,7 @@
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from oelab.errors import NotInTile, ResourceExhausted, TilingViolation, UsageError
@@ -226,6 +228,69 @@ def test_heis_escape_closed_form_matches_enumeration_k3():
     for gamma in [(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0), (1, -1, 2)]:
         esc = sum(1 for a in tiles if mul(gamma, a) not in tiles)
         assert t.escape_fraction(gamma, 3) == Fraction(esc, len(tiles)), gamma
+
+
+def heis_escape_loop(gamma, k: int) -> Fraction:
+    """Oracle: the Heisenberg escape count as a double loop over the (X, Y) columns."""
+    cross = HeisTiling._cross
+    p, q, r = gamma
+    L = 1 << (k + 1)
+    W = 1 << (2 * (k + 1))
+    esc = 0
+    for X in range(L):
+        X2 = X + p
+        if not 0 <= X2 < L:
+            esc += L * W
+            continue
+        for Y in range(L):
+            Y2 = Y + q
+            if not 0 <= Y2 < L:
+                esc += W
+                continue
+            # gamma * (X,Y,Z) = (X+p, Y+q, Z + r + q*X); Z = w + cross(X,Y)
+            delta = r + q * X + cross(X, Y) - cross(X2, Y2)
+            esc += min(W, abs(delta))
+    return Fraction(esc, L * L * W)
+
+
+_HEIS_GAMMAS = [
+    (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (3, -2, 5), (-5, 1, -100),
+    (0, 0, 1 << 61), (0, 0, -(1 << 80)), (7, 7, 7), (-3, -3, 40), (2, 1, -7),
+    (1 << 70, 1, 1), (1, -(1 << 70), 3), (0, 3, 1000), (127, -127, 1),
+]
+
+
+@pytest.mark.parametrize("gamma", _HEIS_GAMMAS)
+def test_heis_escape_grid_matches_the_loop(gamma):
+    t = HeisTiling()
+    for k in range(7):
+        assert t.escape_fraction(gamma, k) == heis_escape_loop(gamma, k), (gamma, k)
+
+
+@pytest.mark.parametrize(
+    "t",
+    [ZnTiling(3), ZnGroupedTiling(2, 3), builtin("zmatch:ll:2"), ZBlocksTiling([3, 5, 2, 7]), HeisTiling()],
+    ids=lambda t: t.name,
+)
+def test_array_hooks_match_the_scalar_letters_and_membership(t):
+    rng = random.Random(3)
+    for k in range(3):
+        idx = np.arange(t.letter_count(k))
+        assert [tuple(map(int, f)) for f in t.letter_array(k, idx)] == [t.letter(k, int(i)) for i in idx]
+        # elements of T_k, their neighbours and far points, in and out of the tile
+        tile = rng.sample(t.build_tiles(k)[k], min(300, t.tile_size(k)))
+        side = max(abs(a) for g in tile for a in g) + 2
+        near = [tuple(a + rng.randint(-2, 2) for a in rng.choice(tile)) for _ in range(300)]
+        far = [tuple(rng.randint(-side, side) for _ in g) for g in near]
+        gs = tile + near + far
+        got = t.contains_array(np.array(gs, dtype=np.int64), k)
+        assert list(got) == [t.contains(g, k) for g in gs], k
+        assert t.int64_bound(t.group.identity, k) > side - 2
+
+
+def test_heis_escape_grid_refuses_an_unreachable_k():
+    with pytest.raises(ResourceExhausted):
+        HeisTiling().escape_fraction((1, 0, 0), 20)
 
 
 def test_generic_decode_memo_fallback():
