@@ -196,15 +196,11 @@ class TilingAction:
 
         A point that exhausts max_depth gets max_depth + 1, beyond every
         tested k.  Equal, sample for sample, to act (see the module notes).
+        Its arrays hold a few values per seed, so callers pass one block of
+        DEPTH_BLOCK seeds at a time to keep memory flat.
         """
-        seeds = np.asarray(tail_seeds, dtype=np.uint64)
-        out = np.empty(len(seeds), dtype=np.int64)
-        for start in range(0, len(seeds), DEPTH_BLOCK):
-            out[start : start + DEPTH_BLOCK] = self._block_depths(gamma, seeds[start : start + DEPTH_BLOCK])
-        return out
-
-    def _block_depths(self, gamma, seeds: np.ndarray) -> np.ndarray:
         t = self.tiling
+        seeds = np.asarray(tail_seeds, dtype=np.uint64)
         depth = np.full(len(seeds), self.max_depth + 1, dtype=np.int64)
         active = np.arange(len(seeds))  # the samples not yet rewritten
         prod = None
@@ -214,7 +210,10 @@ class TilingAction:
             bound = t.int64_bound(gamma, n) if t.orientation is Orientation.LEFT else None
             if bound is None or max(bound, t.letter_count(n)) >= _INT64_SAFE:
                 for i in active:
-                    depth[i] = self._scalar_depth(gamma, int(seeds[i]))
+                    try:
+                        depth[i] = self.act(gamma, CouplingPoint((), int(seeds[i])))[1]
+                    except DepthExhausted:
+                        pass  # stays max_depth + 1
                 break
             mul = self.group.multiply_array
             f = t.letter_array(n, t.random_letter_indices(n, seeds[active]).astype(np.int64))
@@ -223,12 +222,6 @@ class TilingAction:
             depth[active[hit]] = n
             active, prod = active[~hit], prod[~hit]
         return depth
-
-    def _scalar_depth(self, gamma, tail_seed: int) -> int:
-        try:
-            return self.act(gamma, CouplingPoint((), tail_seed))[1]
-        except DepthExhausted:
-            return self.max_depth + 1
 
     def stabilization_depth(self, gamma, x: CouplingPoint) -> int:
         """rho(gamma.x, x): first index beyond which all coordinates agree.
@@ -390,9 +383,12 @@ def mc_tail_frequencies(
     That event is "rewrite depth > k"; its exact probability is
     |T_k \\ gamma^-1 T_k| / |T_k| (see exact_tail).  Sample i is the point
     CouplingPoint((), derive(seed, i)); one pass over blocks of samples
-    serves all k.
+    serves all k.  Every k must be at most action.max_depth: the depth of
+    a sample that exhausts max_depth is known only to exceed max_depth.
     """
     require_samples(samples)
+    if max(ks, default=0) > action.max_depth:
+        raise UsageError(f"tail k={max(ks)} exceeds max_depth={action.max_depth}")
     counts = {k: 0 for k in ks}
     for start in range(0, samples, DEPTH_BLOCK):
         seeds = derive_array(seed, np.arange(start, min(start + DEPTH_BLOCK, samples)))

@@ -87,14 +87,14 @@ class MetricGraph:
         """Parse the text format: one 'u v' pair per line, 0-indexed."""
         edges = []
         top = -1
-        for line in text.splitlines():
+        for number, line in enumerate(text.splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise UsageError(f"bad edge line: {line!r}")
-            u, v = int(parts[0]), int(parts[1])
+            try:
+                u, v = map(int, line.split())
+            except ValueError:
+                raise UsageError(f"bad edge line {number}: {line!r}") from None
             edges.append((u, v))
             top = max(top, u, v)
         if top < 0:
@@ -344,6 +344,16 @@ class DistortionReport:
         }
 
 
+def _require_walk(G: MetricGraph, walk: list[int], what: str) -> None:
+    """Vertex ids in [0, n), each adjacent to the next."""
+    for v in walk:
+        if not 0 <= v < G.n:
+            raise UsageError(f"vertex {v} out of range [0, {G.n})")
+    for u, v in zip(walk, walk[1:]):
+        if v not in G.adj[u]:
+            raise UsageError(f"{what} vertices {u},{v} not adjacent")
+
+
 def cycle_distortion(G: MetricGraph, cycle: list[int]) -> DistortionReport:
     """Optimal bi-Lipschitz constants of the cycle map C_n -> G.
 
@@ -355,10 +365,7 @@ def cycle_distortion(G: MetricGraph, cycle: list[int]) -> DistortionReport:
         raise UsageError("cycle needs at least 3 vertices")
     if len(set(cycle)) != n:
         raise UsageError("cycle vertices must be distinct")
-    for i in range(n):
-        u, v = cycle[i], cycle[(i + 1) % n]
-        if v not in G.adj[u]:
-            raise UsageError(f"cycle vertices {u},{v} not adjacent")
+    _require_walk(G, [*cycle, cycle[0]], "cycle")
     amin = None
     bmax = None
     wit_a = wit_b = (0, 1)
@@ -409,9 +416,7 @@ def geodesic_stability_check(
     """
     if len(path) < 2:
         raise UsageError("path needs at least 2 vertices")
-    for i in range(len(path) - 1):
-        if path[i + 1] not in G.adj[path[i]]:
-            raise UsageError(f"path vertices {path[i]},{path[i+1]} not adjacent")
+    _require_walk(G, path, "path")
     if delta is None:
         delta = rips_delta(G)
     ell = len(path) - 1

@@ -4,27 +4,24 @@ A tiling sequence is a sequence of finite letter sets F_k whose products
 tile each other disjointly: with left orientation the tiles satisfy
 T_{k+1} = T_k F_{k+1} (disjoint union over F_{k+1}); with right orientation
 T_{k+1} = F_{k+1} T_k.  Every element of T_k factors uniquely into letters,
-which is what :meth:`TilingSequence.decode` computes.
+which is what :meth:`TilingSequence.decode` computes.  Letters are addressed
+by index, so two tilings with equal letter counts share one product space,
+and unranked on demand: the lamplighter's letter counts grow doubly
+exponentially.  Built-ins carry the claimed (epsilon_k, R_k) so the verifier
+can compare computed boundary ratios and diameters against them.
 
-Letter sets are addressed by index so that product spaces over two tilings
-with equal letter counts can be identified coordinate-wise; letters are
-unranked on demand because some built-ins (lamplighter) have letter counts
-that grow doubly exponentially.
-
-Built-ins carry the claimed quantitative parameters (epsilon_k, R_k) so the
-verifier can compare computed boundary ratios and diameters against them.
-
-The box tilings and the Heisenberg tiling also unrank letters and test
-membership on (N, d) int64 arrays (``letter_array``, ``contains_array``),
-and declare through ``int64_bound`` how large those values can get, so the
-batched rewrite-depth kernel in ``coupling`` can prove int64 exact before
-it uses them.  The scalar ``letter`` and ``contains`` are their oracles.
+The box tilings ``zn:N``, ``zn:N:grouped:M``, ``zblocks`` and ``zmatch`` are
+one class with one alphabet, :class:`_BoxTiling`.  They and ``heis`` also
+unrank letters and test membership on (N, d) int64 arrays, and bound those
+values through ``int64_bound``, so the batched rewrite-depth kernel in
+``coupling`` can prove int64 exact first; the scalar methods are the oracles.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -85,10 +82,7 @@ class TilingSequence:
     # -- tiles -------------------------------------------------------------
 
     def tile_size(self, k: int) -> int:
-        size = 1
-        for i in range(k + 1):
-            size *= self.letter_count(i)
-        return size
+        return math.prod(self.letter_count(i) for i in range(k + 1))
 
     def contains(self, g, k: int) -> bool:
         """Membership in T_k, in closed form where the family allows it."""
@@ -250,18 +244,13 @@ class TilingSequence:
             raise UsageError(f"diameter mode must be auto|exact|sampled, got {mode!r}")
         if samples < 1:
             raise UsageError("sampled diameter needs samples >= 1")
-        best = 0
         mul, inv = self.group.multiply, self.group.inverse
-        for i in range(samples):
-            u = self.prefix_product(
-                [self.random_letter_index(j, seed, 2 * i) for j in range(k + 1)]
-            )
-            v = self.prefix_product(
-                [self.random_letter_index(j, seed, 2 * i + 1) for j in range(k + 1)]
-            )
-            d = self.group.word_length(mul(inv(u), v))
-            if d > best:
-                best = d
+
+        def point(counter):
+            return self.prefix_product([self.random_letter_index(j, seed, counter) for j in range(k + 1)])
+
+        quotients = (mul(inv(point(2 * i)), point(2 * i + 1)) for i in range(samples))
+        best = max(map(self.group.word_length, quotients))
         return DiameterReport(k, best, True, self.claimed_radius(k))
 
     def _exact_diameter(self, k: int, budget: int) -> int:
@@ -313,17 +302,65 @@ class DiameterReport(_Claimed):
 
 
 class _BoxTiling(TilingSequence):
-    """Left tiling of Z^n whose tile T_k is the box [0, side(k))^n.
+    """Left tiling of Z^n by the boxes T_k = [0, side(k))^n, one radix per level.
 
+    Level k has c_k^n letters, c_k = radix(k), and side(k) = c_0 ... c_k.
+    Letter i of level k is side(k-1) times the base-c_k digits of i,
+    coordinate 0 least significant, so decoding reads the digits back.
     Membership, the escape fraction of a translation and the tile diameter
     are closed forms in the side length.
     """
 
     exact_diameter_cheap = True  # box diameter is a closed form
-    n: int
+
+    def __init__(self, n: int, radix: Callable[[int], int], name: str):
+        self.group = groups.ZN(n)
+        self.n = n
+        self.radix = radix
+        self.name = name
+        self._levels = []  # (c_k, side(k - 1), side(k)) at index k, extended level by level
+
+    def _level(self, k: int) -> tuple[int, int, int]:
+        levels = self._levels
+        while len(levels) <= k:
+            below = levels[-1][2] if levels else 1
+            c = self.radix(len(levels))
+            if c < 1:
+                raise UsageError("letter counts must be >= 1")
+            levels.append((c, below, below * c))
+        return levels[k]
 
     def side(self, k: int) -> int:
-        raise NotImplementedError
+        return self._level(k)[2]
+
+    def letter_count(self, k):
+        return self._level(k)[0] ** self.n
+
+    def letter(self, k, idx):
+        c, scale, _ = self._level(k)
+        if not 0 <= idx < c**self.n:
+            raise UsageError(f"letter index {idx} out of range")
+        out = []
+        for _ in range(self.n):
+            idx, d = divmod(idx, c)
+            out.append(d * scale)
+        return tuple(out)
+
+    def letter_array(self, k, idx):
+        c, scale, _ = self._level(k)
+        return idx[:, None] // c ** np.arange(self.n) % c * scale
+
+    def decode(self, g, k):
+        if not self.contains(g, k):
+            raise NotInTile(f"{g} not in T_{k} of {self.name}")
+        out = []
+        for i in range(k + 1):
+            c, scale, _ = self._level(i)
+            idx = 0
+            for a in reversed(g):
+                idx = idx * c + a // scale % c
+            out.append(idx)
+        return tuple(out)
 
     def contains(self, g, k):
         L = self.side(k)
@@ -340,9 +377,7 @@ class _BoxTiling(TilingSequence):
     def escape_fraction(self, gamma, k):
         # box translation: survivors form the shifted sub-box
         L = self.side(k)
-        stay = 1
-        for a in gamma:
-            stay *= max(0, L - abs(a))
+        stay = math.prod(max(0, L - abs(a)) for a in gamma)
         return 1 - Fraction(stay, L**self.n)
 
     def _exact_diameter(self, k, budget):
@@ -352,54 +387,21 @@ class _BoxTiling(TilingSequence):
 class ZnGroupedTiling(_BoxTiling):
     """Z^n with m levels grouped per step: F_k = (2^(mk) [0, 2^m))^n.
 
-    Letter count 2^(nm) per level; epsilon_k = 2^-m(k+1) exactly.
+    The box tiling with radix 2^m: letter count 2^(nm) per level and
+    epsilon_k = 2^-m(k+1) exactly.
     """
 
     def __init__(self, n: int, m: int):
         if m < 1:
             raise UsageError("grouping needs m >= 1")
-        self.group = groups.ZN(n)
-        self.n = n
+        super().__init__(n, lambda k: 1 << m, f"zn:{n}:grouped:{m}")
         self.m = m
-        self.name = f"zn:{n}:grouped:{m}"
-
-    def letter_count(self, k):
-        return 1 << (self.n * self.m)
-
-    def letter(self, k, idx):
-        if not 0 <= idx < self.letter_count(k):
-            raise UsageError(f"letter index {idx} out of range")
-        base = 1 << self.m
-        out = []
-        for _ in range(self.n):
-            out.append((idx % base) << (self.m * k))
-            idx //= base
-        return tuple(out)
-
-    def letter_array(self, k, idx):
-        digits = (idx[:, None] >> (self.m * np.arange(self.n))) & ((1 << self.m) - 1)
-        return digits << (self.m * k)
-
-    def side(self, k):
-        return 1 << (self.m * (k + 1))
-
-    def decode(self, g, k):
-        if not self.contains(g, k):
-            raise NotInTile(f"{g} not in T_{k} of {self.name}")
-        base = 1 << self.m
-        out = []
-        for i in range(k + 1):
-            idx = 0
-            for j in reversed(range(self.n)):
-                idx = idx * base + ((g[j] >> (self.m * i)) % base)
-            out.append(idx)
-        return tuple(out)
 
     def claimed_epsilon(self, k):
-        return Fraction(1, 1 << (self.m * (k + 1)))
+        return Fraction(1, self.side(k))
 
     def claimed_radius(self, k):
-        return self.n << (self.m * (k + 1))
+        return self.n * self.side(k)
 
 
 class ZnTiling(ZnGroupedTiling):
@@ -584,19 +586,16 @@ class LamplighterTiling(TilingSequence):
         n = g[1]
         for lvl in range(k, 0, -1):
             width = 1 << lvl
+            # letter (h, 0) holds the top half [width, 2 width) and leaves the
+            # cursor below width; letter (h, width) holds [0, width)
+            branch = int(n >= width)
+            start = 0 if branch else width
             rem = 0
-            if n < width:
-                # letter (h, 0) holds the top half; remainder keeps [0, width)
-                branch = 0
-                for j in reversed(range(width)):
-                    rem = rem * m + lamps.pop(width + j, 0)
-            else:
-                # letter (h, width) holds [0, width); the remainder acted
-                # from position width, so its lamps shift back down
-                branch = 1
+            for j in reversed(range(width)):
+                rem = rem * m + lamps.pop(start + j, 0)
+            if branch:
+                # the remainder acted from position width: shift its lamps back down
                 n -= width
-                for j in reversed(range(width)):
-                    rem = rem * m + lamps.pop(j, 0)
                 lamps = {p - width: v for p, v in lamps.items()}
             out.append(branch * m**width + rem)
         # level 0: remaining lamps sit in {0,1}, cursor n in {0,1}
@@ -613,20 +612,18 @@ class LamplighterTiling(TilingSequence):
 
     def escape_fraction(self, gamma, k):
         # right tiles: (f, n) escapes under right multiplication by gamma
-        # iff the cursor leaves [0, 2^(k+1)) or a shifted lamp of gamma does
+        # iff the cursor leaves [0, 2^(k+1)) or a shifted lamp of gamma does,
+        # so the cursors that stay are those with n, n + j and every p + n
+        # in [0, L): one interval [lo, hi)
         lamps, j = gamma
         L = 1 << (k + 1)
-        bad = 0
-        for n in range(L):
-            if not 0 <= n + j < L:
-                bad += 1
-            elif any(not 0 <= p + n < L for p, _ in lamps):
-                bad += 1
-        return Fraction(bad, L)
+        shifts = [0, j, *(p for p, _ in lamps)]
+        lo, hi = -min(shifts), L - max(shifts)
+        return Fraction(L - max(0, hi - lo), L)
 
 
 class ZBlocksTiling(_BoxTiling):
-    """Z tiled by intervals with prescribed letter counts.
+    """Z tiled by intervals: the box tiling of Z with radix c_k = sizes[k].
 
     F_0 = [0, c_0) and F_k = |T_{k-1}| * [0, c_k), so T_k = [0, prod c_i).
     This is the workhorse for matching Z against another tiling with the
@@ -634,51 +631,23 @@ class ZBlocksTiling(_BoxTiling):
     uses exactly these letters).
     """
 
-    n = 1
-
     def __init__(self, sizes: Callable[[int], int] | Sequence[int], name: str = "zblocks"):
-        self.group = groups.ZN(1)
-        self._sizes = sizes if callable(sizes) else list(sizes)
-        self.name = name
+        if not callable(sizes):
+            listed = list(sizes)
 
-    def letter_count(self, k):
-        if callable(self._sizes):
-            c = self._sizes(k)
-        elif k < len(self._sizes):
-            c = self._sizes[k]
-        else:
-            raise UsageError(f"zblocks sizes given only up to k={len(self._sizes)-1}")
-        if c < 1:
-            raise UsageError("letter counts must be >= 1")
-        return c
+            def sizes(k):
+                if k >= len(listed):
+                    raise UsageError(f"zblocks sizes given only up to k={len(listed)-1}")
+                return listed[k]
 
-    def letter(self, k, idx):
-        if not 0 <= idx < self.letter_count(k):
-            raise UsageError(f"letter index {idx} out of range")
-        return (idx * (self.tile_size(k - 1) if k > 0 else 1),)
-
-    def letter_array(self, k, idx):
-        return (idx * (self.tile_size(k - 1) if k > 0 else 1))[:, None]
-
-    def side(self, k):
-        return self.tile_size(k)
-
-    def decode(self, g, k):
-        if not self.contains(g, k):
-            raise NotInTile(f"{g} not in T_{k} of {self.name}")
-        v = g[0]
-        out = []
-        for i in range(k + 1):
-            v, idx = divmod(v, self.letter_count(i))
-            out.append(idx)
-        return tuple(out)
+        super().__init__(1, sizes, name)
 
     def claimed_epsilon(self, k):
         # stated bound for the Z-side matched tiling; computed value is 1/|T_k|
-        return Fraction(2, self.tile_size(k))
+        return Fraction(2, self.side(k))
 
     def claimed_radius(self, k):
-        return self.tile_size(k) - 1
+        return self.side(k) - 1
 
 
 class FiniteCyclicTiling(TilingSequence):

@@ -307,11 +307,17 @@ _OUT_OF_RANGE = [
     ("profile --mode int:x", ["profile", "--group", "zn:1", "--n", "3", "--mode", "int:x"]),
     ("profile --mode int:-1", ["profile", "--group", "zn:1", "--n", "3", "--mode", "int:-1"]),
     ("profile --mode int:0", ["profile", "--group", "zn:1", "--n", "3", "--mode", "int:0"]),
+    ("couple tail --k above --max-depth", ["couple", "tail", *_COUPLE, "--gamma", "zn:1,0", "--k", "6", "--samples", "1500", "--seed", "2", "--max-depth", "3"]),
+    ("hyp audit-cycle --cycle 9,0,1", ["hyp", "audit-cycle", "--family", "cycle:5", "--cycle", "9,0,1"]),
+    ("hyp delta --edges 'a b'", ["hyp", "delta", "--edges", "<bad-edges>"]),
 ]
 
 
 @pytest.mark.parametrize("argv", [a for _, a in _OUT_OF_RANGE], ids=[i for i, _ in _OUT_OF_RANGE])
-def test_out_of_range_argument_is_a_usage_error(capsys, argv):
+def test_out_of_range_argument_is_a_usage_error(capsys, tmp_path, argv):
+    bad_edges = tmp_path / "edges.txt"
+    bad_edges.write_text("0 1\na b\n")
+    argv = [str(bad_edges) if a == "<bad-edges>" else a for a in argv]
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and "usage error" in err
     assert out == ""

@@ -264,7 +264,7 @@ def test_depth_kernel_guard_and_blocks():
     assert heis.int64_bound((0, 0, 1 << 61), 0) < 1 << 62 <= heis.int64_bound((0, 0, 1 << 61), 30)
     assert zn.int64_bound((1 << 62,), 0) >= 1 << 62
     assert LamplighterTiling(2).int64_bound(((), 1), 0) is None
-    # more samples than one block: blocks are cut and put back in order
+    # more samples than one block, and a suffix of them, get the same depths
     action = TilingAction(ZnTiling(2), 40)
     seeds = derive_array(5, np.arange(10_000))
     whole = action.depths((1, 0), seeds)
@@ -283,6 +283,16 @@ def test_mc_tail_memory_is_flat_in_samples():
     # a few block-sized int64 arrays; one array over all 10^6 samples is 8 MB
     assert peak < 32 * 8 * DEPTH_BLOCK, peak
     assert abs(freqs[0][0] - 0.5) < 0.005
+
+
+def test_tail_beyond_max_depth_is_a_usage_error():
+    # an exhausted sample's depth is known only to exceed max_depth, so the
+    # tail at k > max_depth cannot be counted; k = max_depth still can
+    action = TilingAction(ZnTiling(1), 3)
+    with pytest.raises(UsageError):
+        mc_tail_frequencies(action, (1,), range(5), 100, seed=1)
+    freq, _ = mc_tail_frequencies(action, (1,), [3], 2000, seed=1)[3]
+    assert abs(freq - 1 / 16) <= 4 * math.sqrt(1 / 16 * 15 / 16 / 2000)
 
 
 def test_depth_exhausted_is_reported(llz):

@@ -127,6 +127,16 @@ def test_cycle_distortion_validation():
         cycle_distortion(g, [0, 2, 4])  # not adjacent
     with pytest.raises(UsageError):
         cycle_distortion(g, [0, 1])
+    # vertex ids outside [0, n): 8 used to raise IndexError, and -1 read as 7
+    for cycle in ([8, 0, 1], [-1, 0, 1]):
+        with pytest.raises(UsageError):
+            cycle_distortion(g, cycle)
+
+
+def test_geodesic_stability_rejects_a_negative_vertex():
+    # -1 read as vertex 3 of the 4-cycle, which is adjacent to 2
+    with pytest.raises(UsageError):
+        geodesic_stability_check(MetricGraph.cycle_graph(4), [-1, 2])
 
 
 def test_bound_formulas():

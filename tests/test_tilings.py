@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -327,3 +329,116 @@ def test_diameter_auto_mode():
     assert rep.lower_bound_only
     z = ZnTiling(3)
     assert not z.tile_diameter(8).lower_bound_only
+
+
+class GroupedByShifts:
+    """Oracle: letters and decoding of zn:N:grouped:M by bit shifts, as first written."""
+
+    def __init__(self, n, m):
+        self.n, self.m = n, m
+
+    def letter(self, k, idx):
+        base = 1 << self.m
+        out = []
+        for _ in range(self.n):
+            out.append((idx % base) << (self.m * k))
+            idx //= base
+        return tuple(out)
+
+    def letter_array(self, k, idx):
+        digits = (idx[:, None] >> (self.m * np.arange(self.n))) & ((1 << self.m) - 1)
+        return digits << (self.m * k)
+
+    def decode(self, g, k):
+        base = 1 << self.m
+        out = []
+        for i in range(k + 1):
+            idx = 0
+            for j in reversed(range(self.n)):
+                idx = idx * base + ((g[j] >> (self.m * i)) % base)
+            out.append(idx)
+        return tuple(out)
+
+
+class BlocksByDivmod:
+    """Oracle: letters and decoding of zblocks by divmod, as first written."""
+
+    def __init__(self, sizes):
+        self.sizes = sizes
+
+    def tile_size(self, k):
+        size = 1
+        for i in range(k + 1):
+            size *= self.sizes(i)
+        return size
+
+    def letter(self, k, idx):
+        return (idx * (self.tile_size(k - 1) if k > 0 else 1),)
+
+    def letter_array(self, k, idx):
+        return (idx * (self.tile_size(k - 1) if k > 0 else 1))[:, None]
+
+    def decode(self, g, k):
+        v = g[0]
+        out = []
+        for i in range(k + 1):
+            v, idx = divmod(v, self.sizes(i))
+            out.append(idx)
+        return tuple(out)
+
+
+_BOX_ORACLES = [
+    ("zn:1", GroupedByShifts(1, 1), 3),
+    ("zn:2", GroupedByShifts(2, 1), 3),
+    ("zn:1:grouped:2", GroupedByShifts(1, 2), 3),
+    ("zn:2:grouped:3", GroupedByShifts(2, 3), 2),
+    ("zblocks:3,2,5,4", BlocksByDivmod([3, 2, 5, 4].__getitem__), 3),
+    ("zmatch:ll:2", BlocksByDivmod(LamplighterTiling(2).letter_count), 3),
+    ("zmatch:ll:3", BlocksByDivmod(LamplighterTiling(3).letter_count), 3),
+]
+_ORACLE_SAMPLES = 5000
+
+
+def _index_tuples(rng, counts):
+    """Every index tuple below counts, or _ORACLE_SAMPLES random ones when there are more."""
+    if math.prod(counts) <= _ORACLE_SAMPLES:
+        return list(itertools.product(*map(range, counts)))
+    return [tuple(rng.randrange(c) for c in counts) for _ in range(_ORACLE_SAMPLES)]
+
+
+@pytest.mark.parametrize("spec,old,K", _BOX_ORACLES, ids=[c[0] for c in _BOX_ORACLES])
+def test_box_alphabet_matches_the_per_family_letters(spec, old, K):
+    # one radix-digit alphabet against the two schemes it replaced
+    t = builtin(spec)
+    rng = random.Random(spec)
+    for k in range(K + 1):
+        idx = np.array(_index_tuples(rng, [t.letter_count(k)]), dtype=np.int64)[:, 0]
+        assert [t.letter(k, int(i)) for i in idx] == [old.letter(k, int(i)) for i in idx], k
+        assert np.array_equal(t.letter_array(k, idx), old.letter_array(k, idx)), k
+        for idxs in _index_tuples(rng, [t.letter_count(i) for i in range(k + 1)]):
+            g = t.prefix_product(idxs)
+            assert t.decode(g, k) == old.decode(g, k) == idxs, (k, idxs)
+
+
+def lamplighter_escape_loop(gamma, k: int) -> Fraction:
+    """Oracle: the lamplighter escape count as a loop over the cursor positions."""
+    lamps, j = gamma
+    L = 1 << (k + 1)
+    bad = 0
+    for n in range(L):
+        if not 0 <= n + j < L:
+            bad += 1
+        elif any(not 0 <= p + n < L for p, _ in lamps):
+            bad += 1
+    return Fraction(bad, L)
+
+
+def test_lamplighter_escape_interval_matches_the_loop():
+    rng = random.Random(11)
+    for m in (2, 3):
+        t = LamplighterTiling(m)
+        for _ in range(1500):
+            lamps = {rng.randint(-12, 40): rng.randrange(1, m) for _ in range(rng.randrange(4))}
+            gamma = t.group.make(lamps, rng.randint(-70, 70))
+            k = rng.randrange(6)
+            assert t.escape_fraction(gamma, k) == lamplighter_escape_loop(gamma, k), (gamma, k)
