@@ -134,10 +134,10 @@ def bs_element(group: BaumslagSolitar, changes: dict[int, int], n: int):
 class BsLamplighterCoupling:
     """The shared-orbit actions of Z/kZ wr Z and BS(1,k) on prod_Z Z/kZ."""
 
-    def __init__(self, k: int, word_length_cap: int = 24, carry_bound: int = DEFAULT_CARRY_BOUND):
+    def __init__(self, k: int, carry_bound: int = DEFAULT_CARRY_BOUND):
         self.k = k
-        self.lamplighter = Lamplighter(k, word_length_cap)
-        self.bs = BaumslagSolitar(k, word_length_cap)
+        self.lamplighter = Lamplighter(k)
+        self.bs = BaumslagSolitar(k)
         self.carry_bound = carry_bound
 
     def point(self, seed: int, assignments: dict | None = None) -> BiInfinitePoint:

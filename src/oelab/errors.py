@@ -13,18 +13,6 @@ class UsageError(ValueError):
     """Malformed input or a call that violates an operation's contract."""
 
 
-class CapExceeded(RuntimeError):
-    """A word-length BFS hit its radius cap before finding the element.
-
-    Callers may retry with a larger cap; the cap reached is stored in
-    ``self.cap``.
-    """
-
-    def __init__(self, message: str, cap: int):
-        super().__init__(message)
-        self.cap = cap
-
-
 class ResourceExhausted(RuntimeError):
     """An enumeration exceeded its memory or search budget.
 
@@ -35,6 +23,9 @@ class ResourceExhausted(RuntimeError):
     def __init__(self, message: str, progress=None):
         super().__init__(message)
         self.progress = progress
+
+
+CapExceeded = ResourceExhausted  # the old name: word lengths no longer have a radius cap
 
 
 class TilingViolation(RuntimeError):

@@ -16,14 +16,14 @@ Families and normal forms:
 
 A family declares its data: ``identity`` and ``generators`` are plain values
 handed to :class:`Group`, next to ``multiply``, ``inverse``,
-``check_element``, ``format_element`` and a ``_parse_body`` hook.  The base
-class writes the shared procedures once: the strict element parser, the BFS
-word metric and the balls, spheres and growth read off its layers.
+``check_element``, ``format_element``, ``word_length`` and a ``_parse_body``
+hook.  The base class writes the shared procedures once: the strict element
+parser, and the balls, spheres and growth read off breadth-first layers.
 
-Word lengths are exact: closed forms where one exists (ZN ell^1 norm,
-lamplighter switch+travel, cyclic distance), breadth-first search from the
-identity elsewhere, with an explicit radius cap surfaced as
-:class:`CapExceeded`.
+Word lengths are closed forms in every family (ell^1, switches plus travel,
+cyclic distance, Blachere's boxes on Heisenberg, a carry pass on BS(1,k)), so
+no element is out of reach; BFS serves balls, spheres and growth, and is the
+test suite's oracle for the closed forms.
 
 All elements are plain hashable tuples (ints for cyclic groups) and all
 groups are immutable after construction, apart from the BFS layer caches.
@@ -36,11 +36,11 @@ seen to misindex the layers, and oelab itself runs single-threaded.
 
 from __future__ import annotations
 
+from math import isqrt
 from typing import Iterable
 
-from .errors import CapExceeded, ResourceExhausted, UsageError
+from .errors import ResourceExhausted, UsageError
 
-DEFAULT_WORD_CAP = 24
 DEFAULT_BALL_BUDGET = 5_000_000
 
 
@@ -52,12 +52,11 @@ class Group:
 
     name: str = "?"
 
-    def __init__(self, identity, generators: tuple, word_length_cap: int = DEFAULT_WORD_CAP):
+    def __init__(self, identity, generators: tuple):
         self.identity = identity
         self.generators = generators
-        self.word_length_cap = word_length_cap
         self._layers: list[set] = []  # BFS spheres, layer r = sphere of radius r
-        self._dist: dict = {}
+        self._seen: set = set()
 
     # -- family-specific primitives -------------------------------------
 
@@ -65,6 +64,9 @@ class Group:
         raise NotImplementedError
 
     def inverse(self, g):
+        raise NotImplementedError
+
+    def word_length(self, g) -> int:
         raise NotImplementedError
 
     def check_element(self, g) -> None:
@@ -96,33 +98,7 @@ class Group:
         self.check_element(g)
         return g
 
-    # -- word metric -----------------------------------------------------
-
-    def word_length(self, g) -> int:
-        """Exact word length w.r.t. the designated generators (BFS default)."""
-        self.check_element(g)
-        return self.word_lengths_of((g,))[g]
-
-    def word_lengths_of(self, elements: Iterable, cap: int | None = None) -> dict:
-        """Word lengths for a batch of elements via one shared BFS.
-
-        A cached element costs one dict lookup; the layers grow only as far
-        as the farthest element needs, and never beyond ``cap``.
-        """
-        cap = self.word_length_cap if cap is None else cap
-        dist = self._dist
-        found = {}
-        for g in elements:
-            d = dist.get(g)
-            while d is None and len(self._layers) <= cap:
-                self._extend_layers(len(self._layers), DEFAULT_BALL_BUDGET)
-                d = dist.get(g)
-            if d is None or d > cap:
-                raise CapExceeded(
-                    f"|{self.format_element(g)}| exceeds word-length cap {cap}", cap
-                )
-            found[g] = d
-        return found
+    # -- balls, spheres and growth -----------------------------------------
 
     def ball(self, radius: int, budget: int = DEFAULT_BALL_BUDGET) -> set:
         """The exact ball B(e, radius) as a set of normal forms."""
@@ -139,11 +115,6 @@ class Group:
         """The cached spheres of radius 0..radius, after checking the radius."""
         if radius < 0:
             raise UsageError(f"radius must be >= 0, got {radius}")
-        if radius > self.word_length_cap:
-            raise CapExceeded(
-                f"radius {radius} exceeds word-length cap {self.word_length_cap}",
-                self.word_length_cap,
-            )
         self._extend_layers(radius, budget)
         return self._layers[: radius + 1]
 
@@ -152,22 +123,16 @@ class Group:
     def _extend_layers(self, radius: int, budget: int) -> None:
         if not self._layers:
             self._layers.append({self.identity})
-            self._dist[self.identity] = 0
+            self._seen.add(self.identity)
         while len(self._layers) <= radius:
-            frontier = self._layers[-1]
-            r = len(self._layers)
-            new = set()
-            for g in frontier:
-                for s in self.generators:
-                    h = self.multiply(g, s)
-                    if h not in self._dist:
-                        self._dist[h] = r
-                        new.add(h)
-            if len(self._dist) > budget:
+            new = {self.multiply(g, s) for g in self._layers[-1] for s in self.generators}
+            new -= self._seen
+            if len(self._seen) + len(new) > budget:
                 raise ResourceExhausted(
                     f"ball enumeration exceeded budget of {budget} elements",
-                    progress=r - 1,
+                    progress=len(self._layers) - 1,
                 )
+            self._seen |= new
             self._layers.append(new)
 
     def __repr__(self):
@@ -197,7 +162,7 @@ def line_tour(points: Iterable[int], end: int) -> int:
 class ZN(Group):
     """Z^n with the standard generators +-e_i; elements are int tuples."""
 
-    def __init__(self, n: int, word_length_cap: int = DEFAULT_WORD_CAP):
+    def __init__(self, n: int):
         if n < 1:
             raise UsageError("ZN needs n >= 1")
         self.n = n
@@ -205,7 +170,7 @@ class ZN(Group):
         gens = tuple(
             tuple(v if j == i else 0 for j in range(n)) for i in range(n) for v in (1, -1)
         )
-        super().__init__((0,) * n, gens, word_length_cap)
+        super().__init__((0,) * n, gens)
 
     def multiply(self, g, h):
         return tuple(a + b for a, b in zip(g, h, strict=True))
@@ -234,9 +199,9 @@ class Heisenberg(Group):
 
     name = "heis"
 
-    def __init__(self, word_length_cap: int = DEFAULT_WORD_CAP):
+    def __init__(self):
         gens = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))
-        super().__init__((0, 0, 0), gens, word_length_cap)
+        super().__init__((0, 0, 0), gens)
 
     def multiply(self, g, h):
         x, y, z = g
@@ -257,6 +222,24 @@ class Heisenberg(Group):
         if not (isinstance(g, tuple) and len(g) == 3 and all(isinstance(a, int) for a in g)):
             raise UsageError(f"not a Heisenberg element: {g!r}")
 
+    def word_length(self, g):
+        """Blachere (2003): a word is a lattice path to (x, y) of signed area z = int y dx.
+
+        Once reflections and reversal (z -> xy - z) make x, y, z >= 0, any
+        z <= xy takes a monotone path; a larger z an X-wide box, least near
+        X = sqrt(z) or at X = ceil(z/y).
+        """
+        self.check_element(g)
+        x, y, z = g
+        x, y, z = abs(x), abs(y), z if (x < 0) == (y < 0) else -z
+        if z < 0:
+            z = x * y - z
+        if z <= x * y:
+            return x + y
+        r = isqrt(z)
+        widths = (max(X, x, 1) for X in (x, r - 1, r, r + 1, r + 2, -(-z // y) if y else x))
+        return min(2 * X - x + y + 2 * max(0, -(-z // X) - y) for X in widths)
+
     def format_element(self, g):
         return "heis:" + ",".join(str(a) for a in g)
 
@@ -265,11 +248,10 @@ class Lamplighter(Group):
     """Z/mZ wr Z with S = {(delta_0, 0)^+-1, (0, +-1)}.
 
     Word lengths use the closed form: switch presses plus the shortest
-    :func:`line_tour` over supp(f) that ends at pos.  The formula is
-    validated against BFS in the test suite (m = 2 and 3).
+    :func:`line_tour` over supp(f) that ends at pos.
     """
 
-    def __init__(self, m: int, word_length_cap: int = DEFAULT_WORD_CAP):
+    def __init__(self, m: int):
         if m < 2:
             raise UsageError("Lamplighter needs m >= 2")
         self.m = m
@@ -277,7 +259,7 @@ class Lamplighter(Group):
         lamp = ((((0, 1),), 0),)
         if m > 2:
             lamp += ((((0, m - 1),), 0),)
-        super().__init__(((), 0), lamp + (((), 1), ((), -1)), word_length_cap)
+        super().__init__(((), 0), lamp + (((), 1), ((), -1)))
 
     def make(self, lamps: dict, pos: int):
         """Normal form from a {position: value} dict (values taken mod m)."""
@@ -340,16 +322,17 @@ class BaumslagSolitar(Group):
     """BS(1,k) = Z[1/k] x| Z with T = {(1,0)^+-1, (0,1)^+-1}.
 
     Element (a, s, n) stands for (a / k**s, n); the (a, s) pair is reduced so
-    the form is unique.  Word lengths go through BFS with the shared cap.
+    the form is unique.  A word is a walk on heights from 0 to n dropping
+    d_h a-letters at height h, so a / k**s = sum_h d_h k**-h.
     """
 
-    def __init__(self, k: int, word_length_cap: int = DEFAULT_WORD_CAP):
+    def __init__(self, k: int):
         if k < 2:
             raise UsageError("BS(1,k) needs k >= 2")
         self.k = k
         self.name = f"bs:{k}"
         gens = ((1, 0, 0), (-1, 0, 0), (0, 0, 1), (0, 0, -1))
-        super().__init__((0, 0, 0), gens, word_length_cap)
+        super().__init__((0, 0, 0), gens)
 
     def _reduce(self, a: int, s: int):
         if a == 0:
@@ -397,6 +380,33 @@ class BaumslagSolitar(Group):
         if not ok:
             raise UsageError(f"not a reduced BS(1,{self.k}) form: {g!r}")
 
+    def word_length(self, g):
+        """The least walk plus digit cost, after Elder (2010).
+
+        A walk over heights [top - W, top], top = max(0, n, s), costs 2W - |n|;
+        scaled by k**top its digits d_0..d_W (d_i at height top - i) sum to
+        M = a k**(top - s).  Each digit is r or r - k, r = remainder mod k, but
+        the last takes what is left, so one carry pass keeps at most three
+        values alive.  Past W = low + |a|.bit_length() + 1 only 0 or +-1 is
+        left, and a deeper walk pays 2 letters a level to save at most 1.
+        """
+        self.check_element(g)
+        a, s, n = g
+        k = self.k
+        top = max(0, n, s)
+        low = top - min(0, n)
+        carries = {a * k ** (top - s): 0}  # value left to write -> least digit cost
+        costs = []
+        for W in range(low + abs(a).bit_length() + 2):
+            if W >= low:
+                costs.append(2 * W - abs(n) + min(c + abs(v) for v, c in carries.items()))
+            step = {}
+            for v, c in carries.items():
+                for d in (v % k, v % k - k):
+                    step[(v - d) // k] = min(step.get((v - d) // k, c + abs(d)), c + abs(d))
+            carries = step
+        return min(costs)
+
     def format_element(self, g):
         a, s, n = g
         return f"bs:a={a},s={s},n={n}"
@@ -413,7 +423,7 @@ class CyclicGroup(Group):
             raise UsageError("CyclicGroup needs q >= 2")
         self.q = q
         self.name = f"cyclic:{q}"
-        super().__init__(0, (1,) if q == 2 else (1, q - 1), word_length_cap=q)
+        super().__init__(0, (1,) if q == 2 else (1, q - 1))
 
     def multiply(self, g, h):
         return (g + h) % self.q
@@ -439,31 +449,26 @@ class CyclicGroup(Group):
         return int(v)
 
 
-def group_from_spec(spec: str, word_length_cap: int = DEFAULT_WORD_CAP) -> Group:
+_FAMILIES = {"zn": ZN, "ll": Lamplighter, "bs": BaumslagSolitar, "cyclic": CyclicGroup}
+
+
+def group_from_spec(spec: str) -> Group:
     """Build a group from a CLI spec: zn:2, heis, ll:3, bs:2, cyclic:5."""
     head, _, rest = spec.partition(":")
-    if head == "zn":
-        return ZN(_int_param(rest, spec), word_length_cap)
     if head == "heis":
         if rest:
             raise UsageError(f"heis takes no parameter: {spec!r}")
-        return Heisenberg(word_length_cap)
-    if head == "ll":
-        return Lamplighter(_int_param(rest, spec), word_length_cap)
-    if head == "bs":
-        return BaumslagSolitar(_int_param(rest, spec), word_length_cap)
-    if head == "cyclic":
-        return CyclicGroup(_int_param(rest, spec))
-    raise UsageError(f"unknown group family: {spec!r}")
+        return Heisenberg()
+    if head not in _FAMILIES:
+        raise UsageError(f"unknown group family: {spec!r}")
+    try:
+        param = int(rest)
+    except ValueError:
+        raise UsageError(f"bad group spec: {spec!r}") from None
+    return _FAMILIES[head](param)
 
 
 def parse_element(text: str, group: Group):
     """Parse a canonical serialization, strictly, against the given group."""
     return group.parse_element(text)
 
-
-def _int_param(rest: str, spec: str) -> int:
-    try:
-        return int(rest)
-    except ValueError:
-        raise UsageError(f"bad group spec: {spec!r}") from None

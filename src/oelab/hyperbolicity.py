@@ -30,6 +30,11 @@ from .groups import Group
 DEFAULT_MATRIX_BUDGET_MB = 1024
 
 
+def _check_budget(what: str, need: float, budget_mb: float, n: int) -> None:
+    if need > budget_mb:
+        raise ResourceExhausted(f"{what} needs ~{need:.0f} MB > budget {budget_mb} MB (|V| = {n})")
+
+
 class MetricGraph:
     """A finite connected graph with its all-pairs distance matrix."""
 
@@ -61,6 +66,8 @@ class MetricGraph:
         symmetric, so the matrix reads the same either way round.
         """
         n = self.n
+        # the int32 matrix and two n x n bool arrays
+        _check_budget("distance matrix", 6 * n**2 / 1e6, DEFAULT_MATRIX_BUDGET_MB, n)
         width = max(map(len, self.adj))
         # slot j of v is its j-th neighbour, or v itself past its degree
         slots = np.repeat(np.arange(n, dtype=np.int32)[:, None], width, axis=1)
@@ -185,12 +192,7 @@ def _interval_tensor(G: MetricGraph, budget_mb: int) -> np.ndarray:
     one BFS level from a at a time, then stored transposed.
     """
     n = G.n
-    need = 2 * n**3 / 1e6
-    if need > budget_mb:
-        raise ResourceExhausted(
-            f"interval tensor needs ~{need:.0f} MB > budget {budget_mb} MB "
-            f"(|V| = {n})"
-        )
+    _check_budget("interval tensor", 2 * n**3 / 1e6, budget_mb, n)
     D = G.dist.astype(np.int16)
     # directed edges (u, v), sorted by u
     u = np.repeat(np.arange(n), [len(nbrs) for nbrs in G.adj])

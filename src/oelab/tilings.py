@@ -257,8 +257,7 @@ class TilingSequence:
         tile = self.build_tiles(k, budget)[k]
         mul, inv = self.group.multiply, self.group.inverse
         quotients = {mul(inv(u), v) for u in tile for v in tile}
-        lengths = self.group.word_lengths_of(quotients)
-        return max(lengths.values())
+        return max(map(self.group.word_length, quotients))
 
 
 def _first_duplicate(items):

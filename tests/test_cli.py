@@ -152,6 +152,41 @@ def test_wreath_check_off_z_bases(capsys, base):
     assert_wreath_identities_hold(capsys, base, "cyclic:5,cyclic:5")
 
 
+_PAST_THE_OLD_WORD_CAP = [
+    ["wreath", "check", "--base", "heis,zn:4", "--lamp", "cyclic:5,cyclic:5"],
+    ["tiling", "verify", "--builtin", "heis", "--k", "2", "--samples", "300", "--seed", "4"],
+    ["tiling", "verify", "--builtin", "heis", "--k", "3", "--samples", "300", "--seed", "0"],
+    ["couple", "integrate", "--left", "zn:4", "--right", "heis", "--gamma", "zn:1,0,0,0",
+     "--gauge", "power:0.4", "--samples", "200"],
+    ["couple", "integrate", "--left", "zn:4", "--right", "heis", "--gamma", "zn:1,0,0,0",
+     "--gauge", "power:0.6", "--samples", "200"],
+    ["couple", "return-time", "--left", "zn:2", "--right", "zn:1:grouped:2", "--x0", "0;1",
+     "--n", "25", "--samples", "3"],
+    ["hyp", "delta", "--family", "cayley-ball:zn:1:30"],
+]
+
+
+@pytest.mark.parametrize("argv", _PAST_THE_OLD_WORD_CAP, ids=lambda a: " ".join(a[:2]))
+def test_runs_past_the_old_word_cap(capsys, argv):
+    # each of these needed a word length or a ball past radius 24
+    code, report, err = run_json(capsys, *argv)
+    assert code == 0, err
+    if argv[1] == "integrate":
+        res = report["results"]
+        assert res["exhausted_fraction"] == 0
+        assert res["estimate"] <= res["stratified_bound"]
+
+
+def test_distance_matrix_budget_is_a_typed_error(capsys, monkeypatch):
+    import oelab.hyperbolicity
+
+    # 6 n^2 bytes: 0.015 MB for n = 50
+    monkeypatch.setattr(oelab.hyperbolicity, "DEFAULT_MATRIX_BUDGET_MB", 0.01)
+    code, out, err = run_cli(capsys, "hyp", "delta", "--family", "cycle:50")
+    assert code == 1 and not out
+    assert err.startswith("ResourceExhausted: distance matrix")
+
+
 def test_hyp_delta_family_and_edges(capsys):
     code, report, _ = run_json(capsys, "hyp", "delta", "--family", "cycle:8", "--four-point")
     assert code == 0

@@ -1,11 +1,13 @@
 import random
+from functools import cache
+from math import isqrt
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oelab.errors import CapExceeded, UsageError
+from oelab.errors import ResourceExhausted, UsageError
 from oelab.groups import (
     ZN,
     BaumslagSolitar,
@@ -101,16 +103,81 @@ def test_word_length_symmetric_and_triangle(group):
 
 
 @pytest.mark.parametrize(
-    "group",
-    [ZN(2), ZN(3), Lamplighter(2), Lamplighter(3), CyclicGroup(5)],
-    ids=lambda g: g.name,
+    "group, radius",
+    [
+        pytest.param(group, radius, id=group.name)
+        for group, radius in [
+            (ZN(2), 8),
+            (ZN(3), 8),
+            (Lamplighter(2), 8),
+            (Lamplighter(3), 8),
+            (CyclicGroup(5), 5),
+            (Heisenberg(), 20),
+            (BaumslagSolitar(2), 12),
+            (BaumslagSolitar(3), 11),
+            (BaumslagSolitar(5), 10),
+        ]
+    ],
 )
-def test_closed_form_matches_bfs(group):
-    # word_lengths_of reads BFS distances; word_length is the family's closed form
-    radius = min(8, group.word_length_cap)
-    bfs = group.word_lengths_of(group.ball(radius))
-    for g, d in bfs.items():
-        assert group.word_length(g) == d, g
+def test_closed_form_matches_bfs(group, radius):
+    # BFS is the oracle: every element of the sphere of radius r has length r
+    for r in range(radius + 1):
+        for g in group.sphere(r):
+            assert group.word_length(g) == r, g
+
+
+def _heis_box_minimum(g):
+    """Heisenberg length by trying every box width in [x, x + 4 isqrt(z) + 4]."""
+    x, y, z = g
+    x, y, z = abs(x), abs(y), z if (x < 0) == (y < 0) else -z
+    if z < 0:
+        z = x * y - z
+    if z <= x * y:
+        return x + y
+    widths = range(max(x, 1), x + 4 * isqrt(z) + 5)
+    return min(2 * X - x + y + 2 * max(0, -(-z // X) - y) for X in widths)
+
+
+def _bs_carry_minimum(k, g):
+    """BS(1,k) length by a fresh digit search at every walk depth W.
+
+    Each digit but the last is r or r - k, r the remainder mod k, and W runs
+    to low + 2 |a|.bit_length() + 8, past the closed form's window.
+    """
+    a, s, n = g
+    top = max(0, n, s)
+    low = top - min(0, n)
+
+    @cache
+    def cost(value, W):
+        # least sum |d_i| with sum_{i <= W} d_i k^i = value, d_W free
+        if W == 0:
+            return abs(value)
+        r = value % k
+        return min(abs(d) + cost((value - d) // k, W - 1) for d in (r, r - k))
+
+    M = a * k ** (top - s)
+    return min(2 * W - abs(n) + cost(M, W) for W in range(low, low + 2 * abs(a).bit_length() + 9))
+
+
+# far past BFS reach (|z| <= 169 within radius 26), small enough to scan widths
+@given(st.integers(-3000, 3000), st.integers(-3000, 3000), st.integers(-10**7, 10**7))
+@settings(max_examples=200, deadline=None)
+def test_heisenberg_closed_form_matches_box_search(x, y, z):
+    assert Heisenberg().word_length((x, y, z)) == _heis_box_minimum((x, y, z))
+
+
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.integers(-10**5, 10**5),
+    st.integers(0, 12),
+    st.integers(-40, 40),
+)
+@settings(max_examples=150, deadline=None)
+def test_bs_closed_form_matches_carry_search(k, a, s, n):
+    bs = BaumslagSolitar(k)
+    g = bs.make(a, s, n)
+    assert bs.word_length(g) == _bs_carry_minimum(k, g)
 
 
 def test_heisenberg_bfs_word_lengths():
@@ -120,13 +187,6 @@ def test_heisenberg_bfs_word_lengths():
     assert comm[:2] == (0, 0) and comm[2] != 0
     assert h.word_length(comm) == 4
     assert h.word_length((1, 1, 1)) == 2  # E2 * E1
-
-
-def test_cap_exceeded():
-    bs = BaumslagSolitar(2, word_length_cap=4)
-    with pytest.raises(CapExceeded) as exc:
-        bs.word_length((1, 0, 40))
-    assert exc.value.cap == 4
 
 
 def test_big_integers_no_overflow():
@@ -222,11 +282,16 @@ def test_lamplighter_length_examples():
     assert ll3.word_length(ll3.make({0: 2}, 0)) == 1
 
 
-def test_growth_cap_enforced():
-    bs = BaumslagSolitar(2, word_length_cap=3)
-    with pytest.raises(CapExceeded):
-        bs.growth(4)
-    assert bs.growth(3) > 0
+def test_budget_exhaustion_reports_last_radius():
+    # |B(3)| = 53 and |B(4)| = 135 in heis; a budget of 100 stops at radius 4
+    for call in ("ball", "growth"):
+        h = Heisenberg()
+        with pytest.raises(ResourceExhausted) as exc:
+            getattr(h, call)(6, budget=100)
+        assert exc.value.progress == 3
+        # the cache stays whole: a larger budget then gets the right ball
+        assert h.growth(4) == 135
+    assert len(Heisenberg().ball(3, budget=100)) == 53
 
 
 def test_negative_radius_is_a_usage_error():

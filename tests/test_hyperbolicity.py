@@ -93,6 +93,16 @@ def test_budget_guard():
         rips_delta(g, budget_mb=1)
 
 
+def test_distance_matrix_budget_guard(monkeypatch):
+    import oelab.hyperbolicity
+
+    # the matrix and its two bool masks take 6 n^2 bytes: 5.4 kB at n = 30
+    monkeypatch.setattr(oelab.hyperbolicity, "DEFAULT_MATRIX_BUDGET_MB", 0.006)
+    assert MetricGraph.cycle_graph(30).n == 30
+    with pytest.raises(ResourceExhausted):
+        MetricGraph.cycle_graph(32)
+
+
 def grid_boundary_cycle(n):
     """Boundary cycle of the (n+1) x (n+1) vertex grid (n cells per side)."""
     idx = lambda x, y: x * (n + 1) + y
