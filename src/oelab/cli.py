@@ -9,9 +9,10 @@ reports are strict: non-finite floats are written as the strings "nan",
 PASS/FAIL check lines to stderr.  Monte Carlo ``--samples`` must be at
 least 1 (``tiling verify --samples 0``, its default, skips the sampled
 diameter).  ``tiling verify --k``, ``couple tail --k``, ``--max-depth`` and
-``--strata-depth`` must be at least 0, ``couple tail --k`` at most
-``--max-depth`` and ``bs-ll tail --M`` at least 2 (below that the bound
-k^(1-M) cannot fail); anything else is a usage error.
+``--strata-depth`` must be at least 0, every ``--budget`` at least 1,
+``couple tail --k`` at most ``--max-depth`` and ``bs-ll tail --M`` at least
+2 (below that the bound k^(1-M) cannot fail); anything else is a usage
+error.
 
 Exit codes: 0 success / audit passed, 2 audit failed (an inequality the run
 was checking is violated), 1 usage or resource errors.  Every malformed
@@ -77,6 +78,14 @@ def _budget_mb() -> int:
 def _budget_elements() -> int:
     # ~250 bytes per materialized element including container overhead
     return _budget_mb() * 4000
+
+
+def _budget(text: str) -> int:
+    """The argparse type of every --budget: an integer of at least 1."""
+    value = int(text)  # argparse reports a ValueError as an invalid --budget
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _int(text: str, what: str) -> int:
@@ -161,25 +170,25 @@ def cmd_tiling_verify(args):
     budget = args.budget if args.budget is not None else _budget_elements()
     # one enumeration of every tile within budget proves disjointness by cardinality
     fits = max((k for k in range(args.k + 1) if t.tile_size(k) <= budget), default=-1)
-    tiles = t.build_tiles(fits, budget) if fits >= 0 else []
+    if fits >= 0:
+        t.build_tiles(fits, budget)
     results = []
     ok = True
     for k in range(args.k + 1):
-        size = t.tile_size(k)
-        fol = t.folner_constant(k, tiles_k=tiles[k] if k <= fits else None)
+        fol = t.folner_constant(k)
         row = {
             "k": k,
-            "size": size,
+            "size": t.tile_size(k),
             "epsilon_computed": _frac(fol.value),
-            "epsilon_claimed": _frac(fol.claimed) if fol.claimed is not None else None,
-            "ok": fol.within_claim is not False,
+            "epsilon_claimed": _frac(fol.claimed),
+            "ok": fol.within_claim,
         }
         if args.exact_diameter or args.samples:
             mode = "exact" if args.exact_diameter else "sampled"
             diam = t.tile_diameter(k, mode=mode, samples=args.samples, seed=args.seed)
             row["diameter" if args.exact_diameter else "diameter_lower_bound"] = diam.value
             row["radius_claimed"] = diam.claimed
-            row["ok"] = row["ok"] and diam.within_claim is not False
+            row["ok"] = row["ok"] and diam.within_claim
         ok = ok and row["ok"]
         results.append(row)
     return results, ok, None
@@ -259,6 +268,7 @@ def cmd_couple_return_time(args):
         "rhs": rep.rhs,
         "measure": rep.measure,
         "ball_size": rep.ball_size,
+        "exhausted_fraction": rep.exhausted_fraction,
         "margin_sigmas": rep.holds_within,
         "pass": rep.passes,
     }
@@ -466,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     tv.add_argument("--k", type=int, required=True)
     tv.add_argument("--exact-diameter", action="store_true")
     tv.add_argument("--samples", type=int, default=0, help="sampled diameter pairs")
-    tv.add_argument("--budget", type=int, default=None, help="element budget; default from OELAB_BUDGET_MB")
+    tv.add_argument("--budget", type=_budget, default=None, help="element budget; default from OELAB_BUDGET_MB")
     tv.set_defaults(fn=cmd_tiling_verify)
 
     couple = sub.add_parser("couple", help="matched-tiling coupling estimators")
@@ -508,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     prof.add_argument("--group", required=True)
     prof.add_argument("--n", type=int, required=True)
     prof.add_argument("--mode", default="sets", help="sets | int:MAXVAL")
-    prof.add_argument("--budget", type=int, default=200_000)
+    prof.add_argument("--budget", type=_budget, default=200_000)
     prof.set_defaults(fn=cmd_profile)
 
     wr = sub.add_parser("wreath", help="wreath coupling identity checks")
@@ -530,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
         hp = hsub.add_parser(name, parents=[common])
         hp.add_argument("--family", help="grid:N | grid:WxH | cycle:N | path:N | tree:N:SEED | cayley-ball:GROUP:R")
         hp.add_argument("--edges", help="edge-list file, one 'u v' per line")
-        hp.add_argument("--budget", type=int, default=None, help="tensor budget in MB; default from OELAB_BUDGET_MB")
+        hp.add_argument("--budget", type=_budget, default=None, help="tensor budget in MB; default from OELAB_BUDGET_MB")
         if name == "delta":
             hp.add_argument("--four-point", action="store_true")
         if name == "audit-cycle":

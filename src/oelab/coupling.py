@@ -39,7 +39,7 @@ import numpy as np
 
 from ._rng import SampleLoop, derive, derive_array, proportion, randbelow, require_samples
 from .errors import DepthExhausted, UsageError
-from .tilings import DEFAULT_TILE_BUDGET, Orientation, TilingSequence
+from .tilings import Orientation, TilingSequence
 
 DEFAULT_MAX_DEPTH = 32
 CHECK_LEVELS = 8  # letter counts compared up front; deeper levels as acts reach them
@@ -240,18 +240,14 @@ class TilingAction:
                 rho = k + 1
         return rho
 
-    def exact_tail(self, gamma, k: int, budget: int = DEFAULT_TILE_BUDGET) -> Fraction:
+    def exact_tail(self, gamma, k: int) -> Fraction:
         """Exact mu({x : rho(gamma.x, x) > k}) = |T_k \\ gamma^-1 T_k| / |T_k|.
 
         Right-oriented tilings rewrite h_k(x) gamma^-1, so their tail set is
         |T_k \\ T_k gamma| and the closed form is queried at gamma^-1.
         """
         t = self.tiling
-        h = t.oriented(gamma)
-        closed = t.escape_fraction(h, k)
-        if closed is not None:
-            return closed
-        return t.enumerated_escape(h, set(t.build_tiles(k, budget)[k]))
+        return t.escape_fraction(t.oriented(gamma), k)
 
 
 class MatchedCoupling:
@@ -307,15 +303,13 @@ class IntegrabilityReport:
     stderr: float
     samples: int
     exhausted_fraction: float
-    bound_terms: list[float] | None
-    bound_partial_sums: list[float] | None
+    bound_terms: list[float]
+    bound_partial_sums: list[float]
     truncated: bool
-    diverging: bool | None
+    diverging: bool
 
     @property
-    def stratified_bound(self) -> float | None:
-        if not self.bound_partial_sums:
-            return None
+    def stratified_bound(self) -> float:
         return self.bound_partial_sums[-1]
 
 
@@ -332,9 +326,9 @@ def mc_integrability(
 
     The distance is the partner word length of the transfer cocycle.  Points
     that exhaust the rewrite depth are excluded from the mean and reported
-    as a fraction.  When both tilings carry claimed (epsilon_k, R_k), the
-    truncated stratified upper-bound series gauge(2 R'_k)(eps_{k-1} - eps_k)
-    is reported alongside.
+    as a fraction.  The truncated stratified upper-bound series
+    gauge(2 R'_k)(eps_{k-1} - eps_k), from the claimed (epsilon_k, R_k) of
+    both tilings, is reported alongside.
     """
     if strata_depth is not None and strata_depth < 0:
         raise UsageError(f"strata_depth must be >= 0, got {strata_depth}")
@@ -346,18 +340,15 @@ def mc_integrability(
 
     loop = SampleLoop(samples, draw, DepthExhausted).run()
 
-    terms = partial = diverging = None
     depth = coupling.max_depth if strata_depth is None else strata_depth
     acting = coupling.side(which).tiling
     eps = [acting.claimed_epsilon(k) for k in range(depth + 1)]
-    radii = [partner.claimed_radius(k) for k in range(depth + 1)]
-    if all(e is not None for e in eps) and all(r is not None for r in radii):
-        terms = [gauge(2 * radii[0])]
-        for k in range(1, depth + 1):
-            terms.append(gauge(2 * radii[k]) * float(eps[k - 1] - eps[k]))
-        partial = list(itertools.accumulate(terms))
-        # heuristic: the tail of the series is not decaying
-        diverging = len(terms) >= 4 and terms[-1] >= terms[-2] >= terms[-3] and terms[-1] > terms[1]
+    terms = [gauge(2 * partner.claimed_radius(k)) for k in range(depth + 1)]
+    for k in range(1, depth + 1):
+        terms[k] *= float(eps[k - 1] - eps[k])
+    partial = list(itertools.accumulate(terms))
+    # heuristic: the tail of the series is not decaying
+    diverging = len(terms) >= 4 and terms[-1] >= terms[-2] >= terms[-3] and terms[-1] > terms[1]
     return IntegrabilityReport(
         gauge=gauge.describe(),
         estimate=loop.mean,

@@ -41,10 +41,6 @@ class FiniteSupportFunction:
         for g in self.entries:
             self.group.check_element(g)
 
-    @property
-    def support(self):
-        return set(self.entries)
-
     def __call__(self, g):
         return self.entries.get(g, 0.0)
 

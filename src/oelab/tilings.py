@@ -10,6 +10,11 @@ and unranked on demand: the lamplighter's letter counts grow doubly
 exponentially.  Built-ins carry the claimed (epsilon_k, R_k) so the verifier
 can compare computed boundary ratios and diameters against them.
 
+Every built-in answers ``contains``, ``decode``, ``escape_fraction`` and both
+claims in closed form; the base class has no fallback for them.
+:meth:`TilingSequence.build_tiles` materializes tiles only to prove
+disjointness (``tiling verify``) and as the tests' enumeration oracle.
+
 The box tilings ``zn:N``, ``zn:N:grouped:M``, ``zblocks`` and ``zmatch`` are
 one class with one alphabet, :class:`_BoxTiling`.  They and ``heis`` also
 unrank letters and test membership on (N, d) int64 arrays, and bound those
@@ -20,7 +25,6 @@ values through ``int64_bound``, so the batched rewrite-depth kernel in
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -42,7 +46,8 @@ class Orientation(Enum):
 
 
 class TilingSequence:
-    """Base class; subclasses provide letters, membership, and decoding."""
+    """Base class; subclasses provide letters, membership, decoding, escape
+    fractions and the claimed (epsilon_k, R_k), all in closed form."""
 
     group: groups.Group
     orientation: Orientation = Orientation.LEFT
@@ -85,57 +90,30 @@ class TilingSequence:
         return math.prod(self.letter_count(i) for i in range(k + 1))
 
     def contains(self, g, k: int) -> bool:
-        """Membership in T_k, in closed form where the family allows it."""
-        try:
-            self.decode(g, k)
-            return True
-        except NotInTile:
-            return False
+        """Membership in T_k."""
+        raise NotImplementedError
 
     def decode(self, g, k: int) -> tuple[int, ...]:
         """Letter indices (i_0, ..., i_k) of the unique factorization of g.
 
         Left orientation: g = f_0 f_1 ... f_k; right: g = f_k ... f_1 f_0.
-        Raises NotInTile when g is not in T_k.  Built-ins override this with
-        digit extraction; the default reads a memo table off build_tiles,
-        which only works within the budget and raises TilingViolation first
-        when the letters do not tile.
+        Raises NotInTile when g is not in T_k.
         """
-        memo = self._decode_memo(k)
-        idxs = memo.get(g)
-        if idxs is None:
-            raise NotInTile(f"{g} not in T_{k} of {self.name}")
-        return idxs
+        raise NotImplementedError
 
-    def _decode_memo(self, k: int) -> dict:
-        cache = vars(self).setdefault("_memo_tables", {})
-        memo = cache.get(k)
-        if memo is None:
-            # position p of T_k holds the letters whose indices are p's
-            # mixed-radix digits, least significant (level 0) first
-            radices = [range(self.letter_count(i)) for i in reversed(range(k + 1))]
-            tile = self.build_tiles(k)[k]
-            memo = {g: idxs[::-1] for g, idxs in zip(tile, itertools.product(*radices))}
-            cache[k] = memo
-        return memo
+    def claimed_epsilon(self, k: int) -> Fraction:
+        raise NotImplementedError
 
-    def claimed_epsilon(self, k: int) -> Fraction | None:
-        return None
+    def claimed_radius(self, k: int) -> int:
+        raise NotImplementedError
 
-    def claimed_radius(self, k: int) -> int | None:
-        return None
+    def escape_fraction(self, gamma, k: int) -> Fraction:
+        """Exact #{t in T_k : grow(gamma, t) not in T_k} / |T_k|.
 
-    def escape_fraction(self, gamma, k: int) -> Fraction | None:
-        """Exact #{t in T_k : grow(gamma, t) not in T_k} / |T_k| in closed form,
-        or None when only enumeration will do.  That is |T_k \\ gamma^-1 T_k|
-        for left tilings and |T_k \\ T_k gamma^-1| for right ones."""
-        return None
-
-    def enumerated_escape(self, gamma, tile: set) -> Fraction:
-        """The escape fraction of gamma, counted over the materialized tile."""
-        grow = self.grow
-        esc = sum(1 for t in tile if grow(gamma, t) not in tile)
-        return Fraction(esc, len(tile))
+        That is |T_k \\ gamma^-1 T_k| for left tilings and |T_k \\ T_k gamma^-1|
+        for right ones.
+        """
+        raise NotImplementedError
 
     # -- generic machinery ---------------------------------------------------
 
@@ -195,28 +173,18 @@ class TilingSequence:
             tiles.append(new)
         return tiles
 
-    def folner_constant(
-        self, k: int, tiles_k=None, budget: int = DEFAULT_TILE_BUDGET
-    ) -> "FolnerReport":
+    def folner_constant(self, k: int) -> "FolnerReport":
         """max over generators s of the exact boundary ratio of T_k.
 
         Left orientation measures |T_k \\ s T_k| / |T_k|; right orientation
         measures |T_k \\ T_k s| / |T_k| (the convention the lamplighter
-        construction is stated in).  Uses closed forms when the built-in
-        provides them, enumeration otherwise.
+        construction is stated in).
         """
-        gens = self.group.generators
         # |T \ sT| = #{t in T : s^-1 t not in T} = escape fraction of s^-1
-        per_gen = {s: self.escape_fraction(self.group.inverse(s), k) for s in gens}
-        if any(v is None for v in per_gen.values()):
-            if tiles_k is None:
-                tiles_k = self.build_tiles(k, budget)[k]
-            tile_set = set(tiles_k)
-            per_gen = {s: self.enumerated_escape(self.group.inverse(s), tile_set) for s in gens}
-        value = max(per_gen.values())
+        per_gen = {s: self.escape_fraction(self.group.inverse(s), k) for s in self.group.generators}
         return FolnerReport(
             k=k,
-            value=value,
+            value=max(per_gen.values()),
             per_generator=per_gen,
             claimed=self.claimed_epsilon(k),
         )
@@ -273,9 +241,7 @@ class _Claimed:
     """A computed ``value`` beside the ``claimed`` bound of the construction."""
 
     @property
-    def within_claim(self) -> bool | None:
-        if self.claimed is None:
-            return None
+    def within_claim(self) -> bool:
         return self.value <= self.claimed
 
 
@@ -284,7 +250,7 @@ class FolnerReport(_Claimed):
     k: int
     value: Fraction
     per_generator: dict
-    claimed: Fraction | None
+    claimed: Fraction
 
 
 @dataclass
@@ -292,7 +258,7 @@ class DiameterReport(_Claimed):
     k: int
     value: int
     lower_bound_only: bool
-    claimed: int | None
+    claimed: int
 
 
 # ---------------------------------------------------------------------------

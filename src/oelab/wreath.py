@@ -62,33 +62,23 @@ class WreathPoint:
 
     __slots__ = ("base", "lamps", "lamp_seed", "anchor")
 
-    def __init__(
-        self,
-        base: CouplingPoint,
-        lamp_seed: int,
-        lamps: dict | None = None,
-        anchor=None,
-    ):
+    def __init__(self, base: CouplingPoint, lamp_seed: int, lamps: dict, anchor):
         self.base = base
         self.lamp_seed = lamp_seed
-        self.lamps = {} if lamps is None else lamps
+        self.lamps = lamps
         self.anchor = anchor
 
     def lamp_state(self, coupling: "WreathCoupling", key) -> CouplingPoint:
         st = self.lamps.get(key)
         if st is None:
             grp = coupling.base_group(1)
-            anchor = grp.identity if self.anchor is None else self.anchor
-            tag = grp.format_element(grp.multiply(key, anchor))
+            tag = grp.format_element(grp.multiply(key, self.anchor))
             h = 0
             for ch in tag:
                 h = mix64(h ^ ord(ch))
             st = CouplingPoint((), derive(self.lamp_seed, h))
             self.lamps[key] = st
         return st
-
-    def copy(self) -> "WreathPoint":
-        return WreathPoint(self.base, self.lamp_seed, dict(self.lamps), self.anchor)
 
 
 class WreathCoupling:
@@ -111,9 +101,7 @@ class WreathCoupling:
 
     def point(self, seed: int) -> WreathPoint:
         return WreathPoint(
-            CouplingPoint((), derive(seed, 0)),
-            derive(seed, 1),
-            anchor=self.base_group(1).identity,
+            CouplingPoint((), derive(seed, 0)), derive(seed, 1), {}, self.base_group(1).identity
         )
 
     def act(self, side: int, w: WreathElement, P: WreathPoint) -> WreathPoint:
@@ -123,8 +111,7 @@ class WreathCoupling:
         gamma = w.gamma
         # rename keys: y = g . x keeps its lamp, its key relative to the new
         # base point gamma.x becomes g * (side-1 translate of gamma)^-1
-        anchor = key_group.identity if P.anchor is None else P.anchor
-        newbase, renamed = P.base, dict(P.lamps)
+        anchor, newbase, renamed = P.anchor, P.base, dict(P.lamps)
         if gamma != self.base_group(side).identity:
             if side == 1:
                 newbase, _ = self.base.act(sname, gamma, P.base)

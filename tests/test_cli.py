@@ -28,6 +28,17 @@ def test_selftest_quick(capsys):
     assert err.count("PASS") == len(report["results"])
 
 
+def test_selftest_full(capsys):
+    # without --quick the heis tiling, cycle delta and bs-ll checks run too
+    code, out, err = run_cli(capsys, "selftest")
+    assert code == 0
+    report = _strict_loads(out)
+    names = [item["name"] for item in report["results"]]
+    assert {"heis tiling k=2 within claim", "cycle delta", "bs-ll shift distance"} <= set(names)
+    assert all(item["pass"] for item in report["results"])
+    assert err.count("PASS") == len(names)
+
+
 def test_tiling_verify_epsilon(capsys):
     code, report, _ = run_json(
         capsys, "tiling", "verify", "--builtin", "zn:1", "--k", "3", "--exact-diameter"
@@ -105,6 +116,16 @@ def test_couple_return_time(capsys):
     assert code == 0
     assert report["results"]["rhs"] == 0.5
     assert report["results"]["pass"]
+    assert report["results"]["exhausted_fraction"] == 0
+
+
+def test_couple_return_time_reports_exhausted_fraction(capsys):
+    # at --max-depth 0 every ball element that leaves T_0 exhausts the
+    # rewrite depth and counts as a non-return: 21 of the 25, in every sample
+    argv = ["couple", "return-time", *_COUPLE, "--x0", "0;1", "--n", "3", "--samples", "5"]
+    code, report, _ = run_json(capsys, *argv, "--max-depth", "0")
+    assert code == 0
+    assert report["results"]["exhausted_fraction"] == pytest.approx(0.84)
 
 
 def test_bsll_tail(capsys):
@@ -191,6 +212,8 @@ def test_hyp_delta_family_and_edges(capsys):
     code, report, _ = run_json(capsys, "hyp", "delta", "--family", "cycle:8", "--four-point")
     assert code == 0
     assert report["results"]["rips_delta"] == [2, 1]
+    code, report, _ = run_json(capsys, "hyp", "delta", "--family", "grid:3x5")
+    assert code == 0 and report["results"]["vertices"] == 15
     with tempfile.NamedTemporaryFile("w", suffix=".txt", delete=False) as fh:
         fh.write("0 1\n1 2\n2 3\n3 0\n")
         name = fh.name
@@ -236,6 +259,20 @@ def test_usage_errors_exit_1(capsys):
         "--gamma", "zn:9",
     )
     assert code == 1
+    code, out, err = run_cli(capsys, "tiling", "verify", "--builtin", "zn:2", "--group", "zn:3", "--k", "1")
+    assert code == 1 and out == ""
+    assert "tiles zn:2, not 'zn:3'" in err
+
+
+def test_budget_environment_must_be_an_integer(capsys, monkeypatch):
+    # only commands without --budget read OELAB_BUDGET_MB
+    monkeypatch.setenv("OELAB_BUDGET_MB", "abc")
+    for argv in (["tiling", "verify", "--builtin", "zn:1", "--k", "1"], ["hyp", "delta", "--family", "path:4"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "OELAB_BUDGET_MB must be an integer" in err
+    code, _, _ = run_cli(capsys, "hyp", "delta", "--family", "path:4", "--budget", "8")
+    assert code == 0
 
 
 def test_determinism_bit_for_bit(capsys):
@@ -345,6 +382,14 @@ _OUT_OF_RANGE = [
     ("couple tail --k above --max-depth", ["couple", "tail", *_COUPLE, "--gamma", "zn:1,0", "--k", "6", "--samples", "1500", "--seed", "2", "--max-depth", "3"]),
     ("hyp audit-cycle --cycle 9,0,1", ["hyp", "audit-cycle", "--family", "cycle:5", "--cycle", "9,0,1"]),
     ("hyp delta --edges 'a b'", ["hyp", "delta", "--edges", "<bad-edges>"]),
+    # a budget below 1 used to mean the default (0), skip the disjointness
+    # proof (tiling verify) or fail as an exhausted resource
+    ("tiling verify --budget -3", ["tiling", "verify", "--builtin", "zn:1", "--k", "1", "--budget", "-3"]),
+    ("profile --budget 0", ["profile", "--group", "zn:1", "--n", "3", "--budget", "0"]),
+    ("hyp delta --budget 0", ["hyp", "delta", "--family", "path:4", "--budget", "0"]),
+    ("hyp audit-cycle --budget -1", ["hyp", "audit-cycle", "--family", "cycle:5", "--cycle", "0,1,2,3,4", "--budget", "-1"]),
+    ("hyp extract --budget 0", ["hyp", "extract", "--family", "grid:4", "--budget", "0"]),
+    ("hyp delta --budget abc", ["hyp", "delta", "--family", "path:4", "--budget", "abc"]),
 ]
 
 

@@ -217,7 +217,7 @@ def test_tiles_are_folner_witnesses(tiling, K):
     for k in range(K + 1):
         tiles = tiling.build_tiles(k)[k]
         q = folner_set_quality(grp, tiles, side=side)
-        eps = tiling.folner_constant(k, tiles_k=tiles).value
+        eps = tiling.folner_constant(k).value
         assert q.quality <= S * eps, (tiling.name, k, q.quality, eps)
 
 

@@ -13,6 +13,8 @@ from oelab.hyperbolicity import (
     MetricGraph,
     ThinnessWitness,
     _interval_tensor,
+    _simple_cycle_from_walk,
+    _union_path,
     cycle_distortion,
     extract_fat_cycle,
     four_point_delta,
@@ -249,6 +251,32 @@ def test_extract_seeded_cycle_self_consistency():
     again = cycle_distortion(G, res.cycle)
     assert again.a == res.report.a and again.b == res.report.b
     assert res.report.n >= 3
+
+
+def test_union_path_branches():
+    # control sides a..c and b..c of a triangle, meeting at the corner c = 4
+    side_ac, side_bc = [0, 1, 2, 4], [7, 6, 5, 4]
+    union = sorted(set(side_ac) | set(side_bc))
+
+    def path(start, end):
+        return _union_path(None, union, start, end, side_ac, side_bc, 4)
+
+    assert path(2, 2) == [2]
+    assert path(0, 2) == [0, 1, 2] and path(2, 0) == [2, 1, 0]
+    assert path(6, 5) == [6, 5] and path(5, 7) == [5, 6, 7]
+    assert path(4, 0) == [4, 2, 1, 0]
+    # one end on each side: through the corner, which appears once
+    assert path(1, 6) == [1, 2, 4, 5, 6] and path(7, 2) == [7, 6, 5, 4, 2]
+
+
+def test_simple_cycle_from_walk_erases_loops():
+    # a closed walk that is already simple loses only its closing vertex
+    assert _simple_cycle_from_walk([0, 1, 2, 3, 0]) == [0, 1, 2, 3]
+    # a spur 2 -> 5 -> 2 is erased and the longer cycle kept
+    assert _simple_cycle_from_walk([0, 1, 2, 5, 2, 3, 0]) == [0, 1, 2, 3]
+    # an erased loop longer than what remains is the one returned
+    assert _simple_cycle_from_walk([0, 1, 2, 3, 4, 5, 2, 0]) == [2, 3, 4, 5]
+    assert _simple_cycle_from_walk([]) == []
 
 
 def test_extract_sampled_fallback_on_tiny_budget():

@@ -78,8 +78,8 @@ def test_action_law_both_sides(W):
         side = rng.choice([1, 2])
         wa, wb = rand_elt(W, side, rng), rand_elt(W, side, rng)
         P = W.point(900 + trial)
-        Pab = W.act(side, wa, W.act(side, wb, P.copy()))
-        Pc = W.act(side, compose(W, side, wa, wb), P.copy())
+        Pab = W.act(side, wa, W.act(side, wb, P))
+        Pc = W.act(side, compose(W, side, wa, wb), P)
         top = max(len(Pab.base.prefix), len(Pc.base.prefix), 1)
         assert base.left.coordinates(Pab.base, top) == base.left.coordinates(Pc.base, top)
         assert Pab.anchor == Pc.anchor
@@ -110,10 +110,8 @@ def test_orbit_preservation_finite_support(W):
 
 def _prekey(W, newkey, P, Q):
     grp = W.base_group(1)
-    anchor_before = grp.identity if P.anchor is None else P.anchor
-    anchor_after = grp.identity if Q.anchor is None else Q.anchor
-    # newkey * anchor_after = prekey * anchor_before as orbit markers
-    return grp.multiply(grp.multiply(newkey, anchor_after), grp.inverse(anchor_before))
+    # newkey * Q.anchor = prekey * P.anchor as orbit markers
+    return grp.multiply(grp.multiply(newkey, Q.anchor), grp.inverse(P.anchor))
 
 
 def test_move_identities_sampled(W):
