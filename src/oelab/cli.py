@@ -16,7 +16,9 @@ error.
 
 Exit codes: 0 success / audit passed, 2 audit failed (an inequality the run
 was checking is violated), 1 usage or resource errors.  Every malformed
-argument, including those argparse rejects, is a usage error.
+argument, including those argparse rejects, is a usage error.  A
+``couple return-time`` failure that its depth-exhausted pairs could reverse
+is no verdict: it stops with ``DepthExhausted`` (exit 1).
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 from . import __version__
@@ -168,10 +171,10 @@ def cmd_tiling_verify(args):
     if args.k < 0:
         raise UsageError("--k must be >= 0")
     budget = args.budget if args.budget is not None else _budget_elements()
-    # one enumeration of every tile within budget proves disjointness by cardinality
+    # every tile within budget is proved disjoint, by sorted rows or by cardinality
     fits = max((k for k in range(args.k + 1) if t.tile_size(k) <= budget), default=-1)
     if fits >= 0:
-        t.build_tiles(fits, budget)
+        t.prove_disjoint(fits, budget)
     results = []
     ok = True
     for k in range(args.k + 1):
@@ -262,6 +265,10 @@ def cmd_couple_return_time(args):
     depth = len(patterns[0])
     cyl = CylinderSet(depth, frozenset(patterns))
     rep = return_time_density(action, cyl, args.n, args.samples, args.seed)
+    # exhausted pairs count as non-returns, so they can only lower lhs: a pass
+    # stands, but a failure that counting them as returns would reverse is undecided
+    if not rep.passes and replace(rep, lhs=rep.lhs + rep.measure * rep.exhausted_fraction).passes:
+        raise DepthExhausted(args.max_depth)
     results = {
         "lhs": rep.lhs,
         "lhs_stderr": rep.lhs_stderr,

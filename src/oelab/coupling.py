@@ -39,12 +39,11 @@ import numpy as np
 
 from ._rng import SampleLoop, derive, derive_array, proportion, randbelow, require_samples
 from .errors import DepthExhausted, UsageError
-from .tilings import Orientation, TilingSequence
+from .tilings import INT64_SAFE, Orientation, TilingSequence
 
 DEFAULT_MAX_DEPTH = 32
 CHECK_LEVELS = 8  # letter counts compared up front; deeper levels as acts reach them
 DEPTH_BLOCK = 4096  # samples per pass of the rewrite-depth kernel: its memory is flat in N
-_INT64_SAFE = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -208,7 +207,7 @@ class TilingAction:
             if not len(active):
                 break
             bound = t.int64_bound(gamma, n) if t.orientation is Orientation.LEFT else None
-            if bound is None or max(bound, t.letter_count(n)) >= _INT64_SAFE:
+            if bound is None or max(bound, t.letter_count(n)) >= INT64_SAFE:
                 for i in active:
                     try:
                         depth[i] = self.act(gamma, CouplingPoint((), int(seeds[i])))[1]
@@ -343,7 +342,12 @@ def mc_integrability(
     depth = coupling.max_depth if strata_depth is None else strata_depth
     acting = coupling.side(which).tiling
     eps = [acting.claimed_epsilon(k) for k in range(depth + 1)]
-    terms = [gauge(2 * partner.claimed_radius(k)) for k in range(depth + 1)]
+    # gauges and claimed radii are nondecreasing, so once a term is +inf every
+    # later one is: the doubly exponential lamplighter radii are never formed
+    terms = []
+    for k in range(depth + 1):
+        saturated = terms and terms[-1] == math.inf
+        terms.append(math.inf if saturated else gauge(2 * partner.claimed_radius(k)))
     for k in range(1, depth + 1):
         terms[k] *= float(eps[k - 1] - eps[k])
     partial = list(itertools.accumulate(terms))

@@ -13,6 +13,12 @@ moments; induced_gradient_check measures both sides.
 The isoperimetric machinery is exhaustive and exact over connected supports:
 sets-only mode maximizes |A| / ||grad 1_A||_1, integer mode maximizes
 ||f||_1 / ||grad f||_1 over bounded integer values on the same supports.
+Sets mode never translates a support: the enumeration carries
+out(A) = #{(g, s) : g in A, s g not in A}, so ||grad 1_A||_1 = 2 out(A), and
+updates it from a per-call table of each element's neighbours as it adds
+one element; the tests recompute the gradient from scratch as its oracle.
+On a finite group the whole group is a support with an empty boundary,
+which is a usage error in both modes.
 """
 
 from __future__ import annotations
@@ -289,37 +295,47 @@ class ProfileResult:
 
 
 def _connected_supports(group: Group, max_size: int, budget: int):
-    """All connected subsets of the Cayley graph containing e, up to max_size.
+    """All connected subsets A of the Cayley graph containing e, up to max_size.
 
-    Enumeration is canonical: a subset is grown only through its sorted
-    frontier, deduplicated by frozenset.  Search restricted to supports
-    containing the identity (translation invariance).
+    Yields (A, out(A)) with out(A) = #{(g, s) : g in A, s g not in A}, the
+    left gradient of the indicator halved.  Enumeration is canonical: a
+    subset is grown only through its frontier, deduplicated by frozenset.
+    Search restricted to supports containing the identity (translation
+    invariance).  Adding h to A removes the pairs (s^-1 h, s) with s^-1 h in
+    A and adds those (h, s) with s h not in A; S = S^-1, so
+    out(A + h) = out(A) + |S| - 2 #{s : s h in A}.
     """
     e = group.identity
-    seen = {frozenset([e])}
-    stack = [frozenset([e])]
+    gens = group.generators
+    neighbours: dict = {}
+
+    def around(g):
+        hs = neighbours.get(g)
+        if hs is None:
+            hs = neighbours[g] = tuple(group.multiply(s, g) for s in gens)
+        return hs
+
+    start = frozenset([e])
+    seen = {start}
+    stack = [(start, len(gens))]
     count = 0
     while stack:
-        A = stack.pop()
+        A, out = stack.pop()
         count += 1
         if count > budget:
             raise ResourceExhausted(
                 f"support enumeration exceeded {budget} subsets", progress=count
             )
-        yield A
+        yield A, out
         if len(A) == max_size:
             continue
-        frontier = set()
-        for g in A:
-            for s in group.generators:
-                h = group.multiply(s, g)
-                if h not in A:
-                    frontier.add(h)
+        frontier = {h for g in A for h in around(g) if h not in A}
         for h in frontier:
             B = frozenset(A | {h})
             if B not in seen:
                 seen.add(B)
-                stack.append(B)
+                inside = sum(1 for x in around(h) if x in A)
+                stack.append((B, out + len(gens) - 2 * inside))
 
 
 def isoperimetric_profile(
@@ -333,9 +349,10 @@ def isoperimetric_profile(
 
     sets mode: max |A| / ||grad^l 1_A||_1 over connected A with |A| <= n
     (the denominator counts each generator's displacement separately, i.e.
-    it is the ell^1 left gradient of the indicator).
+    it is the ell^1 left gradient of the indicator, 2 out(A)).
     int mode: max ||f||_1 / ||grad^l f||_1 over f with values in 1..max_value
     on such supports.  Both return exact rationals within the searched class.
+    A support with an empty boundary (a whole finite group) is a usage error.
     """
     if mode not in ("sets", "int"):
         raise UsageError(f"profile mode must be sets|int, got {mode!r}")
@@ -349,19 +366,22 @@ def isoperimetric_profile(
     searched = 0
     if n > 0:
         try:
-            for A in _connected_supports(group, n, budget):
+            for A, out in _connected_supports(group, n, budget):
                 searched += 1
                 if mode == "sets":
-                    denom = _indicator_gradient(group, A)
-                    val = Fraction(len(A), denom)
-                    if val > best:
-                        best, witness = val, tuple(sorted(A))
+                    if out == 0:
+                        raise _unbounded(group, A)
+                    # |A| / (2 out) > best, in integers
+                    if len(A) * best.denominator > 2 * out * best.numerator:
+                        best, witness = Fraction(len(A), 2 * out), tuple(sorted(A))
                 else:
                     sup = tuple(sorted(A))
                     for values in itertools.product(range(1, max_value + 1), repeat=len(sup)):
                         fmap = dict(zip(sup, values))
                         num = sum(values)
                         denom = _gradient_power_sum(group, fmap, "left", 1)
+                        if denom == 0:
+                            raise _unbounded(group, A)
                         val = Fraction(num, denom)
                         if val > best:
                             best, witness, witness_values = val, sup, values
@@ -378,12 +398,11 @@ def isoperimetric_profile(
     return ProfileResult(n, mode, best, witness, witness_values, convention, searched)
 
 
-def _indicator_gradient(group: Group, A) -> int:
-    total = 0
-    for s in group.generators:
-        sA = {group.multiply(s, g) for g in A}
-        total += len(sA.symmetric_difference(A))
-    return total
+def _unbounded(group: Group, A) -> UsageError:
+    return UsageError(
+        f"{group.name} is finite: its {len(A)} elements form a support with an empty "
+        "boundary, so the profile ratio is unbounded; use n below the group order"
+    )
 
 
 @dataclass

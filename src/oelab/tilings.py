@@ -12,14 +12,18 @@ can compare computed boundary ratios and diameters against them.
 
 Every built-in answers ``contains``, ``decode``, ``escape_fraction`` and both
 claims in closed form; the base class has no fallback for them.
-:meth:`TilingSequence.build_tiles` materializes tiles only to prove
-disjointness (``tiling verify``) and as the tests' enumeration oracle.
+:meth:`TilingSequence.build_tiles` materializes tiles as Python tuples: it is
+the tests' enumeration oracle and the exact diameter's tile, and it proves
+disjointness for the families without array hooks.
 
 The box tilings ``zn:N``, ``zn:N:grouped:M``, ``zblocks`` and ``zmatch`` are
 one class with one alphabet, :class:`_BoxTiling`.  They and ``heis`` also
 unrank letters and test membership on (N, d) int64 arrays, and bound those
 values through ``int64_bound``, so the batched rewrite-depth kernel in
-``coupling`` can prove int64 exact first; the scalar methods are the oracles.
+``coupling`` and the sorted-row disjointness proof in
+:meth:`TilingSequence.prove_disjoint` can prove int64 exact first; the scalar
+methods are the oracles.  The sampled ``tile_diameter`` draws each level's
+letter indices as one array and forms products and word lengths per point.
 """
 
 from __future__ import annotations
@@ -38,6 +42,8 @@ from ._rng import randbelow, randbelow_array
 from .errors import NotInTile, ResourceExhausted, TilingViolation, UsageError
 
 DEFAULT_TILE_BUDGET = 4_000_000
+INT64_SAFE = 1 << 62  # array hooks run only where int64_bound proves values stay below this
+_DRAW_BLOCK = 8192  # letter-index draws per array in the sampled diameter: two per pair
 
 
 class Orientation(Enum):
@@ -173,6 +179,45 @@ class TilingSequence:
             tiles.append(new)
         return tiles
 
+    def prove_disjoint(self, K: int, budget: int = DEFAULT_TILE_BUDGET) -> None:
+        """The tiling condition of :meth:`build_tiles` up to level K, on arrays where possible.
+
+        The levels that :meth:`_tile_arrays` yields are proved disjoint by
+        sorting their rows.  Any other level, or one the sort cannot prove,
+        sends the whole proof through build_tiles, which raises the same
+        errors and the same TilingViolation witness.
+        """
+        proved = -1  # the last level proved on arrays
+        if K >= 0 and self.tile_size(K) <= budget:
+            for rows, bound in self._tile_arrays(K):
+                if not _distinct_rows(rows, bound):
+                    break
+                proved += 1
+        if K < 0 or proved < K:
+            self.build_tiles(K, budget)
+
+    def _tile_arrays(self, K: int):
+        """Yield (T_k, bound) for k = 0..K: T_k an int64 array with rows in build_tiles's order.
+
+        Level k is one broadcast grow(T_{k-1}, F_k), letter outer and previous
+        tile inner, and only the previous level is held.  Only left tilings
+        with array hooks yield, each level after int64_bound proves its values
+        below 2^62; the generator stops at the first level it cannot prove.
+        """
+        if self.orientation is not Orientation.LEFT:
+            return
+        prev = None
+        for k in range(K + 1):
+            bound = self.int64_bound(self.group.identity, k)
+            count = self.letter_count(k)
+            if bound is None or max(bound, count) >= INT64_SAFE:
+                return
+            rows = self.letter_array(k, np.arange(count, dtype=np.int64))
+            if prev is not None:
+                rows = self.group.multiply_array(prev[None], rows[:, None]).reshape(-1, rows.shape[1])
+            yield rows, bound
+            prev = rows
+
     def folner_constant(self, k: int) -> "FolnerReport":
         """max over generators s of the exact boundary ratio of T_k.
 
@@ -212,13 +257,14 @@ class TilingSequence:
             raise UsageError(f"diameter mode must be auto|exact|sampled, got {mode!r}")
         if samples < 1:
             raise UsageError("sampled diameter needs samples >= 1")
-        mul, inv = self.group.multiply, self.group.inverse
-
-        def point(counter):
-            return self.prefix_product([self.random_letter_index(j, seed, counter) for j in range(k + 1)])
-
-        quotients = (mul(inv(point(2 * i)), point(2 * i + 1)) for i in range(samples))
-        best = max(map(self.group.word_length, quotients))
+        mul, inv, length = self.group.multiply, self.group.inverse, self.group.word_length
+        # pair i joins the points drawn at counters 2i and 2i + 1
+        best = 0
+        for start in range(0, 2 * samples, _DRAW_BLOCK):
+            counters = np.arange(start, min(start + _DRAW_BLOCK, 2 * samples))
+            levels = [randbelow_array(self.letter_count(j), seed, j, counters).tolist() for j in range(k + 1)]
+            points = map(self.prefix_product, zip(*levels))
+            best = max(best, max(length(mul(inv(u), v)) for u, v in zip(points, points)))
         return DiameterReport(k, best, True, self.claimed_radius(k))
 
     def _exact_diameter(self, k: int, budget: int) -> int:
@@ -226,6 +272,25 @@ class TilingSequence:
         mul, inv = self.group.multiply, self.group.inverse
         quotients = {mul(inv(u), v) for u in tile for v in tile}
         return max(map(self.group.word_length, quotients))
+
+
+def _distinct_rows(rows: np.ndarray, bound: int) -> bool:
+    """Whether sorting proves the rows of an (N, d) int64 array distinct.
+
+    Each row, its entries in [-bound, bound], packs into one mixed-radix int64
+    key, which is injective on that box.  False when two keys are equal, or
+    when (2 bound + 1)^d reaches 2^62 and the keys could leave int64.  Equal
+    rows always give equal keys, so a wrong bound could raise a false alarm
+    but never hide a collision.
+    """
+    radix = 2 * bound + 1
+    if radix ** rows.shape[1] >= INT64_SAFE:
+        return False
+    key = np.zeros(len(rows), dtype=np.int64)
+    for column in rows.T:
+        key = key * radix + (column + bound)
+    key.sort()
+    return not (key[1:] == key[:-1]).any()
 
 
 def _first_duplicate(items):

@@ -194,7 +194,8 @@ def test_criterion_6_bsll_coupling():
             assert C.bs.word_length(g) <= 3, (k, g)
             sweeps = C.tail_bound_sweep(g, range(2, 9), N, seed=606)
             for M, rep in sweeps.items():
-                assert rep.freq <= rep.bound + 4 * rep.stderr, (k, g, M, rep.freq, rep.bound)
+                # the CLI's verdict: 4 sigma with sigma taken at the bound
+                assert rep.passes, (k, g, M, rep.freq, rep.bound)
                 checked += 1
     elapsed = time.time() - started
     assert elapsed < 300, f"runtime {elapsed:.1f}s exceeds 5 min"

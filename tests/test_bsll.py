@@ -237,7 +237,7 @@ def test_window_exhausted(c2):
         bs_act(tight.bs, (1, 0, 0), x, carry_bound=3)
 
 
-def test_tail_bound_sweep_and_threads(c2):
+def test_tail_bound_sweep_passes_and_thresholds(c2):
     reps = c2.tail_bound_sweep((1, 0, 0), [2, 3, 4], 20000, 11)
     for M, rep in reps.items():
         assert rep.passes, (M, rep)

@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
 
+import oelab
 from oelab.cli import main
 
 
@@ -126,6 +129,49 @@ def test_couple_return_time_reports_exhausted_fraction(capsys):
     code, report, _ = run_json(capsys, *argv, "--max-depth", "0")
     assert code == 0
     assert report["results"]["exhausted_fraction"] == pytest.approx(0.84)
+
+
+def test_couple_return_time_undecided_by_exhaustion_is_depth_exhausted(capsys):
+    # the whole-space cylinder returns every time; at --max-depth 0, 21 of the
+    # 25 ball elements exhaust and count as non-returns: lhs 0.16 against rhs 1,
+    # a failure that counting them as returns (lhs + mu 0.84 = 1) would reverse
+    argv = ["couple", "return-time", *_COUPLE, "--x0", "0;1;2;3", "--n", "3", "--samples", "100"]
+    code, out, err = run_cli(capsys, *argv, "--max-depth", "0")
+    assert code == 1 and out == ""
+    assert err.startswith("DepthExhausted: no rewrite depth <= 0")
+    code, report, _ = run_json(capsys, *argv)
+    assert code == 0
+    res = report["results"]
+    assert (res["lhs"], res["rhs"], res["exhausted_fraction"], res["pass"]) == (1.0, 1.0, 0.0, True)
+
+
+def test_couple_integrate_stops_at_a_saturated_gauge():
+    # the zmatch:ll:2 radii are doubly exponential in k: formed up to the
+    # default depth 32 they hung this command; past the first +inf stratum
+    # they are no longer formed
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(oelab.__file__))
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    argv = ["couple", "integrate", "--left", "ll:2", "--right", "zmatch:ll:2",
+            "--gamma", "ll:m=2;lamps=;pos=1", "--samples", "50"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "oelab.cli", *argv], env=env, capture_output=True, text=True, timeout=20
+    )
+    assert proc.returncode == 0, proc.stderr
+    res = json.loads(proc.stdout)["results"]
+    terms = res["bound_terms"]
+    assert len(terms) == 33 and res["stratified_bound"] == "inf"
+    first = terms.index("inf")
+    assert 0 < first < 32 and terms[first:] == ["inf"] * (33 - first)
+
+
+@pytest.mark.parametrize("mode", ["sets", "int:2"])
+def test_profile_of_a_finite_group_is_a_usage_error(capsys, mode):
+    # cyclic:3 is its own support of size 3, with an empty boundary; this
+    # used to end in a ZeroDivisionError traceback
+    code, out, err = run_cli(capsys, "profile", "--group", "cyclic:3", "--n", "3", "--mode", mode)
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: cyclic:3 is finite") and "empty boundary" in err
 
 
 def test_bsll_tail(capsys):

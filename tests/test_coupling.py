@@ -328,6 +328,37 @@ def test_gauges():
     assert IntegrabilityGauge.from_spec("exp:0.1").describe() == "exp:0.1"
 
 
+@pytest.mark.parametrize(
+    "which,gamma,flat", [("left", (1, 0, 0, 0), 40.0), ("right", (1, 0, 0), 16.0)], ids=["zn4", "heis"]
+)
+def test_gauge_comparison_zn4_heis(z4heis, which, gamma, flat):
+    # t^0.4 and t^0.6 make the stratified series settle, with each estimate
+    # below its bound
+    for p in (0.4, 0.6):
+        rep = mc_integrability(z4heis, which, gamma, IntegrabilityGauge.power(p), 500, 7)
+        terms = rep.bound_terms
+        assert terms[-1] + terms[-2] < 0.05 * rep.stratified_bound, p
+        assert rep.estimate <= rep.stratified_bound, p
+        assert rep.exhausted_fraction == 0, p
+    # at t^1 every stratum past the first is 2 R'_k (eps_{k-1} - eps_k), one
+    # constant: the borderline the L^p (p < 1) statement predicts
+    rep = mc_integrability(z4heis, which, gamma, IntegrabilityGauge.power(1.0), 500, 7)
+    assert rep.bound_terms[1:] == [flat] * (len(rep.bound_terms) - 1)
+
+
+def test_integrability_strata_stop_at_the_first_infinite_term(monkeypatch):
+    # exp(2 R'_k) leaves float range at k = 4 (R'_4 = 4^5); no later radius is formed
+    c = MatchedCoupling(ZnTiling(2), ZnGroupedTiling(1, 2), max_depth=40)
+    partner = c.right.tiling
+    asked = []
+    radius = partner.claimed_radius
+    monkeypatch.setattr(partner, "claimed_radius", lambda k: asked.append(k) or radius(k))
+    rep = mc_integrability(c, "left", (0, 1), IntegrabilityGauge.exp(1.0), 20, 3)
+    assert asked == [0, 1, 2, 3, 4]
+    assert rep.bound_terms[4:] == [math.inf] * 37
+    assert all(math.isfinite(t) for t in rep.bound_terms[:4])
+
+
 def test_logpow_gauge_monotone_grid():
     for eps in (0.0, 0.7, 2.0):
         g = IntegrabilityGauge.log_power(eps)

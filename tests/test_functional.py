@@ -8,12 +8,13 @@ from oelab.errors import TruncationError, UsageError
 from oelab.functional import (
     FiniteSupportFunction,
     TransitiveAction,
+    _connected_supports,
     folner_set_quality,
     induced_gradient_check,
     isoperimetric_profile,
     push_to_orbit,
 )
-from oelab.groups import ZN, Lamplighter
+from oelab.groups import ZN, Lamplighter, group_from_spec
 from oelab.tilings import HeisTiling, LamplighterTiling, ZnGroupedTiling, ZnTiling
 
 Z = ZN(1)
@@ -190,6 +191,65 @@ def test_profile_int_mode():
     assert r.witness_values is not None
     with pytest.raises(UsageError):
         isoperimetric_profile(Z, 2, mode="nope")
+
+
+def _indicator_gradient(group, A) -> int:
+    """Oracle: ||grad^l 1_A||_1 = sum over generators s of |s A symmetric-difference A|."""
+    total = 0
+    for s in group.generators:
+        sA = {group.multiply(s, g) for g in A}
+        total += len(sA.symmetric_difference(A))
+    return total
+
+
+def _profile_oracle(group, n):
+    """Oracle: the sets-mode search recomputing every support's gradient from scratch."""
+    e = group.identity
+    seen = {frozenset([e])}
+    stack = [frozenset([e])]
+    best, witness, searched = Fraction(0), (), 0
+    while stack:
+        A = stack.pop()
+        searched += 1
+        val = Fraction(len(A), _indicator_gradient(group, A))
+        if val > best:
+            best, witness = val, tuple(sorted(A))
+        if len(A) == n:
+            continue
+        frontier = set()
+        for g in A:
+            for s in group.generators:
+                h = group.multiply(s, g)
+                if h not in A:
+                    frontier.add(h)
+        for h in frontier:
+            B = frozenset(A | {h})
+            if B not in seen:
+                seen.add(B)
+                stack.append(B)
+    return best, witness, searched
+
+
+_PROFILE_CASES = [("zn:1", 7), ("zn:2", 7), ("heis", 7), ("ll:2", 7), ("bs:2", 7), ("cyclic:5", 4)]
+
+
+@pytest.mark.parametrize("spec,N", _PROFILE_CASES, ids=[c[0] for c in _PROFILE_CASES])
+def test_profile_search_matches_the_gradient_oracle(spec, N):
+    group = group_from_spec(spec)
+    for A, out in _connected_supports(group, N, 10**6):
+        assert 2 * out == _indicator_gradient(group, A), A
+    for n in range(1, N + 1):
+        r = isoperimetric_profile(group, n)
+        assert (r.value, r.witness, r.subsets_searched) == _profile_oracle(group, n), n
+
+
+@pytest.mark.parametrize("mode,max_value", [("sets", 1), ("int", 2)])
+def test_profile_of_a_whole_finite_group_is_a_usage_error(mode, max_value):
+    # the whole group is a support with an empty boundary: the ratio is unbounded
+    c5 = group_from_spec("cyclic:5")
+    assert isoperimetric_profile(c5, 4, mode=mode, max_value=max_value).value > 0
+    with pytest.raises(UsageError, match="cyclic:5 is finite"):
+        isoperimetric_profile(c5, 5, mode=mode, max_value=max_value)
 
 
 def test_folner_quality_examples():

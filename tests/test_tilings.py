@@ -6,8 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oelab.tilings
 from oelab.errors import NotInTile, ResourceExhausted, TilingViolation, UsageError
 from oelab.tilings import (
+    INT64_SAFE,
     FiniteCyclicTiling,
     HeisTiling,
     LamplighterTiling,
@@ -16,6 +18,7 @@ from oelab.tilings import (
     ZBlocksTiling,
     ZnGroupedTiling,
     ZnTiling,
+    _distinct_rows,
     builtin,
 )
 
@@ -58,11 +61,27 @@ def test_heis_t1_size_and_disjointness():
     assert len(tiles[1]) == 256 == len(set(tiles[1]))
 
 
-def test_forced_collision_reports_witness():
-    class Collides(ZBlocksTiling):
-        def letter(self, k, idx):
-            return (idx,)  # F_1 = {0,1} overlaps T_0 + {0,2}
+class Collides(ZBlocksTiling):
+    """F_1 = {0,1} overlaps T_0 + {0,2}, in the scalar and the array alphabet alike."""
 
+    def letter(self, k, idx):
+        return (idx,)
+
+    def letter_array(self, k, idx):
+        return idx[:, None]
+
+
+class RepeatsALetter(ZBlocksTiling):
+    """F_0 = {0, 0}: two letters of level 0 coincide."""
+
+    def letter(self, k, idx):
+        return (idx // 2,)
+
+    def letter_array(self, k, idx):
+        return idx[:, None] // 2
+
+
+def test_forced_collision_reports_witness():
     with pytest.raises(TilingViolation) as exc:
         Collides([2, 2]).build_tiles(1)
     assert exc.value.k == 1
@@ -415,3 +434,111 @@ def test_lamplighter_escape_interval_matches_the_loop():
             gamma = t.group.make(lamps, rng.randint(-70, 70))
             k = rng.randrange(6)
             assert t.escape_fraction(gamma, k) == lamplighter_escape_loop(gamma, k), (gamma, k)
+
+
+# -- the array disjointness proof and the batched diameter draws ------------
+
+ARRAY_HOOKED = [t for t in BUILTINS if t.int64_bound(t.group.identity, 0) is not None] + [ZnTiling(3)]
+
+
+def _largest_k(t, limit=5000, top=3):
+    return max(k for k in range(top + 1) if t.tile_size(k) <= limit)
+
+
+@pytest.mark.parametrize("t", ARRAY_HOOKED, ids=lambda t: t.name)
+def test_tile_arrays_match_build_tiles(t, monkeypatch):
+    K = _largest_k(t)
+    tiles = t.build_tiles(K)
+    levels = list(t._tile_arrays(K))
+    assert len(levels) == K + 1
+    for k, (rows, bound) in enumerate(levels):
+        # the same tiles in the same order: letter outer, previous tile inner
+        assert [tuple(map(int, r)) for r in rows] == tiles[k], k
+        assert int(np.abs(rows).max()) <= bound
+    monkeypatch.setattr(t, "build_tiles", lambda *a: pytest.fail("took the scalar proof"))
+    t.prove_disjoint(K)
+
+
+@pytest.mark.parametrize("t", [t for t in BUILTINS if t not in ARRAY_HOOKED], ids=lambda t: t.name)
+def test_prove_disjoint_without_array_hooks_runs_build_tiles(t, monkeypatch):
+    assert list(t._tile_arrays(2)) == []
+    calls = []
+    monkeypatch.setattr(t, "build_tiles", lambda K, budget: calls.append((K, budget)))
+    t.prove_disjoint(2, 777)
+    assert calls == [(2, 777)]
+
+
+def test_array_proof_collision_raises_the_build_tiles_witness():
+    t = Collides([2, 2])
+    rows, bound = list(t._tile_arrays(1))[1]
+    assert not _distinct_rows(rows, bound)
+    with pytest.raises(TilingViolation) as scalar:
+        t.build_tiles(1)
+    with pytest.raises(TilingViolation) as arrays:
+        t.prove_disjoint(1)
+    assert (arrays.value.k, arrays.value.witness) == (scalar.value.k, scalar.value.witness)
+    # a collision inside F_0 itself
+    with pytest.raises(TilingViolation) as exc:
+        RepeatsALetter([2, 2]).prove_disjoint(1)
+    assert (exc.value.k, exc.value.witness) == (0, (0, 1, (0,)))
+
+
+def test_prove_disjoint_errors_match_build_tiles():
+    t = ZnTiling(2)
+    with pytest.raises(UsageError):
+        t.prove_disjoint(-1)
+    with pytest.raises(ResourceExhausted, match="exceeds budget 15"):
+        t.prove_disjoint(1, budget=15)
+
+
+def test_array_proof_stops_where_int64_is_unproved(monkeypatch):
+    t = ZnTiling(2)
+    real = t.int64_bound
+    monkeypatch.setattr(t, "int64_bound", lambda gamma, k: INT64_SAFE if k == 2 else real(gamma, k))
+    assert len(list(t._tile_arrays(3))) == 2
+    calls = []
+    monkeypatch.setattr(t, "build_tiles", lambda K, budget: calls.append(K))
+    t.prove_disjoint(3)
+    assert calls == [3]
+
+
+def test_distinct_rows_proves_only_what_the_packed_key_can_hold():
+    rng = np.random.default_rng(5)
+    rows = np.unique(rng.integers(-3, 4, size=(400, 3)), axis=0)
+    rng.shuffle(rows)
+    assert _distinct_rows(rows, 3)
+    assert not _distinct_rows(np.concatenate([rows, rows[7:8]]), 3)
+    # (2^21 + 1)^3 passes 2^62: undecided, not distinct; (2^20 + 1)^3 does not
+    assert not _distinct_rows(rows, 1 << 20)
+    assert _distinct_rows(rows, 1 << 19)
+
+
+def _sampled_diameter_per_point(t, k, samples, seed):
+    """Oracle: one scalar draw per letter index; pair i joins counters 2i and 2i + 1."""
+    mul, inv = t.group.multiply, t.group.inverse
+
+    def point(counter):
+        return t.prefix_product([t.random_letter_index(j, seed, counter) for j in range(k + 1)])
+
+    return max(t.group.word_length(mul(inv(point(2 * i)), point(2 * i + 1))) for i in range(samples))
+
+
+_DIAMETER_CASES = [
+    ("ll:2", 2),  # power-of-two letter counts
+    ("ll:2", 6),  # 2^65 letters at level 6: multi-word draws
+    ("ll:3", 3),  # rejection sampling
+    ("heis", 2),
+    ("zn:3", 3),
+    ("zmatch:ll:2", 3),
+    ("cyclic:3", 2),  # one letter past level 0
+]
+
+
+@pytest.mark.parametrize("block", [6, oelab.tilings._DRAW_BLOCK])
+@pytest.mark.parametrize("spec,k", _DIAMETER_CASES, ids=[f"{s}-k{k}" for s, k in _DIAMETER_CASES])
+def test_sampled_diameter_matches_per_point_draws(monkeypatch, spec, k, block):
+    monkeypatch.setattr(oelab.tilings, "_DRAW_BLOCK", block)  # 6: pairs cross block edges
+    t = builtin(spec)
+    for samples, seed in ((1, 0), (7, 11), (40, -3)):
+        rep = t.tile_diameter(k, mode="sampled", samples=samples, seed=seed)
+        assert rep.value == _sampled_diameter_per_point(t, k, samples, seed), (samples, seed)
