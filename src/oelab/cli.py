@@ -5,14 +5,16 @@ results) with the command echo, parameters, seed, results, timing, and
 version.  Reports are bit-for-bit deterministic given (command, seed,
 version): all randomness flows through counter-based streams.  JSON
 reports are strict: non-finite floats are written as the strings "nan",
-"inf" and "-inf".  stdout carries the report alone: ``selftest`` writes its
-PASS/FAIL check lines to stderr.  Monte Carlo ``--samples`` must be at
-least 1 (``tiling verify --samples 0``, its default, skips the sampled
-diameter).  ``tiling verify --k``, ``couple tail --k``, ``--max-depth`` and
-``--strata-depth`` must be at least 0, every ``--budget`` at least 1,
-``couple tail --k`` at most ``--max-depth`` and ``bs-ll tail --M`` at least
-2 (below that the bound k^(1-M) cannot fail); anything else is a usage
-error.
+"inf" and "-inf", and Fractions as [p, q].  A report is written whole or
+not at all: a level whose row holds an int too long to print stops the
+run with ``ResourceExhausted``.  stdout carries the report alone:
+``selftest`` writes its PASS/FAIL check lines to stderr.  Monte Carlo
+``--samples`` must be at least 1 (``tiling verify --samples 0``, its
+default, skips the sampled diameter).  ``tiling verify --k``,
+``couple tail --k``, ``--max-depth`` and ``--strata-depth`` must be at
+least 0, every ``--budget`` at least 1, ``couple tail --k`` at most
+``--max-depth`` and ``bs-ll tail --M`` at least 2 (below that the bound
+k^(1-M) cannot fail); anything else is a usage error.
 
 Exit codes: 0 success / audit passed, 2 audit failed (an inequality the run
 was checking is violated), 1 usage or resource errors.  Every malformed
@@ -25,12 +27,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 from . import __version__
@@ -55,11 +58,13 @@ from .errors import (
 from .functional import isoperimetric_profile
 from .groups import group_from_spec
 from .hyperbolicity import (
+    CONTRACTION_FLOOR,
     MetricGraph,
     cycle_distortion,
     extract_fat_cycle,
     four_point_delta,
     cycle_contraction_bound,
+    min_cycle_length,
     rips_delta,
 )
 from .tilings import builtin as tiling_builtin
@@ -78,11 +83,6 @@ def _budget_mb() -> int:
         raise UsageError("OELAB_BUDGET_MB must be an integer") from None
 
 
-def _budget_elements() -> int:
-    # ~250 bytes per materialized element including container overhead
-    return _budget_mb() * 4000
-
-
 def _budget(text: str) -> int:
     """The argparse type of every --budget: an integer of at least 1."""
     value = int(text)  # argparse reports a ValueError as an invalid --budget
@@ -98,12 +98,10 @@ def _int(text: str, what: str) -> int:
         raise UsageError(f"{what} needs an integer, got {text!r}") from None
 
 
-def _frac(x: Fraction) -> list[int]:
-    return [x.numerator, x.denominator]
-
-
 def _strict(x):
-    """x with every non-finite float replaced by "nan", "inf" or "-inf"."""
+    """x in strict JSON: Fractions as [p, q], non-finite floats as "nan", "inf" or "-inf"."""
+    if isinstance(x, Fraction):
+        return [x.numerator, x.denominator]
     if isinstance(x, float) and not math.isfinite(x):
         return "nan" if math.isnan(x) else ("inf" if x > 0 else "-inf")
     if isinstance(x, dict):
@@ -114,6 +112,12 @@ def _strict(x):
 
 
 def _emit(args, command: str, results, started: float, rows) -> None:
+    """Write the whole report, or nothing if a level's row holds an int too long to print."""
+    for k, row in enumerate(results if isinstance(results, list) else []):
+        try:
+            json.dumps(_strict(row))
+        except ValueError as exc:  # Python prints no int longer than sys.get_int_max_str_digits()
+            raise ResourceExhausted(f"level k={k} cannot be printed: {exc}", progress=k - 1) from None
     clean = {k: v for k, v in vars(args).items() if k not in ("fn", "command", "subcommand")}
     report = {
         "command": command,
@@ -123,11 +127,14 @@ def _emit(args, command: str, results, started: float, rows) -> None:
         "timing_seconds": round(time.time() - started, 3),
         "version": __version__,
     }
+    out = io.StringIO()
     if args.format == "csv" and rows is not None:
-        csv.writer(sys.stdout).writerows(rows)
+        cell = lambda v: f"{v.numerator}/{v.denominator}" if isinstance(v, Fraction) else v
+        csv.writer(out).writerows([map(cell, row) for row in rows])
     else:
-        json.dump(_strict(report), sys.stdout, indent=2, default=str, allow_nan=False)
-        sys.stdout.write("\n")
+        json.dump(_strict(report), out, indent=2, allow_nan=False)
+        out.write("\n")
+    sys.stdout.write(out.getvalue())
 
 
 def _graph_from_args(args) -> MetricGraph:
@@ -170,7 +177,8 @@ def cmd_tiling_verify(args):
         )
     if args.k < 0:
         raise UsageError("--k must be >= 0")
-    budget = args.budget if args.budget is not None else _budget_elements()
+    # ~250 bytes per materialized element including container overhead
+    budget = args.budget if args.budget is not None else _budget_mb() * 4000
     # every tile within budget is proved disjoint, by sorted rows or by cardinality
     fits = max((k for k in range(args.k + 1) if t.tile_size(k) <= budget), default=-1)
     if fits >= 0:
@@ -182,8 +190,8 @@ def cmd_tiling_verify(args):
         row = {
             "k": k,
             "size": t.tile_size(k),
-            "epsilon_computed": _frac(fol.value),
-            "epsilon_claimed": _frac(fol.claimed),
+            "epsilon_computed": fol.value,
+            "epsilon_claimed": fol.claimed,
             "ok": fol.within_claim,
         }
         if args.exact_diameter or args.samples:
@@ -221,16 +229,8 @@ def cmd_couple_tail(args):
         p = float(exact)
         within = abs(freq - p) <= 4 * math.sqrt(p * (1 - p) / args.samples) + 1e-12
         ok = ok and within
-        rows.append((k, f"{exact.numerator}/{exact.denominator}", freq, se))
-        results.append(
-            {
-                "k": k,
-                "exact_tail": _frac(exact),
-                "mc_freq": freq,
-                "stderr": se,
-                "within_4_stderr": within,
-            }
-        )
+        rows.append((k, exact, freq, se))
+        results.append({"k": k, "exact_tail": exact, "mc_freq": freq, "stderr": se, "within_4_stderr": within})
     return results, ok, rows
 
 
@@ -310,7 +310,7 @@ def cmd_profile(args):
     results = {
         "n": res.n,
         "mode": res.mode,
-        "value": _frac(res.value),
+        "value": res.value,
         "witness": witness,
         "witness_values": list(res.witness_values) if res.witness_values else None,
         "convention": res.convention,
@@ -358,12 +358,12 @@ def cmd_hyp_delta(args):
     delta = rips_delta(G, budget_mb=args.budget or _budget_mb())
     results = {
         "vertices": G.n,
-        "rips_delta": _frac(delta),
+        "rips_delta": delta,
         "convention": "metric-interval Rips constant (exact for vertex intervals)",
     }
     if args.four_point:
         fp = four_point_delta(G)
-        results["four_point_delta"] = _frac(fp)
+        results["four_point_delta"] = fp
     return results, True, None
 
 
@@ -377,8 +377,8 @@ def cmd_hyp_audit_cycle(args):
     bound = cycle_contraction_bound(float(delta), rep.n / 2, float(rep.b))
     ok = float(rep.a) <= bound + 1e-9
     results = {
-        "distortion": rep.as_dict(),
-        "rips_delta": _frac(delta),
+        "distortion": asdict(rep),
+        "rips_delta": delta,
         "bound": bound,
         "within_bound": ok,
     }
@@ -391,20 +391,17 @@ def cmd_hyp_extract(args):
         res = extract_fat_cycle(G, budget_mb=args.budget or _budget_mb())
     except NotApplicable as exc:
         return {"not_applicable": str(exc)}, True, None
+    min_length = min_cycle_length(res.delta)
+    ok = res.report.n >= min_length and res.report.a >= CONTRACTION_FLOOR
     results = {
-        "delta": _frac(res.delta),
+        "delta": res.delta,
         "cycle_length": res.report.n,
         "cycle": res.cycle,
-        "distortion": res.report.as_dict(),
+        "distortion": asdict(res.report),
         "discrete_slack": res.discrete_slack,
-        "self_audit": {
-            "min_length": max(1, int(res.delta) // 15),
-            "contraction_floor": [1, 2 * 17820],
-            "pass": res.report.n >= max(1, int(res.delta) // 15)
-            and res.report.a >= Fraction(1, 2 * 17820),
-        },
+        "self_audit": {"min_length": min_length, "contraction_floor": CONTRACTION_FLOOR, "pass": ok},
     }
-    return results, results["self_audit"]["pass"], None
+    return results, ok, None
 
 
 def cmd_selftest(args):

@@ -19,7 +19,7 @@ The tail estimator reads rewrite depths in blocks through
 :meth:`TilingAction.depths`.  On left tilings with array hooks (the box
 tilings ``zn:N``, ``zn:N:grouped:M``, ``zblocks`` and ``zmatch``, and
 ``heis``) it walks the levels over a whole block of samples in numpy
-int64, each level only after ``int64_bound`` has proved, with Python ints,
+int64, each level only after ``proven_bound`` has proved, with Python ints,
 that no value there reaches 2^62.  The samples still unresolved at the
 first level that fails the proof finish through the scalar :meth:`act`,
 and every other tiling runs :meth:`act` per sample.  The scalar ``act``
@@ -39,7 +39,7 @@ import numpy as np
 
 from ._rng import SampleLoop, derive, derive_array, proportion, randbelow, require_samples
 from .errors import DepthExhausted, UsageError
-from .tilings import INT64_SAFE, Orientation, TilingSequence
+from .tilings import TilingSequence
 
 DEFAULT_MAX_DEPTH = 32
 CHECK_LEVELS = 8  # letter counts compared up front; deeper levels as acts reach them
@@ -118,24 +118,17 @@ class IntegrabilityGauge:
         # instead of overflowing, and route logs through math.log on the int
         if t < 0:
             raise UsageError("gauge argument must be >= 0")
-        if self.kind == "power":
-            try:
-                return float(t) ** self.param
-            except OverflowError:
-                pass
-            try:
-                return math.exp(self.param * math.log(t))
-            except OverflowError:
-                return math.inf
-        if self.kind == "exp":
-            try:
-                return math.exp(self.param * t)
-            except OverflowError:
-                return math.inf
-        if self.kind == "logpow":
-            inner = math.log(t) if t > 1e16 else math.log(math.e + t)
-            return inner / math.log(math.e + inner) ** (1.0 + self.param)
         try:
+            if self.kind == "power":
+                try:
+                    return float(t) ** self.param
+                except OverflowError:
+                    return math.exp(self.param * math.log(t))
+            if self.kind == "exp":
+                return math.exp(self.param * t)
+            if self.kind == "logpow":
+                inner = math.log(t) if t > 1e16 else math.log(math.e + t)
+                return inner / math.log(math.e + inner) ** (1.0 + self.param)
             return float(t)
         except OverflowError:
             return math.inf
@@ -206,8 +199,7 @@ class TilingAction:
         for n in range(self.max_depth + 1):
             if not len(active):
                 break
-            bound = t.int64_bound(gamma, n) if t.orientation is Orientation.LEFT else None
-            if bound is None or max(bound, t.letter_count(n)) >= INT64_SAFE:
+            if t.proven_bound(gamma, n) is None:
                 for i in active:
                     try:
                         depth[i] = self.act(gamma, CouplingPoint((), int(seeds[i])))[1]

@@ -18,7 +18,7 @@ A family declares its data: ``identity`` and ``generators`` are plain values
 handed to :class:`Group`, next to ``multiply``, ``inverse``,
 ``check_element``, ``format_element``, ``word_length`` and a ``_parse_body``
 hook.  The base class writes the shared procedures once: the strict element
-parser, and the balls, spheres and growth read off breadth-first layers.
+parser, and the balls, spheres and growth read off one breadth-first search.
 
 Word lengths are closed forms in every family (ell^1, switches plus travel,
 cyclic distance, Blachere's boxes on Heisenberg, a carry pass on BS(1,k)), so
@@ -26,12 +26,10 @@ no element is out of reach; BFS serves balls, spheres and growth, and is the
 test suite's oracle for the closed forms.
 
 All elements are plain hashable tuples (ints for cyclic groups) and all
-groups are immutable after construction, apart from the BFS layer caches.
+groups are immutable after construction.
 ``ZN`` and ``Heisenberg`` also multiply rows of (N, d) int64 arrays
 (``multiply_array``) for the batched rewrite-depth kernel; its caller
 proves beforehand that no value leaves int64.
-Those caches assume a single thread: concurrent growth() calls have been
-seen to misindex the layers, and oelab itself runs single-threaded.
 """
 
 from __future__ import annotations
@@ -55,8 +53,6 @@ class Group:
     def __init__(self, identity, generators: tuple):
         self.identity = identity
         self.generators = generators
-        self._layers: list[set] = []  # BFS spheres, layer r = sphere of radius r
-        self._seen: set = set()
 
     # -- family-specific primitives -------------------------------------
 
@@ -109,31 +105,24 @@ class Group:
         return sum(len(layer) for layer in self._spheres(radius, budget))
 
     def sphere(self, radius: int, budget: int = DEFAULT_BALL_BUDGET) -> set:
-        return set(self._spheres(radius, budget)[radius])
+        return self._spheres(radius, budget)[radius]
 
     def _spheres(self, radius: int, budget: int) -> list[set]:
-        """The cached spheres of radius 0..radius, after checking the radius."""
+        """Spheres 0..radius by one BFS; past budget elements, ResourceExhausted at the last radius."""
         if radius < 0:
             raise UsageError(f"radius must be >= 0, got {radius}")
-        self._extend_layers(radius, budget)
-        return self._layers[: radius + 1]
-
-    # -- shared BFS kernel ------------------------------------------------
-
-    def _extend_layers(self, radius: int, budget: int) -> None:
-        if not self._layers:
-            self._layers.append({self.identity})
-            self._seen.add(self.identity)
-        while len(self._layers) <= radius:
-            new = {self.multiply(g, s) for g in self._layers[-1] for s in self.generators}
-            new -= self._seen
-            if len(self._seen) + len(new) > budget:
+        layers, seen = [{self.identity}], {self.identity}
+        while len(layers) <= radius:
+            new = {self.multiply(g, s) for g in layers[-1] for s in self.generators}
+            new -= seen
+            if len(seen) + len(new) > budget:
                 raise ResourceExhausted(
                     f"ball enumeration exceeded budget of {budget} elements",
-                    progress=len(self._layers) - 1,
+                    progress=len(layers) - 1,
                 )
-            self._seen |= new
-            self._layers.append(new)
+            seen |= new
+            layers.append(new)
+        return layers
 
     def __repr__(self):
         return f"{type(self).__name__}({self.name})"

@@ -28,6 +28,7 @@ from .errors import NotApplicable, ResourceExhausted, UsageError
 from .groups import Group
 
 DEFAULT_MATRIX_BUDGET_MB = 1024
+CONTRACTION_FLOOR = Fraction(1, 2 * 17820)  # the least contraction a the fat-cycle self-audit accepts
 
 
 def _check_budget(what: str, need: float, budget_mb: float, n: int) -> None:
@@ -336,15 +337,6 @@ class DistortionReport:
     witness_a: tuple[int, int]
     witness_b: tuple[int, int]
 
-    def as_dict(self):
-        return {
-            "n": self.n,
-            "a": [self.a.numerator, self.a.denominator],
-            "b": [self.b.numerator, self.b.denominator],
-            "witness_a": list(self.witness_a),
-            "witness_b": list(self.witness_b),
-        }
-
 
 def _require_walk(G: MetricGraph, walk: list[int], what: str) -> None:
     """Vertex ids in [0, n), each adjacent to the next."""
@@ -432,6 +424,11 @@ def geodesic_stability_check(
 # ---------------------------------------------------------------------------
 # fat-cycle extraction
 # ---------------------------------------------------------------------------
+
+
+def min_cycle_length(delta) -> int:
+    """max(1, delta // 15): where extraction cuts the fat side, and the least length its self-audit accepts."""
+    return max(1, int(delta) // 15)
 
 
 @dataclass
@@ -531,7 +528,7 @@ def extract_fat_cycle(
     side_bc = G.geodesic(b, c)
     union = sorted(set(side_ac) | set(side_bc))
     du = G.dist_to_set(union)
-    thr = max(1, D // 15)
+    thr = min_cycle_length(D)
     xi = side_ab.index(x)
     # walk from x toward each endpoint until the distance to the union
     # drops to the threshold; the walk starts at distance D
@@ -570,17 +567,16 @@ def _union_path(G, union, start, end, side_ac, side_bc, corner) -> list[int]:
     """A walk from start to end inside the union of the two control sides."""
     if start == end:
         return [start]
-    if start in side_ac and end in side_ac:
-        i, j = side_ac.index(start), side_ac.index(end)
-        return side_ac[i : j + 1] if i <= j else list(reversed(side_ac[j : i + 1]))
-    if start in side_bc and end in side_bc:
-        i, j = side_bc.index(start), side_bc.index(end)
-        return side_bc[i : j + 1] if i <= j else list(reversed(side_bc[j : i + 1]))
+    for side in (side_ac, side_bc):
+        if start in side and end in side:
+            return _segment(side, start, end)
     # cross through the shared corner c
     first = side_ac if start in side_ac else side_bc
     second = side_ac if end in side_ac else side_bc
-    i, j = first.index(start), first.index(corner)
-    part1 = first[i : j + 1] if i <= j else list(reversed(first[j : i + 1]))
-    i, j = second.index(corner), second.index(end)
-    part2 = second[i : j + 1] if i <= j else list(reversed(second[j : i + 1]))
-    return _path_concat([part1, part2])
+    return _path_concat([_segment(first, start, corner), _segment(second, corner, end)])
+
+
+def _segment(path: list[int], start: int, end: int) -> list[int]:
+    """The stretch of path from start to end, reversed if end comes first."""
+    i, j = path.index(start), path.index(end)
+    return path[i : j + 1] if i <= j else path[j : i + 1][::-1]

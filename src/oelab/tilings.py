@@ -24,6 +24,11 @@ values through ``int64_bound``, so the batched rewrite-depth kernel in
 :meth:`TilingSequence.prove_disjoint` can prove int64 exact first; the scalar
 methods are the oracles.  The sampled ``tile_diameter`` draws each level's
 letter indices as one array and forms products and word lengths per point.
+
+A box tiling's ``_levels`` list grows level by level on demand: it is the
+only cache in oelab that grows with use.  It assumes one thread, since two
+threads extending it at once could append a level twice and misindex the
+rest; oelab itself runs single-threaded.
 """
 
 from __future__ import annotations
@@ -84,12 +89,6 @@ class TilingSequence:
         """Unrank: the idx-th letter of F_k (0 <= idx < letter_count(k))."""
         raise NotImplementedError
 
-    def letters(self, k: int, budget: int = DEFAULT_TILE_BUDGET) -> list:
-        n = self.letter_count(k)
-        if n > budget:
-            raise ResourceExhausted(f"|F_{k}| = {n} exceeds budget {budget}")
-        return [self.letter(k, i) for i in range(n)]
-
     # -- tiles -------------------------------------------------------------
 
     def tile_size(self, k: int) -> int:
@@ -143,9 +142,15 @@ class TilingSequence:
 
         That covers ``letter_array(k, .)``, ``contains_array(., k)`` and the
         group's ``multiply_array`` forming prefix products in T_k and
-        grow(gamma, prefix).  None when the family has no array hooks.
+        grow(gamma, prefix).  None when the family has no array hooks; only
+        left tilings define it.
         """
         return None
+
+    def proven_bound(self, gamma, k: int) -> int | None:
+        """int64_bound(gamma, k) if it and |F_k| are below 2^62, else None: the array hooks' gate."""
+        bound = self.int64_bound(gamma, k)
+        return None if bound is None or max(bound, self.letter_count(k)) >= INT64_SAFE else bound
 
     def build_tiles(self, K: int, budget: int = DEFAULT_TILE_BUDGET) -> list[list]:
         """Materialize T_0..T_K, proving disjointness by cardinality.
@@ -160,13 +165,15 @@ class TilingSequence:
                 f"|T_{K}| = {self.tile_size(K)} exceeds budget {budget}"
             )
         grow = self.grow
-        tiles = [self.letters(0, budget)]
+        # every |F_k| <= |T_K| <= budget
+        letters = [[self.letter(k, i) for i in range(self.letter_count(k))] for k in range(K + 1)]
+        tiles = letters[:1]
         if len(set(tiles[0])) != self.letter_count(0):
             raise TilingViolation(0, _first_duplicate(tiles[0]))
         for k in range(1, K + 1):
-            prev, letters = tiles[k - 1], self.letters(k, budget)
+            prev = tiles[k - 1]
             new, seen = [], set()
-            for f in letters:
+            for f in letters[k]:
                 for t in prev:
                     g = grow(t, f)
                     new.append(g)
@@ -175,7 +182,7 @@ class TilingSequence:
                 # position p holds letters[p // |prev|] acting on prev[p % |prev|]
                 i, j, g = _first_duplicate(new)
                 (a, b), (c, d) = divmod(i, len(prev)), divmod(j, len(prev))
-                raise TilingViolation(k, ((prev[b], letters[a]), (prev[d], letters[c]), g))
+                raise TilingViolation(k, ((prev[b], letters[k][a]), (prev[d], letters[k][c]), g))
             tiles.append(new)
         return tiles
 
@@ -200,19 +207,16 @@ class TilingSequence:
         """Yield (T_k, bound) for k = 0..K: T_k an int64 array with rows in build_tiles's order.
 
         Level k is one broadcast grow(T_{k-1}, F_k), letter outer and previous
-        tile inner, and only the previous level is held.  Only left tilings
-        with array hooks yield, each level after int64_bound proves its values
+        tile inner, and only the previous level is held.  Only tilings with
+        array hooks yield, each level after proven_bound proves its values
         below 2^62; the generator stops at the first level it cannot prove.
         """
-        if self.orientation is not Orientation.LEFT:
-            return
         prev = None
         for k in range(K + 1):
-            bound = self.int64_bound(self.group.identity, k)
-            count = self.letter_count(k)
-            if bound is None or max(bound, count) >= INT64_SAFE:
+            bound = self.proven_bound(self.group.identity, k)
+            if bound is None:
                 return
-            rows = self.letter_array(k, np.arange(count, dtype=np.int64))
+            rows = self.letter_array(k, np.arange(self.letter_count(k), dtype=np.int64))
             if prev is not None:
                 rows = self.group.multiply_array(prev[None], rows[:, None]).reshape(-1, rows.shape[1])
             yield rows, bound
@@ -235,12 +239,7 @@ class TilingSequence:
         )
 
     def tile_diameter(
-        self,
-        k: int,
-        mode: str = "auto",
-        samples: int = 100_000,
-        seed: int = 0,
-        budget: int = DEFAULT_TILE_BUDGET,
+        self, k: int, mode: str = "auto", samples: int = 100_000, seed: int = 0
     ) -> "DiameterReport":
         """Diameter of T_k in the word metric: exact, or a sampled lower bound.
 
@@ -251,7 +250,7 @@ class TilingSequence:
             cheap = getattr(self, "exact_diameter_cheap", False)
             mode = "exact" if cheap or self.tile_size(k) <= 100_000 else "sampled"
         if mode == "exact":
-            value = self._exact_diameter(k, budget)
+            value = self._exact_diameter(k)
             return DiameterReport(k, value, False, self.claimed_radius(k))
         if mode != "sampled":
             raise UsageError(f"diameter mode must be auto|exact|sampled, got {mode!r}")
@@ -267,8 +266,8 @@ class TilingSequence:
             best = max(best, max(length(mul(inv(u), v)) for u, v in zip(points, points)))
         return DiameterReport(k, best, True, self.claimed_radius(k))
 
-    def _exact_diameter(self, k: int, budget: int) -> int:
-        tile = self.build_tiles(k, budget)[k]
+    def _exact_diameter(self, k: int) -> int:
+        tile = self.build_tiles(k)[k]
         mul, inv = self.group.multiply, self.group.inverse
         quotients = {mul(inv(u), v) for u in tile for v in tile}
         return max(map(self.group.word_length, quotients))
@@ -299,7 +298,6 @@ def _first_duplicate(items):
         if x in seen:
             return (seen[x], i, x)
         seen[x] = i
-    return None
 
 
 class _Claimed:
@@ -410,7 +408,7 @@ class _BoxTiling(TilingSequence):
         stay = math.prod(max(0, L - abs(a)) for a in gamma)
         return 1 - Fraction(stay, L**self.n)
 
-    def _exact_diameter(self, k, budget):
+    def _exact_diameter(self, k):
         return self.n * (self.side(k) - 1)
 
 

@@ -29,10 +29,12 @@ from oelab.functional import (
 )
 from oelab.groups import ZN, BaumslagSolitar, Heisenberg, Lamplighter
 from oelab.hyperbolicity import (
+    CONTRACTION_FLOOR,
     MetricGraph,
     cycle_distortion,
     extract_fat_cycle,
     geodesic_stability_check,
+    min_cycle_length,
     rips_delta,
 )
 from oelab.tilings import HeisTiling, LamplighterTiling, ZnGroupedTiling, ZnTiling
@@ -329,8 +331,8 @@ def test_criterion_9_hyperbolicity_suite():
     res = extract_fat_cycle(G)
     audit = cycle_distortion(G, res.cycle)
     assert audit.a == res.report.a and audit.b == res.report.b
-    assert res.report.n >= max(1, int(res.delta) // 15)
-    assert res.report.a >= Fraction(1, 2 * 17820)
+    assert res.report.n >= min_cycle_length(res.delta)
+    assert res.report.a >= CONTRACTION_FLOOR
     elapsed = time.time() - started
     assert elapsed < 180, f"runtime {elapsed:.1f}s exceeds 3 min"
     report(9, f"trees 0-thin, 1000 audits clean, grid deltas {dict(deltas)}, extraction audited, {elapsed:.0f}s")

@@ -1,13 +1,16 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 
 import pytest
 
 import oelab
-from oelab.cli import main
+from oelab.cli import _emit, main
+from oelab.errors import ResourceExhausted
 
 
 def run_cli(capsys, *argv):
@@ -163,6 +166,55 @@ def test_couple_integrate_stops_at_a_saturated_gauge():
     assert len(terms) == 33 and res["stratified_bound"] == "inf"
     first = terms.index("inf")
     assert 0 < first < 32 and terms[first:] == ["inf"] * (33 - first)
+
+
+@pytest.mark.xfail(strict=True, reason="logpow never saturates, so every zmatch:ll:2 radius is formed")
+def test_couple_integrate_logpow_finishes():
+    # with --strata-depth 12 this finishes at once; at the default depth 32
+    # log R_k needs R_k itself, about 2^(k+1) bits, for every k
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(oelab.__file__))
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    argv = ["couple", "integrate", "--left", "ll:2", "--right", "zmatch:ll:2",
+            "--gamma", "ll:m=2;lamps=;pos=1", "--samples", "50", "--gauge", "logpow:1.0"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "oelab.cli", *argv], env=env, capture_output=True, text=True, timeout=3
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+_UNPRINTABLE = [
+    # --budget 64 keeps the disjointness proof to T_1 of ll:2
+    ["tiling", "verify", "--builtin", "ll:2", "--k", "13", "--budget", "64"],
+    ["tiling", "verify", "--builtin", "zmatch:ll:2", "--k", "13"],
+    ["couple", "tail", "--left", "zmatch:ll:2", "--right", "ll:2", "--gamma", "zn:1", "--k", "13",
+     "--max-depth", "13", "--samples", "10"],
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("argv", _UNPRINTABLE, ids=lambda a: " ".join(a[:4]))
+def test_an_integer_too_long_to_print_is_resource_exhausted(capsys, argv, fmt):
+    # level 13 holds integers of more digits than Python converts to text:
+    # nothing is written, and the error names the level
+    code, out, err = run_cli(capsys, *argv, "--format", fmt)
+    assert code == 1 and out == ""
+    assert err.startswith("ResourceExhausted: level k=13 ")
+    argv = [a if a != "13" else "12" for a in argv]
+    code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+    assert code == 0 and out
+
+
+def test_an_unwritable_report_writes_nothing(capsys):
+    rows = [{"k": 0, "v": 1}, {"k": 1, "v": Fraction(1, 10**5000)}]
+    with pytest.raises(ResourceExhausted) as exc:
+        _emit(argparse.Namespace(format="json"), "x", rows, 0.0, None)
+    assert exc.value.progress == 0
+    # what JSON cannot hold is an error, not a string, and found after the
+    # report has begun, it still leaves stdout empty
+    with pytest.raises(TypeError):
+        _emit(argparse.Namespace(format="json"), "x", {"a": 1, "v": {1}}, 0.0, None)
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("mode", ["sets", "int:2"])

@@ -272,6 +272,27 @@ def test_depth_kernel_guard_and_blocks():
     assert len(action.depths((1, 0), seeds[:0])) == 0
 
 
+def test_depth_gate_keeps_its_letter_count_half():
+    # zn:4:grouped:16 has (2^16)^4 = 2^64 letters at level 0 under a bound of
+    # 65,537: the letter count alone closes the gate, so depths runs act, whose
+    # answers it must give sample for sample (an array draw would overflow)
+    t = builtin("zn:4:grouped:16")
+    gamma = (1, 0, 0, 0)
+    assert t.int64_bound(gamma, 0) == 65_537 and t.letter_count(0) == 1 << 64
+    assert t.proven_bound(gamma, 0) is None
+    assert ZnTiling(4).proven_bound(gamma, 3) == 17
+    assert LamplighterTiling(2).proven_bound(((), 1), 0) is None
+    action = TilingAction(t, 3)
+    seeds = derive_array(3, np.arange(40))
+    got = action.depths(gamma, seeds)
+    for i, seed in enumerate(seeds.tolist()):
+        try:
+            want = action.act(gamma, CouplingPoint((), seed))[1]
+        except DepthExhausted:
+            want = 4
+        assert got[i] == want, i
+
+
 def test_mc_tail_memory_is_flat_in_samples():
     action = TilingAction(ZnTiling(1), 40)
     tracemalloc.start()
@@ -319,6 +340,11 @@ def test_gauges():
     assert lp(10**600) > lp(10**300)
     assert IntegrabilityGauge.power(0.4)(10**600) == pytest.approx(1e240, rel=1e-9)
     assert IntegrabilityGauge.power(2.0)(10**600) == math.inf
+    # every overflow saturates: power's second stage exp(p log t), exp and identity
+    assert IntegrabilityGauge.power(0.4)(10**600) == math.exp(0.4 * math.log(10**600))
+    assert IntegrabilityGauge.power(2.0)(1e200) == math.inf
+    assert IntegrabilityGauge.exp(1.0)(1000) == math.inf
+    assert IntegrabilityGauge.identity()(10**400) == math.inf
     with pytest.raises(UsageError):
         IntegrabilityGauge.power(0)
     with pytest.raises(UsageError):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from oelab.errors import ResourceExhausted, UsageError
 from oelab.groups import (
+    DEFAULT_BALL_BUDGET,
     ZN,
     BaumslagSolitar,
     CyclicGroup,
@@ -120,9 +121,10 @@ def test_word_length_symmetric_and_triangle(group):
     ],
 )
 def test_closed_form_matches_bfs(group, radius):
-    # BFS is the oracle: every element of the sphere of radius r has length r
-    for r in range(radius + 1):
-        for g in group.sphere(r):
+    # BFS is the oracle: every element of the sphere of radius r has length r;
+    # one search yields every sphere, where sphere(r) would search again per r
+    for r, sphere in enumerate(group._spheres(radius, DEFAULT_BALL_BUDGET)):
+        for g in sphere:
             assert group.word_length(g) == r, g
 
 
@@ -289,14 +291,26 @@ def test_budget_exhaustion_reports_last_radius():
         with pytest.raises(ResourceExhausted) as exc:
             getattr(h, call)(6, budget=100)
         assert exc.value.progress == 3
-        # the cache stays whole: a larger budget then gets the right ball
+        # a failed search leaves nothing behind: a larger budget then gets the right ball
         assert h.growth(4) == 135
     assert len(Heisenberg().ball(3, budget=100)) == 53
 
 
+@pytest.mark.parametrize("group", FAMILIES + [CyclicGroup(5)], ids=lambda g: g.name)
+def test_balls_keep_no_state(group):
+    # each call runs its own search: no call changes the group or a later answer
+    before = dict(vars(group))
+    first = (group.ball(3), group.sphere(3), group.growth(3))
+    assert vars(group) == before
+    group.sphere(3).clear()  # the caller owns the set it gets
+    group.ball(3).clear()
+    assert (group.ball(3), group.sphere(3), group.growth(3)) == first
+    assert vars(group) == before
+
+
 def test_negative_radius_is_a_usage_error():
     g = ZN(1)
-    g.ball(3)  # cached layers must not make a negative index read one of them
+    g.ball(3)  # after a search too, a negative radius is refused, not read as layers[-1]
     for call in (g.ball, g.growth, g.sphere):
         with pytest.raises(UsageError):
             call(-1)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oelab.errors import NotApplicable, ResourceExhausted, UsageError
 from oelab.groups import ZN, BaumslagSolitar, Heisenberg, Lamplighter
 from oelab.hyperbolicity import (
+    CONTRACTION_FLOOR,
     MetricGraph,
     ThinnessWitness,
     _interval_tensor,
@@ -21,6 +22,7 @@ from oelab.hyperbolicity import (
     geodesic_stability_check,
     log_form_bound,
     cycle_contraction_bound,
+    min_cycle_length,
     rips_delta,
 )
 
@@ -233,8 +235,8 @@ def test_extract_fat_cycle_grid():
     res = extract_fat_cycle(G)
     audit = cycle_distortion(G, res.cycle)
     assert audit.a == res.report.a and audit.b == res.report.b
-    assert res.report.n >= max(1, int(res.delta) // 15)
-    assert res.report.a >= Fraction(1, 2 * 17820)
+    assert res.report.n >= min_cycle_length(res.delta)
+    assert res.report.a >= CONTRACTION_FLOOR
     assert res.discrete_slack == 2
 
 

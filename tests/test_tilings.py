@@ -184,7 +184,7 @@ def test_lamplighter_letter_unrank_bijection():
     for m in (2, 3):
         t = LamplighterTiling(m)
         for k in (0, 1, 2):
-            letters = t.letters(k)
+            letters = [t.letter(k, i) for i in range(t.letter_count(k))]
             assert len(letters) == len(set(letters)) == t.letter_count(k)
             if k >= 1:
                 assert t.letter_count(k) == 2 * m ** (2**k)
