@@ -369,8 +369,6 @@ def cmd_hyp_delta(args):
 
 def cmd_hyp_audit_cycle(args):
     G = _graph_from_args(args)
-    if not args.cycle:
-        raise UsageError("need --cycle v0,v1,...")
     cycle = [_int(v, "--cycle") for v in args.cycle.split(",")]
     rep = cycle_distortion(G, cycle)
     delta = rips_delta(G, budget_mb=args.budget or _budget_mb())
@@ -388,7 +386,7 @@ def cmd_hyp_audit_cycle(args):
 def cmd_hyp_extract(args):
     G = _graph_from_args(args)
     try:
-        res = extract_fat_cycle(G, budget_mb=args.budget or _budget_mb())
+        res = extract_fat_cycle(G, budget_mb=args.budget or _budget_mb(), seed=args.seed)
     except NotApplicable as exc:
         return {"not_applicable": str(exc)}, True, None
     min_length = min_cycle_length(res.delta)
@@ -548,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "delta":
             hp.add_argument("--four-point", action="store_true")
         if name == "audit-cycle":
-            hp.add_argument("--cycle", help="comma-separated vertex list")
+            hp.add_argument("--cycle", required=True, help="comma-separated vertex list")
         hp.set_defaults(fn=fn)
 
     st = sub.add_parser("selftest", parents=[common], help="fast invariant checks")

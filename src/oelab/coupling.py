@@ -67,23 +67,27 @@ class IntegrabilityGauge:
     couplings whose distances blow up exponentially, where the plain-log
     strata are borderline (constant terms) and the correction makes them
     summable for every eps > 0.
+
+    Build one as ``IntegrabilityGauge(kind, param)``: the identity takes no
+    param and every other kind a finite one.  ``power(p)`` and ``from_spec``
+    (the CLI's ``kind[:param]``) build through it.
     """
 
     def __init__(self, kind: str, param: float | None = None):
-        if kind == "power":
-            if param is None or param <= 0:
-                raise UsageError("power gauge needs p > 0")
-        elif kind == "exp":
-            if param is None or param <= 0:
-                raise UsageError("exp gauge needs c > 0")
-        elif kind == "logpow":
-            # monotone iff eps - 1 <= log(1 + eps); true up to eps ~ 2.146
-            if param is None or not 0 <= param <= 2:
-                raise UsageError("logpow gauge needs 0 <= eps <= 2")
-        elif kind == "identity":
-            param = None
-        else:
+        if kind == "identity":
+            if param is not None:
+                raise UsageError("identity gauge takes no parameter")
+        elif kind not in ("power", "exp", "logpow"):
             raise UsageError(f"unknown gauge kind {kind!r}")
+        elif param is None or not math.isfinite(param):
+            raise UsageError(f"{kind} gauge needs a finite parameter, got {param}")
+        elif kind == "power" and param <= 0:
+            raise UsageError("power gauge needs p > 0")
+        elif kind == "exp" and param <= 0:
+            raise UsageError("exp gauge needs c > 0")
+        elif kind == "logpow" and not 0 <= param <= 2:
+            # monotone iff eps - 1 <= log(1 + eps); true up to eps ~ 2.146
+            raise UsageError("logpow gauge needs 0 <= eps <= 2")
         self.kind = kind
         self.param = param
 
@@ -92,24 +96,10 @@ class IntegrabilityGauge:
         return cls("power", p)
 
     @classmethod
-    def exp(cls, c: float) -> "IntegrabilityGauge":
-        return cls("exp", c)
-
-    @classmethod
-    def log_power(cls, eps: float) -> "IntegrabilityGauge":
-        return cls("logpow", eps)
-
-    @classmethod
-    def identity(cls) -> "IntegrabilityGauge":
-        return cls("identity")
-
-    @classmethod
     def from_spec(cls, spec: str) -> "IntegrabilityGauge":
-        kind, _, param = spec.partition(":")
-        if kind == "identity":
-            return cls.identity()
+        kind, colon, param = spec.partition(":")
         try:
-            return cls(kind, float(param))
+            return cls(kind, float(param) if colon else None)
         except ValueError:
             raise UsageError(f"bad gauge spec {spec!r}") from None
 

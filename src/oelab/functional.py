@@ -103,10 +103,7 @@ class TransitiveAction:
     def __init__(self, group: Group, states: Iterable, apply: Callable):
         self.group = group
         self.states = list(states)
-        self._apply = apply
-
-    def apply(self, g, state):
-        return self._apply(g, state)
+        self.apply = apply
 
     def schreier_distance(self, x0, x1) -> int:
         if x0 == x1:
@@ -117,7 +114,7 @@ class TransitiveAction:
             new = []
             for u in frontier:
                 for s in self.group.generators:
-                    v = self._apply(s, u)
+                    v = self.apply(s, u)
                     if v is None or v in seen:
                         continue
                     seen[v] = seen[u] + 1

@@ -43,17 +43,13 @@ class MetricGraph:
         if n < 1:
             raise UsageError("graph needs at least one vertex")
         self.n = n
-        adj: list[list[int]] = [[] for _ in range(n)]
-        seen = set()
+        adj: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise UsageError(f"edge ({u},{v}) out of range")
-            if u == v or (u, v) in seen:
-                continue
-            seen.add((u, v))
-            seen.add((v, u))
-            adj[u].append(v)
-            adj[v].append(u)
+            if u != v:
+                adj[u].add(v)
+                adj[v].add(u)
         self.adj = [sorted(a) for a in adj]
         self.labels = labels
         self.dist = self._all_pairs()
@@ -552,7 +548,7 @@ def extract_fat_cycle(
         [
             fat_part,
             G.geodesic(xb, yb),
-            _union_path(G, union, yb, ya, side_ac, side_bc, c),
+            _union_path(yb, ya, side_ac, side_bc, c),
             G.geodesic(ya, xa),
         ]
     )
@@ -563,7 +559,7 @@ def extract_fat_cycle(
     return FatCycleResult(cycle=cycle, report=report, delta=delta, witness=wit)
 
 
-def _union_path(G, union, start, end, side_ac, side_bc, corner) -> list[int]:
+def _union_path(start, end, side_ac, side_bc, corner) -> list[int]:
     """A walk from start to end inside the union of the two control sides."""
     if start == end:
         return [start]

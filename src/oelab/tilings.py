@@ -23,12 +23,12 @@ values through ``int64_bound``, so the batched rewrite-depth kernel in
 ``coupling`` and the sorted-row disjointness proof in
 :meth:`TilingSequence.prove_disjoint` can prove int64 exact first; the scalar
 methods are the oracles.  The sampled ``tile_diameter`` draws each level's
-letter indices as one array and forms products and word lengths per point.
+letter indices as one array, as ``depths`` does, and multiplies per point.
 
-A box tiling's ``_levels`` list grows level by level on demand: it is the
-only cache in oelab that grows with use.  It assumes one thread, since two
-threads extending it at once could append a level twice and misindex the
-rest; oelab itself runs single-threaded.
+A box tiling's ``_levels`` list grows level by level on demand and ``grow``
+is cached on first use; with a coupling's checked-level counter and a
+wreath point's realized lamps, that is all oelab changes after construction.
+oelab is single-threaded: share a tiling, coupling or point under a lock.
 """
 
 from __future__ import annotations
@@ -133,9 +133,9 @@ class TilingSequence:
     def random_letter_index(self, k: int, seed: int, *counters: int) -> int:
         return randbelow(self.letter_count(k), seed, k, *counters)
 
-    def random_letter_indices(self, k: int, seeds: np.ndarray) -> np.ndarray:
-        """random_letter_index(k, s) for each s of a uint64 array."""
-        return randbelow_array(self.letter_count(k), seeds, k)
+    def random_letter_indices(self, k: int, seeds, *counters) -> np.ndarray:
+        """random_letter_index(k, s, *c) over the broadcast of seeds and counter arrays."""
+        return randbelow_array(self.letter_count(k), seeds, k, *counters)
 
     def int64_bound(self, gamma, k: int) -> int | None:
         """Bound on every |value| the array hooks compute at level k of gamma's rewrite.
@@ -238,22 +238,18 @@ class TilingSequence:
             claimed=self.claimed_epsilon(k),
         )
 
-    def tile_diameter(
-        self, k: int, mode: str = "auto", samples: int = 100_000, seed: int = 0
-    ) -> "DiameterReport":
-        """Diameter of T_k in the word metric: exact, or a sampled lower bound.
+    def tile_diameter(self, k: int, mode: str, samples: int = 100_000, seed: int = 0) -> "DiameterReport":
+        """Diameter of T_k in the word metric, in one of two modes.
 
-        Pairwise cost is quadratic, so "auto" samples once |T_k| > 1e5 and
-        exact mode is an explicit opt-in for larger tiles.
+        "exact" is the maximum over all pairs of T_k (a closed form for the
+        box tilings, quadratic in |T_k| otherwise); "sampled" is the maximum
+        over ``samples`` seeded pairs, a lower bound.
         """
-        if mode == "auto":
-            cheap = getattr(self, "exact_diameter_cheap", False)
-            mode = "exact" if cheap or self.tile_size(k) <= 100_000 else "sampled"
         if mode == "exact":
             value = self._exact_diameter(k)
             return DiameterReport(k, value, False, self.claimed_radius(k))
         if mode != "sampled":
-            raise UsageError(f"diameter mode must be auto|exact|sampled, got {mode!r}")
+            raise UsageError(f"diameter mode must be exact|sampled, got {mode!r}")
         if samples < 1:
             raise UsageError("sampled diameter needs samples >= 1")
         mul, inv, length = self.group.multiply, self.group.inverse, self.group.word_length
@@ -261,7 +257,7 @@ class TilingSequence:
         best = 0
         for start in range(0, 2 * samples, _DRAW_BLOCK):
             counters = np.arange(start, min(start + _DRAW_BLOCK, 2 * samples))
-            levels = [randbelow_array(self.letter_count(j), seed, j, counters).tolist() for j in range(k + 1)]
+            levels = [self.random_letter_indices(j, seed, counters).tolist() for j in range(k + 1)]
             points = map(self.prefix_product, zip(*levels))
             best = max(best, max(length(mul(inv(u), v)) for u, v in zip(points, points)))
         return DiameterReport(k, best, True, self.claimed_radius(k))
@@ -338,8 +334,6 @@ class _BoxTiling(TilingSequence):
     Membership, the escape fraction of a translation and the tile diameter
     are closed forms in the side length.
     """
-
-    exact_diameter_cheap = True  # box diameter is a closed form
 
     def __init__(self, n: int, radix: Callable[[int], int], name: str):
         self.group = groups.ZN(n)
@@ -660,8 +654,8 @@ class ZBlocksTiling(_BoxTiling):
     """
 
     def __init__(self, sizes: Callable[[int], int] | Sequence[int], name: str = "zblocks"):
-        if not callable(sizes):
-            listed = list(sizes)
+        listed = None if callable(sizes) else list(sizes)
+        if listed is not None:
 
             def sizes(k):
                 if k >= len(listed):
@@ -669,6 +663,8 @@ class ZBlocksTiling(_BoxTiling):
                 return listed[k]
 
         super().__init__(1, sizes, name)
+        if listed:
+            self._level(len(listed) - 1)  # builds every listed level, so a size below 1 fails here
 
     def claimed_epsilon(self, k):
         # stated bound for the Z-side matched tiling; computed value is 1/|T_k|

@@ -147,35 +147,26 @@ class WreathCoupling:
         Q = self.act(side, w, P)
         if w.gamma == self.base_group(side).identity:
             gamma2 = self.base_group(other).identity
-            shift = key_group.identity
+            translate = key_group.identity
         else:
             # the partner base element and the side-1 translate of the move
             gamma2, _, _ = self.base.transfer_cocycle(sname, w.gamma, P.base)
-            translate1 = w.gamma if side == 1 else gamma2
-            shift = key_group.inverse(translate1)
+            translate = w.gamma if side == 1 else gamma2
+        # act renamed every realized key g of P to g translate^-1 in Q
         lamp_moves = {}
-        prekeys = set(P.lamps) | {
-            key_group.multiply(nk, key_group.inverse(shift)) for nk in Q.lamps
-        }
-        for prekey in prekeys:
-            newkey = key_group.multiply(prekey, shift)
-            after = Q.lamps.get(newkey)
-            if after is None:
-                continue  # lamp never touched, no move
-            before = P.lamp_state(self, prekey)
-            if after == before:
-                continue
-            h = self._partner_address(other, newkey, Q)
-            lamp_moves[h] = self._lamp_cocycle(side, before, after)
+        for newkey, after in Q.lamps.items():
+            before = P.lamp_state(self, key_group.multiply(newkey, translate))
+            if after != before:
+                h = self._partner_address(other, newkey, Q)
+                lamp_moves[h] = self._lamp_cocycle(side, before, after)
         return WreathElement.make(
             self.base_group(other), self.lamp_group(other), lamp_moves, gamma2
         )
 
     def _lamp_cocycle(self, side: int, before: CouplingPoint, after: CouplingPoint):
         """Partner lamp element carrying before to after (both realized)."""
-        oname = self._side_name(2 if side == 1 else 1)
         top = max(len(before.prefix), len(after.prefix), 1) - 1
-        return self.lamp.side(oname).carrier(before, after, top)
+        return self.lamp.partner(self._side_name(side)).carrier(before, after, top)
 
     def _partner_address(self, other: int, key, Q: WreathPoint):
         """Side-`other` element h with h . (base of Q) = key . (base of Q), inverted.

@@ -11,6 +11,8 @@ import pytest
 import oelab
 from oelab.cli import _emit, main
 from oelab.errors import ResourceExhausted
+from oelab.groups import group_from_spec
+from oelab.hyperbolicity import MetricGraph, extract_fat_cycle
 
 
 def run_cli(capsys, *argv):
@@ -337,6 +339,20 @@ def test_hyp_extract(capsys):
     assert report["results"]["self_audit"]["pass"]
 
 
+def test_hyp_extract_seed_reaches_the_sampled_fallback(capsys):
+    # 299 vertices: the interval tensor exceeds 1 MB, so the triangle search samples
+    G = MetricGraph.cayley_ball(group_from_spec("heis"), 5)
+    cycles = []
+    for seed in (0, 5):
+        _, report, _ = run_json(
+            capsys, "hyp", "extract", "--family", "cayley-ball:heis:5", "--budget", "1", "--seed", str(seed)
+        )
+        assert report["seed"] == seed
+        assert report["results"]["cycle"] == extract_fat_cycle(G, budget_mb=1, seed=seed).cycle
+        cycles.append(report["results"]["cycle"])
+    assert cycles[0] != cycles[1]
+
+
 def test_usage_errors_exit_1(capsys):
     code, _, err = run_cli(capsys, "tiling", "verify", "--builtin", "nope:1", "--k", "2")
     assert code == 1 and "usage error" in err
@@ -488,6 +504,13 @@ _OUT_OF_RANGE = [
     ("hyp audit-cycle --budget -1", ["hyp", "audit-cycle", "--family", "cycle:5", "--cycle", "0,1,2,3,4", "--budget", "-1"]),
     ("hyp extract --budget 0", ["hyp", "extract", "--family", "grid:4", "--budget", "0"]),
     ("hyp delta --budget abc", ["hyp", "delta", "--family", "path:4", "--budget", "abc"]),
+    ("hyp audit-cycle without --cycle", ["hyp", "audit-cycle", "--family", "cycle:5"]),
+    # malformed specs that used to run: a zero size past --k, an ignored
+    # identity parameter, non-finite gauge parameters
+    ("tiling verify zblocks:3,0,2", ["tiling", "verify", "--builtin", "zblocks:3,0,2", "--k", "0"]),
+    ("couple integrate --gauge identity:abc", ["couple", "integrate", *_COUPLE, "--gamma", "zn:1,0", "--gauge", "identity:abc", "--samples", "20"]),
+    ("couple integrate --gauge power:nan", ["couple", "integrate", *_COUPLE, "--gamma", "zn:1,0", "--gauge", "power:nan", "--samples", "20"]),
+    ("couple integrate --gauge exp:inf", ["couple", "integrate", *_COUPLE, "--gamma", "zn:1,0", "--gauge", "exp:inf", "--samples", "20"]),
 ]
 
 

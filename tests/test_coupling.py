@@ -332,9 +332,9 @@ def test_depth_exhausted_is_reported(llz):
 def test_gauges():
     g = IntegrabilityGauge.power(0.5)
     assert g(4) == 2.0
-    assert IntegrabilityGauge.identity()(7) == 7.0
-    assert IntegrabilityGauge.exp(0.5)(0) == 1.0
-    lp = IntegrabilityGauge.log_power(1.0)
+    assert IntegrabilityGauge("identity")(7) == 7.0
+    assert IntegrabilityGauge("exp", 0.5)(0) == 1.0
+    lp = IntegrabilityGauge("logpow", 1.0)
     assert lp(0) > 0 and lp(10) > lp(5)
     # gauges accept exact integers far beyond float range
     assert lp(10**600) > lp(10**300)
@@ -343,15 +343,24 @@ def test_gauges():
     # every overflow saturates: power's second stage exp(p log t), exp and identity
     assert IntegrabilityGauge.power(0.4)(10**600) == math.exp(0.4 * math.log(10**600))
     assert IntegrabilityGauge.power(2.0)(1e200) == math.inf
-    assert IntegrabilityGauge.exp(1.0)(1000) == math.inf
-    assert IntegrabilityGauge.identity()(10**400) == math.inf
+    assert IntegrabilityGauge("exp", 1.0)(1000) == math.inf
+    assert IntegrabilityGauge("identity")(10**400) == math.inf
     with pytest.raises(UsageError):
         IntegrabilityGauge.power(0)
     with pytest.raises(UsageError):
-        IntegrabilityGauge.log_power(3.0)  # loses monotonicity past ~2.15
+        IntegrabilityGauge("logpow", 3.0)  # loses monotonicity past ~2.15
     with pytest.raises(UsageError):
         IntegrabilityGauge.from_spec("power:x")
     assert IntegrabilityGauge.from_spec("exp:0.1").describe() == "exp:0.1"
+    assert IntegrabilityGauge.from_spec("identity").describe() == "identity"
+    # the identity takes no parameter, every other kind a finite one
+    for kind, param in [("identity", 1.0), ("power", None), ("power", math.nan), ("power", math.inf),
+                        ("exp", math.inf), ("exp", -math.inf), ("logpow", math.nan), ("log", 1.0)]:
+        with pytest.raises(UsageError):
+            IntegrabilityGauge(kind, param)
+    for spec in ("identity:abc", "identity:", "identity:1", "power", "power:nan", "exp:inf", "logpow:-inf"):
+        with pytest.raises(UsageError):
+            IntegrabilityGauge.from_spec(spec)
 
 
 @pytest.mark.parametrize(
@@ -379,7 +388,7 @@ def test_integrability_strata_stop_at_the_first_infinite_term(monkeypatch):
     asked = []
     radius = partner.claimed_radius
     monkeypatch.setattr(partner, "claimed_radius", lambda k: asked.append(k) or radius(k))
-    rep = mc_integrability(c, "left", (0, 1), IntegrabilityGauge.exp(1.0), 20, 3)
+    rep = mc_integrability(c, "left", (0, 1), IntegrabilityGauge("exp", 1.0), 20, 3)
     assert asked == [0, 1, 2, 3, 4]
     assert rep.bound_terms[4:] == [math.inf] * 37
     assert all(math.isfinite(t) for t in rep.bound_terms[:4])
@@ -387,7 +396,7 @@ def test_integrability_strata_stop_at_the_first_infinite_term(monkeypatch):
 
 def test_logpow_gauge_monotone_grid():
     for eps in (0.0, 0.7, 2.0):
-        g = IntegrabilityGauge.log_power(eps)
+        g = IntegrabilityGauge("logpow", eps)
         xs = [i / 20 for i in range(100)] + [10.0**k for k in range(1, 14)]
         vals = [g(x) for x in xs]
         assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:])), eps
@@ -399,14 +408,14 @@ def test_z_lamplighter_directional_signature():
     # the Z-side distances of lamp moves need the corrected-log gauge
     # (summable strata for eps > 0, harmonic-like growth at eps = 0)
     C = MatchedCoupling(LamplighterTiling(2), builtin("zmatch:ll:2"), max_depth=12)
-    small = mc_integrability(C, "right", (1,), IntegrabilityGauge.exp(0.02), 200, 3, strata_depth=10)
+    small = mc_integrability(C, "right", (1,), IntegrabilityGauge("exp", 0.02), 200, 3, strata_depth=10)
     assert not small.diverging and small.bound_terms[-1] < small.bound_terms[1]
-    big = mc_integrability(C, "right", (1,), IntegrabilityGauge.exp(0.12), 200, 3, strata_depth=10)
+    big = mc_integrability(C, "right", (1,), IntegrabilityGauge("exp", 0.12), 200, 3, strata_depth=10)
     assert big.diverging
 
     lamp = (((0, 1),), 0)
-    fine = mc_integrability(C, "left", lamp, IntegrabilityGauge.log_power(1.0), 200, 4, strata_depth=12)
-    coarse = mc_integrability(C, "left", lamp, IntegrabilityGauge.log_power(0.0), 200, 4, strata_depth=12)
+    fine = mc_integrability(C, "left", lamp, IntegrabilityGauge("logpow", 1.0), 200, 4, strata_depth=12)
+    coarse = mc_integrability(C, "left", lamp, IntegrabilityGauge("logpow", 0.0), 200, 4, strata_depth=12)
 
     def tail_ratio(rep):
         t, S = rep.bound_terms, rep.bound_partial_sums
@@ -420,7 +429,7 @@ def test_z_lamplighter_directional_signature():
 
 def test_integrability_identity_coupling():
     cid = MatchedCoupling(ZnTiling(2), ZnTiling(2), max_depth=20)
-    rep = mc_integrability(cid, "left", (1, 0), IntegrabilityGauge.identity(), 500, 1)
+    rep = mc_integrability(cid, "left", (1, 0), IntegrabilityGauge("identity"), 500, 1)
     assert rep.estimate == 1.0 and rep.stderr == 0.0 and rep.exhausted_fraction == 0.0
 
 
@@ -442,7 +451,7 @@ def test_integrability_stratified_signature(z2z):
 
 def test_integrability_exp_divergence_flag(z2z):
     rep = mc_integrability(
-        z2z, "left", (1, 0), IntegrabilityGauge.exp(1.0), 10, 3, strata_depth=8
+        z2z, "left", (1, 0), IntegrabilityGauge("exp", 1.0), 10, 3, strata_depth=8
     )
     assert rep.diverging
 
@@ -492,6 +501,6 @@ def test_exhausted_points_fill_the_deepest_tail():
     shallow = MatchedCoupling(LamplighterTiling(2), builtin("zmatch:ll:2"), max_depth=2)
     gamma = ((), 1)
     freqs = mc_tail_frequencies(shallow.left, gamma, [0, 1, 2], 2000, 3)
-    rep = mc_integrability(shallow, "left", gamma, IntegrabilityGauge.identity(), 2000, 3)
+    rep = mc_integrability(shallow, "left", gamma, IntegrabilityGauge("identity"), 2000, 3)
     assert rep.exhausted_fraction == 0.1185
     assert freqs[2][0] == rep.exhausted_fraction

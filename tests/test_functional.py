@@ -186,11 +186,28 @@ def test_profile_z2_small():
 
 def test_profile_int_mode():
     r = isoperimetric_profile(Z, 2, mode="int", max_value=3)
-    # weights can beat indicators: witness values recorded
+    # the witness values are recorded; the value is the sets value (below)
     assert r.value >= isoperimetric_profile(Z, 2).value
     assert r.witness_values is not None
     with pytest.raises(UsageError):
         isoperimetric_profile(Z, 2, mode="nope")
+
+
+_COAREA_CASES = [("zn:1", 5, 3), ("zn:2", 4, 3), ("heis", 4, 3), ("ll:2", 4, 3), ("bs:2", 4, 2), ("cyclic:7", 5, 3)]
+
+
+@pytest.mark.parametrize("spec,n,K", _COAREA_CASES, ids=[f"{s}-n{n}-K{K}" for s, n, K in _COAREA_CASES])
+def test_profile_int_mode_value_is_the_sets_value(spec, n, K):
+    # coarea: ||f||_1 / ||grad f||_1 is a weighted mean of the level-set ratios,
+    # and a level set's ratio never beats its best connected component, which
+    # some translate puts among the sets-mode supports; so weights never win
+    g = group_from_spec(spec)
+    for k in range(1, n + 1):
+        sets = isoperimetric_profile(g, k)
+        for max_value in range(2, K + 1):
+            weighted = isoperimetric_profile(g, k, mode="int", max_value=max_value)
+            assert weighted.value == sets.value, (k, max_value)
+            assert weighted.subsets_searched == sets.subsets_searched
 
 
 def _indicator_gradient(group, A) -> int:

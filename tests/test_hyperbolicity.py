@@ -258,10 +258,9 @@ def test_extract_seeded_cycle_self_consistency():
 def test_union_path_branches():
     # control sides a..c and b..c of a triangle, meeting at the corner c = 4
     side_ac, side_bc = [0, 1, 2, 4], [7, 6, 5, 4]
-    union = sorted(set(side_ac) | set(side_bc))
 
     def path(start, end):
-        return _union_path(None, union, start, end, side_ac, side_bc, 4)
+        return _union_path(start, end, side_ac, side_bc, 4)
 
     assert path(2, 2) == [2]
     assert path(0, 2) == [0, 1, 2] and path(2, 0) == [2, 1, 0]

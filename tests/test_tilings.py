@@ -165,8 +165,10 @@ def test_tile_sizes_closed_forms():
 def test_diameters():
     t = ZnTiling(1)
     assert t.tile_diameter(1, mode="exact").value == 3
-    assert t.tile_diameter(1).claimed == 4
+    assert t.tile_diameter(1, mode="exact").claimed == 4
     assert ZnTiling(2).tile_diameter(0, mode="exact").value == 2
+    with pytest.raises(UsageError):
+        t.tile_diameter(1, mode="auto")  # the two modes are exact and sampled
     # sampled mode is a lower bound below the claim
     ll = LamplighterTiling(2)
     rep = ll.tile_diameter(2, mode="sampled", samples=2000, seed=5)
@@ -197,7 +199,8 @@ def test_builtin_specs():
     assert builtin("ll:5").m == 5
     assert builtin("zblocks:4,4,4").letter_count(2) == 4
     assert builtin("cyclic:6").q == 6
-    for bad in ("zn", "zn:2:group:3", "nope:1", "ll:x"):
+    # a zero size anywhere in the list is refused when the spec is built
+    for bad in ("zn", "zn:2:group:3", "nope:1", "ll:x", "zblocks:3,0,2", "zblocks:2,2,0"):
         with pytest.raises(UsageError):
             builtin(bad)
 
@@ -312,15 +315,6 @@ def test_array_hooks_match_the_scalar_letters_and_membership(t):
 def test_heis_escape_grid_refuses_an_unreachable_k():
     with pytest.raises(ResourceExhausted):
         HeisTiling().escape_fraction((1, 0, 0), 20)
-
-
-def test_diameter_auto_mode():
-    # big lamplighter tiles sample by default; boxes stay exact (closed form)
-    ll = LamplighterTiling(2)
-    rep = ll.tile_diameter(3, samples=2000, seed=1)
-    assert rep.lower_bound_only
-    z = ZnTiling(3)
-    assert not z.tile_diameter(8).lower_bound_only
 
 
 class GroupedByShifts:
