@@ -10,7 +10,6 @@ hyperbolicity audits on finite graphs.
 __version__ = "0.1.0"
 
 from .errors import (
-    CapExceeded,
     DepthExhausted,
     NotApplicable,
     NotInTile,
@@ -33,7 +32,6 @@ from .groups import (
 
 __all__ = [
     "__version__",
-    "CapExceeded",
     "DepthExhausted",
     "NotApplicable",
     "NotInTile",

@@ -5,15 +5,15 @@ so Monte Carlo results are bit-for-bit reproducible and independent of
 evaluation order.  The mixer is SplitMix64, which is cheap, well
 distributed, and trivially portable.
 
-The Monte Carlo estimators run the same loop over these streams:
-:class:`SampleLoop` calls the estimator's ``draw(i)``, which derives sample
-i from (seed, i), for each index in order, counts the draws that hit a
-truncation (rewrite depth or carry window) and streams the sums of v and
-v^2 of the others.  The tail frequencies are the exception: they count
-rewrite depths that ``coupling`` computes a block of samples at a time.
+Every Monte Carlo estimator runs on one engine: :func:`sample_blocks`
+calls its ``draw_block(start, stop)`` on blocks of at most :data:`BLOCK`
+indices, one block alive at a time.  That is an array kernel, or
+:func:`per_sample` looping a scalar ``draw(i)``, with None for a truncated
+draw.  :class:`Moments` counts the Nones and sums v and v^2 of the rest
+in index order, so the block size never changes a result.
 
 :func:`derive_array` and :func:`randbelow_array` compute the same words
-over numpy ``uint64`` arrays, for that batched kernel: the arithmetic
+over numpy ``uint64`` arrays, for the array kernels: the arithmetic
 wraps mod 2^64 exactly as the masked Python ints do, and rejection runs
 on the array, one attempt counter at a time.
 Power-of-two ``n`` never rejects; ``n >= 2^64`` needs multi-word draws
@@ -32,6 +32,7 @@ from .errors import UsageError
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+BLOCK = 4096  # samples per engine block: an estimator's memory is flat in its sample count
 
 
 def mix64(z: int) -> int:
@@ -120,47 +121,50 @@ def randbelow_array(n: int, seeds, *counters) -> np.ndarray:
     return (v % np.uint64(n)).reshape(shape)
 
 
-def require_samples(samples: int) -> None:
+def sample_blocks(samples: int, draw_block):
+    """draw_block(start, stop) for consecutive blocks of at most BLOCK indices in [0, samples).
+
+    Lazy: a block is drawn when the caller asks for it.  Fewer than one
+    sample is a usage error, raised by this call before any draw.
+    """
     if samples < 1:
         raise UsageError(f"Monte Carlo needs samples >= 1, got {samples}")
+    return (draw_block(start, min(start + BLOCK, samples)) for start in range(0, samples, BLOCK))
 
 
-class SampleLoop:
-    """One pass over draw(0), ..., draw(samples - 1).
+def per_sample(draw, exhausted_by=()):
+    """The block function [draw(start), ..., draw(stop - 1)], None for a draw that raised exhausted_by."""
 
-    Iterating yields each draw's value, or None for a draw that raised
-    ``exhausted_by``; those draws are counted in ``exhausted`` and left out
-    of the sums behind ``mean`` and ``stderr``.  Fewer than one sample is a
-    usage error.
+    def draw_block(start: int, stop: int) -> list:
+        out = []
+        for i in range(start, stop):
+            try:
+                out.append(draw(i))
+            except exhausted_by:
+                out.append(None)
+        return out
+
+    return draw_block
+
+
+class Moments:
+    """Count, mean and stderr of a stream of blocks of values; a None value is an exhausted draw.
+
+    The sums of v and v^2 run over Python floats in index order: ``np.sum``
+    adds pairwise, which would move their last bits.
     """
 
-    def __init__(self, samples: int, draw, exhausted_by: type[Exception]):
-        require_samples(samples)
-        self.samples = samples
-        self.used = 0
-        self.exhausted = 0
-        self.total = 0.0
-        self.total_sq = 0.0
-        self._draw = draw
-        self._exhausted_by = exhausted_by
-
-    def __iter__(self):
-        for i in range(self.samples):
-            try:
-                v = self._draw(i)
-            except self._exhausted_by:
-                self.exhausted += 1
-                yield None
-                continue
-            self.used += 1
-            self.total += v
-            self.total_sq += v * v
-            yield v
-
-    def run(self) -> "SampleLoop":
-        for _ in self:
-            pass
-        return self
+    def __init__(self, blocks):
+        self.used = self.exhausted = 0
+        self.total = self.total_sq = 0.0
+        for block in blocks:
+            for v in block:
+                if v is None:
+                    self.exhausted += 1
+                else:
+                    self.used += 1
+                    self.total += v
+                    self.total_sq += v * v
 
     @property
     def mean(self) -> float:
@@ -181,3 +185,8 @@ def proportion(count: int, samples: int) -> tuple[float, float]:
     """The frequency count / samples and its plug-in binomial stderr."""
     p = count / samples
     return p, math.sqrt(p * (1 - p) / samples)
+
+
+def binomial_band(p: float, samples: int) -> float:
+    """Four binomial standard errors at the frequency p: the half-width of the tail audits' band."""
+    return 4 * math.sqrt(p * (1 - p) / samples)

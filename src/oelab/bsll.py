@@ -25,10 +25,9 @@ event of probability <= k^-bound per step).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from ._rng import SampleLoop, derive, proportion
+from ._rng import binomial_band, derive, per_sample, proportion, sample_blocks
 from .errors import UsageError, WindowExhausted
 from .groups import BaumslagSolitar, Lamplighter
 
@@ -178,14 +177,16 @@ class BsLamplighterCoupling:
         def draw(i):
             return self.move_distance("ll", g, self.point(derive(seed, i)))
 
-        loop = SampleLoop(samples, draw, WindowExhausted)
         counts = {M: 0 for M in Ms}
-        for d in loop:
-            # a carry past the window (d is None) certainly exceeds every threshold
-            if d is None or d >= lowest:
-                for M, thr in thresholds.items():
-                    if d is None or d >= thr:
-                        counts[M] += 1
+        exhausted = 0
+        for block in sample_blocks(samples, per_sample(draw, WindowExhausted)):
+            exhausted += block.count(None)
+            for d in block:
+                # a carry past the window (d is None) certainly exceeds every threshold
+                if d is None or d >= lowest:
+                    for M, thr in thresholds.items():
+                        if d is None or d >= thr:
+                            counts[M] += 1
         out = {}
         for M in Ms:
             freq, stderr = proportion(counts[M], samples)
@@ -198,7 +199,7 @@ class BsLamplighterCoupling:
                 freq=freq,
                 stderr=stderr,
                 bound=float(k) ** (1 - M),
-                exhausted=loop.exhausted,
+                exhausted=exhausted,
             )
         return out
 
@@ -221,4 +222,4 @@ class TailBoundReport:
 
         The plug-in stderr is one-sided: a high frequency widens its own band.
         """
-        return self.freq <= self.bound + 4 * math.sqrt(self.bound * (1 - self.bound) / self.samples)
+        return self.freq <= self.bound + binomial_band(self.bound, self.samples)

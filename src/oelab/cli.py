@@ -37,7 +37,7 @@ from dataclasses import asdict, replace
 from fractions import Fraction
 
 from . import __version__
-from ._rng import derive
+from ._rng import binomial_band, derive, per_sample, sample_blocks
 from .bsll import BsLamplighterCoupling
 from .coupling import (
     CylinderSet,
@@ -227,7 +227,7 @@ def cmd_couple_tail(args):
         # the band is 4 sigma at the exact p: the plug-in se is 0 whenever
         # no sample lands in a rare tail, which would leave no band at all
         p = float(exact)
-        within = abs(freq - p) <= 4 * math.sqrt(p * (1 - p) / args.samples) + 1e-12
+        within = abs(freq - p) <= binomial_band(p, args.samples) + 1e-12
         ok = ok and within
         rows.append((k, exact, freq, se))
         results.append({"k": k, "exact_tail": exact, "mc_freq": freq, "stderr": se, "within_4_stderr": within})
@@ -320,8 +320,6 @@ def cmd_profile(args):
 
 
 def cmd_wreath_check(args):
-    if args.samples < 1:
-        raise UsageError("wreath check needs --samples >= 1")
     bl, _, br = args.base.partition(",")
     ll_, _, lr = args.lamp.partition(",")
     base = MatchedCoupling(tiling_builtin(bl), tiling_builtin(br), max_depth=args.max_depth)
@@ -332,16 +330,19 @@ def cmd_wreath_check(args):
     for side in (1, 2):
         bgroup = W.base_group(side)
         lgroup = W.lamp_group(side)
-        base_pass = lamp_pass = 0
-        for i in range(args.samples):
-            P = W.point(derive(args.seed, side, i))
+
+        def draw(i):
             gen = bgroup.generators[i % len(bgroup.generators)]
-            if check_move_identities(W, side, WreathElement.pure_base(gen), P).matches:
-                base_pass += 1
             lam = lgroup.generators[i % len(lgroup.generators)]
+            P = W.point(derive(args.seed, side, i))
             Q = W.point(derive(args.seed, side + 2, i))
-            if check_move_identities(W, side, WreathElement.pure_lamp(bgroup, lam), Q).matches:
-                lamp_pass += 1
+            base_ok = check_move_identities(W, side, WreathElement.pure_base(gen), P).matches
+            return base_ok, check_move_identities(W, side, WreathElement.pure_lamp(bgroup, lam), Q).matches
+
+        base_pass = lamp_pass = 0
+        for block in sample_blocks(args.samples, per_sample(draw)):
+            base_pass += sum(base_ok for base_ok, _ in block)
+            lamp_pass += sum(lamp_ok for _, lamp_ok in block)
         results.append(
             {
                 "side": side,
@@ -513,7 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
     bt.add_argument("--g", required=True, help="bs element, e.g. bs:a=1,s=0,n=0")
     bt.add_argument("--M", type=int, required=True)
     bt.add_argument("--samples", type=int, default=1_000_000)
-    bt.add_argument("--cap", type=int, default=24, help="accepted and ignored: word lengths are exact")
     bt.set_defaults(fn=cmd_bsll_tail)
 
     prof = sub.add_parser("profile", parents=[common], help="isoperimetric profile search")

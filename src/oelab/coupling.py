@@ -15,16 +15,16 @@ Points are a finite prefix of letter indices plus a seeded tail, so a point
 of the infinite product is finitely representable and every estimate is
 reproducible from (seed, counters).
 
-The tail estimator reads rewrite depths in blocks through
-:meth:`TilingAction.depths`.  On left tilings with array hooks (the box
-tilings ``zn:N``, ``zn:N:grouped:M``, ``zblocks`` and ``zmatch``, and
-``heis``) it walks the levels over a whole block of samples in numpy
-int64, each level only after ``proven_bound`` has proved, with Python ints,
-that no value there reaches 2^62.  The samples still unresolved at the
-first level that fails the proof finish through the scalar :meth:`act`,
-and every other tiling runs :meth:`act` per sample.  The scalar ``act``
-stays in place as the oracle of the kernel: both give the same depth for
-every sample.
+The tail estimator reads rewrite depths one block of the sample engine
+(``_rng``) at a time through :meth:`TilingAction.depths`.  On left tilings
+with array hooks (the box tilings ``zn:N``, ``zn:N:grouped:M``,
+``zblocks`` and ``zmatch``, and ``heis``) it walks the levels over a
+whole block of samples in numpy int64, each level only after
+``proven_bound`` has proved, with Python ints, that no value there
+reaches 2^62.  The samples still unresolved at the first level that
+fails the proof finish through the scalar :meth:`act`, and every other
+tiling runs :meth:`act` per sample.  The scalar ``act`` stays in place
+as the oracle of the kernel: both give the same depth for every sample.
 """
 
 from __future__ import annotations
@@ -37,13 +37,12 @@ from typing import Sequence
 
 import numpy as np
 
-from ._rng import SampleLoop, derive, derive_array, proportion, randbelow, require_samples
+from ._rng import Moments, derive, derive_array, per_sample, proportion, randbelow, sample_blocks
 from .errors import DepthExhausted, UsageError
 from .tilings import TilingSequence
 
 DEFAULT_MAX_DEPTH = 32
 CHECK_LEVELS = 8  # letter counts compared up front; deeper levels as acts reach them
-DEPTH_BLOCK = 4096  # samples per pass of the rewrite-depth kernel: its memory is flat in N
 
 
 @dataclass(frozen=True)
@@ -99,9 +98,10 @@ class IntegrabilityGauge:
     def from_spec(cls, spec: str) -> "IntegrabilityGauge":
         kind, colon, param = spec.partition(":")
         try:
-            return cls(kind, float(param) if colon else None)
+            value = float(param) if colon else None
         except ValueError:
             raise UsageError(f"bad gauge spec {spec!r}") from None
+        return cls(kind, value)
 
     def __call__(self, t: float) -> float:
         # arguments can be huge exact integers (tile radii); saturate to inf
@@ -178,8 +178,8 @@ class TilingAction:
 
         A point that exhausts max_depth gets max_depth + 1, beyond every
         tested k.  Equal, sample for sample, to act (see the module notes).
-        Its arrays hold a few values per seed, so callers pass one block of
-        DEPTH_BLOCK seeds at a time to keep memory flat.
+        Its arrays hold a few values per seed, so callers pass one engine
+        block of seeds at a time to keep memory flat.
         """
         t = self.tiling
         seeds = np.asarray(tail_seeds, dtype=np.uint64)
@@ -204,25 +204,8 @@ class TilingAction:
             active, prod = active[~hit], prod[~hit]
         return depth
 
-    def stabilization_depth(self, gamma, x: CouplingPoint) -> int:
-        """rho(gamma.x, x): first index beyond which all coordinates agree.
-
-        At the first rewrite depth n the n-th coordinate provably changes
-        (otherwise the rewrite would already have happened at depth n-1), so
-        rho = n + 1 whenever gamma.x != x.  The tile-measure tail law is
-        therefore phrased in terms of rewrite depth: mu({rewrite depth > k})
-        equals |T_k \\ gamma^-1 T_k| / |T_k|, which is what exact_tail and
-        mc_tail_frequencies compute.
-        """
-        y, n = self.act(gamma, x)
-        rho = 0
-        for k in range(n + 1):
-            if self.coordinate(y, k) != self.coordinate(x, k):
-                rho = k + 1
-        return rho
-
     def exact_tail(self, gamma, k: int) -> Fraction:
-        """Exact mu({x : rho(gamma.x, x) > k}) = |T_k \\ gamma^-1 T_k| / |T_k|.
+        """Exact mu({rewrite depth of gamma > k}) = |T_k \\ gamma^-1 T_k| / |T_k|.
 
         Right-oriented tilings rewrite h_k(x) gamma^-1, so their tail set is
         |T_k \\ T_k gamma| and the closed form is queried at gamma^-1.
@@ -319,7 +302,7 @@ def mc_integrability(
         lam, _, _ = coupling.transfer_cocycle(which, gamma, CouplingPoint((), derive(seed, i)))
         return gauge(partner.group.word_length(lam))
 
-    loop = SampleLoop(samples, draw, DepthExhausted).run()
+    loop = Moments(sample_blocks(samples, per_sample(draw, DepthExhausted)))
 
     depth = coupling.max_depth if strata_depth is None else strata_depth
     acting = coupling.side(which).tiling
@@ -363,13 +346,11 @@ def mc_tail_frequencies(
     serves all k.  Every k must be at most action.max_depth: the depth of
     a sample that exhausts max_depth is known only to exceed max_depth.
     """
-    require_samples(samples)
+    blocks = sample_blocks(samples, lambda a, b: action.depths(gamma, derive_array(seed, np.arange(a, b))))
     if max(ks, default=0) > action.max_depth:
         raise UsageError(f"tail k={max(ks)} exceeds max_depth={action.max_depth}")
     counts = {k: 0 for k in ks}
-    for start in range(0, samples, DEPTH_BLOCK):
-        seeds = derive_array(seed, np.arange(start, min(start + DEPTH_BLOCK, samples)))
-        depths = action.depths(gamma, seeds)
+    for depths in blocks:
         for k in counts:
             counts[k] += int(np.count_nonzero(depths > k))
     return {k: proportion(c, samples) for k, c in counts.items()}
@@ -462,7 +443,7 @@ def return_time_density(
                 count += 1
         return count / V
 
-    loop = SampleLoop(samples, draw, DepthExhausted).run()
+    loop = Moments(sample_blocks(samples, per_sample(draw)))
     return ReturnTimeReport(
         lhs=mu * loop.mean,
         lhs_stderr=mu * loop.stderr,

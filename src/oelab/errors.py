@@ -25,9 +25,6 @@ class ResourceExhausted(RuntimeError):
         self.progress = progress
 
 
-CapExceeded = ResourceExhausted  # the old name: word lengths no longer have a radius cap
-
-
 class TilingViolation(RuntimeError):
     """Two letter products collided, so the tiling condition fails at level k."""
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from ._rng import SampleLoop, derive
+from ._rng import Moments, derive, per_sample, sample_blocks
 from .coupling import CouplingPoint, IntegrabilityGauge, MatchedCoupling, mc_integrability
 from .errors import DepthExhausted, ResourceExhausted, TruncationError, UsageError
 from .groups import Group
@@ -236,7 +236,7 @@ def induced_gradient_check(
             fx[gamma] = v
         return _gradient_power_sum(grp, fx, "left", p)
 
-    loop = SampleLoop(n_samples, draw, DepthExhausted).run()
+    loop = Moments(sample_blocks(n_samples, per_sample(draw, DepthExhausted)))
     if loop.used == 0:
         raise DepthExhausted(coupling.max_depth)
     mean = loop.mean

@@ -43,12 +43,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import groups
-from ._rng import randbelow, randbelow_array
+from ._rng import randbelow, randbelow_array, sample_blocks
 from .errors import NotInTile, ResourceExhausted, TilingViolation, UsageError
 
 DEFAULT_TILE_BUDGET = 4_000_000
 INT64_SAFE = 1 << 62  # array hooks run only where int64_bound proves values stay below this
-_DRAW_BLOCK = 8192  # letter-index draws per array in the sampled diameter: two per pair
 
 
 class Orientation(Enum):
@@ -250,17 +249,16 @@ class TilingSequence:
             return DiameterReport(k, value, False, self.claimed_radius(k))
         if mode != "sampled":
             raise UsageError(f"diameter mode must be exact|sampled, got {mode!r}")
-        if samples < 1:
-            raise UsageError("sampled diameter needs samples >= 1")
         mul, inv, length = self.group.multiply, self.group.inverse, self.group.word_length
-        # pair i joins the points drawn at counters 2i and 2i + 1
-        best = 0
-        for start in range(0, 2 * samples, _DRAW_BLOCK):
-            counters = np.arange(start, min(start + _DRAW_BLOCK, 2 * samples))
+
+        def pairs(start, stop):
+            # pair i joins the points drawn at counters 2i and 2i + 1
+            counters = np.arange(2 * start, 2 * stop)
             levels = [self.random_letter_indices(j, seed, counters).tolist() for j in range(k + 1)]
             points = map(self.prefix_product, zip(*levels))
-            best = max(best, max(length(mul(inv(u), v)) for u, v in zip(points, points)))
-        return DiameterReport(k, best, True, self.claimed_radius(k))
+            return max(length(mul(inv(u), v)) for u, v in zip(points, points))
+
+        return DiameterReport(k, max(sample_blocks(samples, pairs)), True, self.claimed_radius(k))
 
     def _exact_diameter(self, k: int) -> int:
         tile = self.build_tiles(k)[k]
@@ -737,6 +735,8 @@ def builtin(spec: str) -> TilingSequence:
             return ZBlocksTiling(sizes, name=spec)
         elif parts[0] == "cyclic" and len(parts) == 2:
             return FiniteCyclicTiling(int(parts[1]))
+    except UsageError:
+        raise  # a constructor's own reason
     except ValueError:
         raise UsageError(f"bad tiling spec: {spec!r}") from None
     raise UsageError(f"unknown tiling spec: {spec!r}")

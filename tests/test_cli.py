@@ -511,6 +511,11 @@ _OUT_OF_RANGE = [
     ("couple integrate --gauge identity:abc", ["couple", "integrate", *_COUPLE, "--gamma", "zn:1,0", "--gauge", "identity:abc", "--samples", "20"]),
     ("couple integrate --gauge power:nan", ["couple", "integrate", *_COUPLE, "--gamma", "zn:1,0", "--gauge", "power:nan", "--samples", "20"]),
     ("couple integrate --gauge exp:inf", ["couple", "integrate", *_COUPLE, "--gamma", "zn:1,0", "--gauge", "exp:inf", "--samples", "20"]),
+    # every --samples below 1 stops in the sample engine
+    ("wreath check --samples 0", ["wreath", "check", "--base", "zn:2,zn:1:grouped:2", "--lamp", "cyclic:3,cyclic:3", "--samples", "0"]),
+    ("couple return-time --samples 0", ["couple", "return-time", *_COUPLE, "--x0", "0;1", "--samples", "0"]),
+    # an option that was parsed and ignored
+    ("bs-ll tail --cap", ["bs-ll", "tail", "--k", "2", "--g", "bs:a=1,s=0,n=0", "--M", "3", "--samples", "20", "--cap", "24"]),
 ]
 
 
@@ -522,6 +527,23 @@ def test_out_of_range_argument_is_a_usage_error(capsys, tmp_path, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and "usage error" in err
     assert out == ""
+
+
+_REASONS = [
+    # a constructor's own reason passes through; text that does not parse gets the generic one
+    (["tiling", "verify", "--builtin", "zblocks:3,0,2", "--k", "0"], "letter counts must be >= 1"),
+    (["tiling", "verify", "--builtin", "zn:x", "--k", "0"], "bad tiling spec: 'zn:x'"),
+    (["couple", "integrate", *_COUPLE, "--gamma", "zn:1,0", "--gauge", "power:0", "--samples", "20"], "power gauge needs p > 0"),
+    (["couple", "integrate", *_COUPLE, "--gamma", "zn:1,0", "--gauge", "power:x", "--samples", "20"], "bad gauge spec 'power:x'"),
+    (["tiling", "verify", "--builtin", "zn:1", "--k", "1", "--samples", "-2"], "Monte Carlo needs samples >= 1, got -2"),
+]
+
+
+@pytest.mark.parametrize("argv,reason", _REASONS, ids=[r for _, r in _REASONS])
+def test_a_usage_error_states_its_reason(capsys, argv, reason):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"usage error: {reason}\n"
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["couple", "tail", "--help"]])

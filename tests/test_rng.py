@@ -1,7 +1,27 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oelab._rng import _MASK, derive, derive_array, randbelow, randbelow_array
+from oelab import _rng
+from oelab._rng import _MASK, Moments, derive, derive_array, per_sample, randbelow, randbelow_array, sample_blocks
+from oelab.bsll import BsLamplighterCoupling
+from oelab.coupling import (
+    CylinderSet,
+    IntegrabilityGauge,
+    MatchedCoupling,
+    TilingAction,
+    mc_integrability,
+    mc_tail_frequencies,
+    return_time_density,
+)
+from oelab.errors import UsageError
+from oelab.functional import FiniteSupportFunction, induced_gradient_check
+from oelab.groups import ZN
+from oelab.tilings import LamplighterTiling, ZnGroupedTiling, ZnTiling, builtin
 
 N = 100_000
 
@@ -89,3 +109,86 @@ def test_randbelow_array_rejects_exactly_from_the_limit(n):
     got = randbelow_array(n, seeds, 3)
     assert [int(v) for v in got] == [randbelow(n, int(s), 3) for s in seeds]
     assert int(got[0]) == (limit - 1) % n  # the last accepted word
+
+
+def test_sample_blocks_is_lazy_and_checks_samples_first(monkeypatch):
+    monkeypatch.setattr(_rng, "BLOCK", 4)
+    calls = []
+    blocks = sample_blocks(10, lambda a, b: calls.append((a, b)) or (a, b))
+    assert calls == []
+    assert next(blocks) == (0, 4) and calls == [(0, 4)]
+    assert list(blocks) == [(4, 8), (8, 10)]
+    for samples in (0, -2):
+        with pytest.raises(UsageError):
+            sample_blocks(samples, lambda a, b: calls.append((a, b)))
+    assert calls == [(0, 4), (4, 8), (8, 10)]
+
+
+def test_per_sample_gives_none_only_for_the_exhausted_type():
+    def draw(i):
+        if i % 2:
+            raise KeyError(i)
+        return i / 2
+
+    assert per_sample(draw, KeyError)(0, 4) == [0.0, None, 1.0, None]
+    with pytest.raises(KeyError):
+        per_sample(draw)(0, 4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.one_of(st.none(), st.floats(-1e6, 1e6)), max_size=6), max_size=6))
+def test_moments_sums_in_index_order(blocks):
+    # the oracle: one plain loop over the draws in index order
+    used = exhausted = 0
+    total = total_sq = 0.0
+    for v in itertools.chain.from_iterable(blocks):
+        if v is None:
+            exhausted += 1
+        else:
+            used += 1
+            total += v
+            total_sq += v * v
+    m = Moments(iter(blocks))
+    assert (m.used, m.exhausted) == (used, exhausted)
+    assert repr((m.total, m.total_sq)) == repr((total, total_sq))
+    mean = total / used if used else math.nan
+    var = max(0.0, (total_sq - used * mean * mean) / (used - 1)) if used > 1 else 0.0
+    assert repr((m.mean, m.stderr)) == repr((mean, math.sqrt(var / used) if used > 1 else 0.0))
+
+
+def _shallow_llz():
+    # max depth 2: about one act in eight exhausts it
+    return MatchedCoupling(LamplighterTiling(2), builtin("zmatch:ll:2"), max_depth=2)
+
+
+# each run truncates some of its draws (rewrite depth or carry window)
+_ENGINE_RUNS = {
+    "mc_integrability": lambda: mc_integrability(
+        _shallow_llz(), "left", ((), 1), IntegrabilityGauge.power(1.0), 20, 3
+    ),
+    "return_time_density": lambda: return_time_density(
+        _shallow_llz().left, CylinderSet(1, frozenset({(0,), (1,)})), 1, 10, 4
+    ),
+    "induced_gradient_check": lambda: induced_gradient_check(
+        MatchedCoupling(ZnTiling(2), ZnGroupedTiling(1, 2), max_depth=1),
+        "left", FiniteSupportFunction(ZN(1), {(0,): 1.0, (3,): -1.0}), 2, 30, 6,
+    ),
+    "tail_bound_sweep": lambda: BsLamplighterCoupling(2, carry_bound=1).tail_bound_sweep(
+        (1, 0, 0), [2, 3], 40, 5
+    ),
+    "mc_tail_frequencies, array kernel": lambda: mc_tail_frequencies(
+        TilingAction(ZnTiling(2), 3), (1, 0), range(4), 20, 7
+    ),
+    "mc_tail_frequencies, scalar act": lambda: mc_tail_frequencies(
+        _shallow_llz().left, ((), 1), range(3), 20, 8
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_ENGINE_RUNS))
+def test_block_size_changes_no_result(monkeypatch, name):
+    # the sampled diameter has its own case in test_sampled_diameter_matches_per_point_draws
+    run = _ENGINE_RUNS[name]
+    default = repr(run())
+    monkeypatch.setattr(_rng, "BLOCK", 3)
+    assert repr(run()) == default

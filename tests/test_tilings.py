@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-import oelab.tilings
+from oelab import _rng
 from oelab.errors import NotInTile, ResourceExhausted, TilingViolation, UsageError
 from oelab.tilings import (
     INT64_SAFE,
@@ -528,10 +528,10 @@ _DIAMETER_CASES = [
 ]
 
 
-@pytest.mark.parametrize("block", [6, oelab.tilings._DRAW_BLOCK])
+@pytest.mark.parametrize("draws", [6, 2 * _rng.BLOCK])  # letter-index draws per engine block, two per pair
 @pytest.mark.parametrize("spec,k", _DIAMETER_CASES, ids=[f"{s}-k{k}" for s, k in _DIAMETER_CASES])
-def test_sampled_diameter_matches_per_point_draws(monkeypatch, spec, k, block):
-    monkeypatch.setattr(oelab.tilings, "_DRAW_BLOCK", block)  # 6: pairs cross block edges
+def test_sampled_diameter_matches_per_point_draws(monkeypatch, spec, k, draws):
+    monkeypatch.setattr(_rng, "BLOCK", draws // 2)  # 6: 7 and 40 pairs span several blocks
     t = builtin(spec)
     for samples, seed in ((1, 0), (7, 11), (40, -3)):
         rep = t.tile_diameter(k, mode="sampled", samples=samples, seed=seed)

@@ -64,3 +64,33 @@ def test_tracer_patches_every_name_it_wraps(tracing, monkeypatch):
         tracer.remove()
     assert _rng.derive is derive
     assert "__wrapped__" not in vars(oelab.coupling.mc_tail_frequencies)
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    """The benchmark's modules, imported as its own tests import them."""
+    monkeypatch.syspath_prepend(str(TRACING.parent))
+    monkeypatch.setenv("OELAB_BUDGET_MB", "1024")  # as perfbench/run.py sets it
+    import checks
+    import tracing
+    import workloads
+
+    return checks, tracing, workloads
+
+
+@pytest.mark.parametrize("workload", ["coupling-mc", "bsll-tail", "hyp-graphs", "exact-cli"])
+def test_a_traced_pass_meets_the_benchmark_predictions(bench, workload):
+    # a traced benchmark run fails on any of these, even with every reference matched
+    checks, tracing, workloads = bench
+    variant = 1
+    inputs = workloads.WORKLOADS[workload][0](variant)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        done = workloads.run_pass(workload, inputs, {})
+    finally:
+        tracer.remove()
+    assert checks.failures(done.ops, checks.load_references(workload, variant)) == []
+    metrics = tracer.metrics(done.counts)
+    assert [k for k in tracing.BUSY[workload] if not metrics[k] > 0] == []
+    assert [k for k in tracing.IDLE[workload] if metrics[k] != 0] == []
