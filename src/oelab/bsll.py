@@ -86,22 +86,18 @@ def ll_act(group: Lamplighter, g, x: BiInfinitePoint) -> tuple[BiInfinitePoint, 
     return y, changes
 
 
-def bs_act(
-    group: BaumslagSolitar,
-    g,
-    x: BiInfinitePoint,
-    carry_bound: int = DEFAULT_CARRY_BOUND,
-) -> tuple[BiInfinitePoint, dict[int, int]]:
+def bs_act(group: BaumslagSolitar, g, x: BiInfinitePoint) -> tuple[BiInfinitePoint, dict[int, int]]:
     """(a/k^s, n) . x = a/k^s + k^-n x: shift, then the k-adic odometer.
 
     Returns the new point and its digit changes: each position whose digit
     the carry changed mapped to new - old, in carry order.  The carry walks
-    rightward; if it survives past carry_bound positions the call raises
-    WindowExhausted rather than fabricating a tail.
+    rightward; if it survives past DEFAULT_CARRY_BOUND positions the call
+    raises WindowExhausted rather than fabricating a tail.
     """
     if group.k != x.k:
         raise UsageError("scale k does not match the point alphabet")
     a, s, n = g
+    bound = DEFAULT_CARRY_BOUND
     y = x.shifted(-n)
     changes = {}
     k = y.k
@@ -109,9 +105,9 @@ def bs_act(
     cur = a
     start = pos
     while cur != 0:
-        if pos - start > carry_bound + abs(a).bit_length():
+        if pos - start > bound + abs(a).bit_length():
             raise WindowExhausted(
-                f"carry ran past {carry_bound} positions (all digits k-1)"
+                f"carry ran past {bound} positions (all digits k-1)"
             )
         old = y.value(pos)
         t = old + cur
@@ -133,11 +129,10 @@ def bs_element(group: BaumslagSolitar, changes: dict[int, int], n: int):
 class BsLamplighterCoupling:
     """The shared-orbit actions of Z/kZ wr Z and BS(1,k) on prod_Z Z/kZ."""
 
-    def __init__(self, k: int, carry_bound: int = DEFAULT_CARRY_BOUND):
+    def __init__(self, k: int):
         self.k = k
         self.lamplighter = Lamplighter(k)
         self.bs = BaumslagSolitar(k)
-        self.carry_bound = carry_bound
 
     def point(self, seed: int, assignments: dict | None = None) -> BiInfinitePoint:
         x = BiInfinitePoint(self.k, seed)
@@ -154,7 +149,7 @@ class BsLamplighterCoupling:
         ``side_metric`` is "ll" or "bs"; g belongs to the *other* group.
         """
         if side_metric == "ll":
-            _, changes = bs_act(self.bs, g, x, self.carry_bound)
+            _, changes = bs_act(self.bs, g, x)
             return self.lamplighter.word_length(self.lamplighter.make(changes, -g[2]))
         if side_metric == "bs":
             _, changes = ll_act(self.lamplighter, g, x)

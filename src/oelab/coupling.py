@@ -226,17 +226,16 @@ class MatchedCoupling:
         self.left = TilingAction(left, max_depth)
         self.right = TilingAction(right, max_depth)
         self.max_depth = max_depth
-        self._checked = -1
-        self._check_match(min(CHECK_LEVELS, max_depth))
+        self._check_match(0, min(CHECK_LEVELS, max_depth))
 
-    def _check_match(self, upto: int) -> None:
-        for k in range(self._checked + 1, upto + 1):
+    def _check_match(self, lo: int, hi: int) -> None:
+        """Equal letter counts at levels lo to hi."""
+        for k in range(lo, hi + 1):
             if self.left.tiling.letter_count(k) != self.right.tiling.letter_count(k):
                 raise UsageError(
                     f"letter counts differ at level {k}: "
                     f"{self.left.tiling.name} vs {self.right.tiling.name}"
                 )
-        self._checked = max(self._checked, upto)
 
     def side(self, which: str) -> TilingAction:
         if which == "left":
@@ -251,7 +250,7 @@ class MatchedCoupling:
     def act(self, which: str, gamma, x: CouplingPoint) -> tuple[CouplingPoint, int]:
         side = self.side(which)
         y, n = side.act(gamma, x)
-        self._check_match(n)
+        self._check_match(CHECK_LEVELS + 1, n)
         return y, n
 
     def transfer_cocycle(self, which: str, gamma, x: CouplingPoint):

@@ -96,21 +96,25 @@ class Group:
 
     # -- balls, spheres and growth -----------------------------------------
 
-    def ball(self, radius: int, budget: int = DEFAULT_BALL_BUDGET) -> set:
+    def ball(self, radius: int) -> set:
         """The exact ball B(e, radius) as a set of normal forms."""
-        return set().union(*self._spheres(radius, budget))
+        return set().union(*self._spheres(radius))
 
-    def growth(self, radius: int, budget: int = DEFAULT_BALL_BUDGET) -> int:
+    def growth(self, radius: int) -> int:
         """|B(e, radius)|, by BFS layer counting."""
-        return sum(len(layer) for layer in self._spheres(radius, budget))
+        return sum(len(layer) for layer in self._spheres(radius))
 
-    def sphere(self, radius: int, budget: int = DEFAULT_BALL_BUDGET) -> set:
-        return self._spheres(radius, budget)[radius]
+    def sphere(self, radius: int) -> set:
+        return self._spheres(radius)[radius]
 
-    def _spheres(self, radius: int, budget: int) -> list[set]:
-        """Spheres 0..radius by one BFS; past budget elements, ResourceExhausted at the last radius."""
+    def _spheres(self, radius: int) -> list[set]:
+        """Spheres 0..radius by one BFS.
+
+        Past DEFAULT_BALL_BUDGET elements, ResourceExhausted at the last radius.
+        """
         if radius < 0:
             raise UsageError(f"radius must be >= 0, got {radius}")
+        budget = DEFAULT_BALL_BUDGET
         layers, seen = [{self.identity}], {self.identity}
         while len(layers) <= radius:
             new = {self.multiply(g, s) for g in layers[-1] for s in self.generators}

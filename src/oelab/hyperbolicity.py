@@ -29,6 +29,8 @@ from .groups import Group
 
 DEFAULT_MATRIX_BUDGET_MB = 1024
 CONTRACTION_FLOOR = Fraction(1, 2 * 17820)  # the least contraction a the fat-cycle self-audit accepts
+FOUR_POINT_MAX_VERTICES = 200
+SAMPLED_TRIANGLES = 4_000  # triples the fat-triangle search samples when the tensor exceeds its budget
 
 
 def _check_budget(what: str, need: float, budget_mb: float, n: int) -> None:
@@ -39,7 +41,7 @@ def _check_budget(what: str, need: float, budget_mb: float, n: int) -> None:
 class MetricGraph:
     """A finite connected graph with its all-pairs distance matrix."""
 
-    def __init__(self, n: int, edges, labels: list | None = None):
+    def __init__(self, n: int, edges):
         if n < 1:
             raise UsageError("graph needs at least one vertex")
         self.n = n
@@ -51,7 +53,6 @@ class MetricGraph:
                 adj[u].add(v)
                 adj[v].add(u)
         self.adj = [sorted(a) for a in adj]
-        self.labels = labels
         self.dist = self._all_pairs()
 
     def _all_pairs(self) -> np.ndarray:
@@ -147,7 +148,7 @@ class MetricGraph:
                 j = index.get(h)
                 if j is not None:
                     edges.append((index[g], j))
-        return cls(len(elements), edges, labels=elements)
+        return cls(len(elements), edges)
 
     # -- geometry ------------------------------------------------------------
 
@@ -298,16 +299,17 @@ def rips_delta(
     return Fraction(best), wit
 
 
-def four_point_delta(G: MetricGraph, budget: int = 100_000_000) -> Fraction:
+def four_point_delta(G: MetricGraph) -> Fraction:
     """Gromov four-point condition: max defect / 2 over all quadruples.
 
     The defect of a quadruple is at most min(d(a,b), d(c,d)) for its pairing
     (a,b), (c,d) with the largest sum, so pairs are visited in order of
     decreasing d(a,b) and the scan stops once d(a,b) <= the best defect.
+    Graphs of more than FOUR_POINT_MAX_VERTICES vertices are refused.
     """
     n = G.n
-    if n**4 > budget * 16:
-        raise ResourceExhausted(f"|V|^4 = {n**4} too large for four-point scan")
+    if n > FOUR_POINT_MAX_VERTICES:
+        raise ResourceExhausted(f"|V| = {n} > {FOUR_POINT_MAX_VERTICES}: too large for four-point scan")
     D = G.dist
     best = 0
     for k, a, b in _pairs_by_distance(D, max(1, BLOCK_CELLS // (n * n))):
@@ -378,13 +380,6 @@ def cycle_contraction_bound(delta: float, n: float, b: float = 1.0) -> float:
     return (4 * delta * math.log2(b * n) + 4 + 2 * b) / n
 
 
-def log_form_bound(delta: float, n: float) -> float:
-    """The simplified large-n form 12 delta log(n) / n (natural log)."""
-    if n < 2 or delta < 0:
-        raise UsageError("need n >= 2, delta >= 0")
-    return 12 * delta * math.log(n) / n
-
-
 @dataclass
 class PathAuditReport:
     max_defect: int
@@ -397,9 +392,7 @@ class PathAuditReport:
         return self.max_defect <= self.bound + 1e-9
 
 
-def geodesic_stability_check(
-    G: MetricGraph, path: list[int], delta: Fraction | None = None
-) -> PathAuditReport:
+def geodesic_stability_check(G: MetricGraph, path: list[int], delta: Fraction) -> PathAuditReport:
     """Every interval point between the path's endpoints is close to the path.
 
     Checks max over y in I(x1, x2) of d(y, path) against delta*log2(len)+1.
@@ -407,8 +400,6 @@ def geodesic_stability_check(
     if len(path) < 2:
         raise UsageError("path needs at least 2 vertices")
     _require_walk(G, path, "path")
-    if delta is None:
-        delta = rips_delta(G)
     ell = len(path) - 1
     dp = G.dist_to_set(set(path))
     I = np.flatnonzero(G.interval(path[0], path[-1]))
@@ -489,10 +480,7 @@ def _thinness_sampled(G: MetricGraph, trials: int, seed: int) -> ThinnessWitness
 
 
 def extract_fat_cycle(
-    G: MetricGraph,
-    budget_mb: int = DEFAULT_MATRIX_BUDGET_MB,
-    sample_trials: int = 4000,
-    seed: int = 0,
+    G: MetricGraph, budget_mb: int = DEFAULT_MATRIX_BUDGET_MB, seed: int = 0
 ) -> FatCycleResult:
     """Construct a long cycle of bounded distortion from a fattest triangle.
 
@@ -506,13 +494,13 @@ def extract_fat_cycle(
     only guarantees.
 
     The triangle search is exact while the interval tensor fits the memory
-    budget; beyond that it falls back to sampled triples, and the reported
-    delta is then a lower bound for the thinness constant.
+    budget; beyond that it falls back to SAMPLED_TRIANGLES sampled triples,
+    and the reported delta is then a lower bound for the thinness constant.
     """
     try:
         delta, wit = rips_delta(G, budget_mb, witness=True)
     except ResourceExhausted:
-        wit = _thinness_sampled(G, sample_trials, seed)
+        wit = _thinness_sampled(G, SAMPLED_TRIANGLES, seed)
         delta = Fraction(wit.defect)
     if delta == 0:
         raise NotApplicable("graph is 0-thin (a tree-like interval structure)")
@@ -526,23 +514,15 @@ def extract_fat_cycle(
     du = G.dist_to_set(union)
     thr = min_cycle_length(D)
     xi = side_ab.index(x)
-    # walk from x toward each endpoint until the distance to the union
-    # drops to the threshold; the walk starts at distance D
-    def first_below(idxs):
-        prev = x
-        for i in idxs:
-            v = side_ab[i]
-            if du[v] <= thr:
-                return v
-            prev = v
-        return prev
-
-    xa = first_below(range(xi, -1, -1))
-    xb = first_below(range(xi, len(side_ab)))
+    # walk from x toward each endpoint until the distance to the union drops
+    # to the threshold; the walk starts at distance D and the endpoints a and
+    # b lie on the union, so both walks stop
+    ia = next(i for i in range(xi, -1, -1) if du[side_ab[i]] <= thr)
+    ib = next(i for i in range(xi, len(side_ab)) if du[side_ab[i]] <= thr)
+    xa, xb = side_ab[ia], side_ab[ib]
     ya = union[int(np.argmin([G.dist[xa, u] for u in union]))]
     yb = union[int(np.argmin([G.dist[xb, u] for u in union]))]
     # quadrilateral xa -> xb along the fat side, then back through the union
-    ia, ib = side_ab.index(xa), side_ab.index(xb)
     fat_part = side_ab[ia : ib + 1]
     walk = _path_concat(
         [

@@ -26,8 +26,8 @@ methods are the oracles.  The sampled ``tile_diameter`` draws each level's
 letter indices as one array, as ``depths`` does, and multiplies per point.
 
 A box tiling's ``_levels`` list grows level by level on demand and ``grow``
-is cached on first use; with a coupling's checked-level counter and a
-wreath point's realized lamps, that is all oelab changes after construction.
+is cached on first use; with a wreath point's realized lamps, that is all
+oelab changes after construction.
 oelab is single-threaded: share a tiling, coupling or point under a lock.
 """
 
@@ -221,7 +221,7 @@ class TilingSequence:
             yield rows, bound
             prev = rows
 
-    def folner_constant(self, k: int) -> "FolnerReport":
+    def folner_constant(self, k: int) -> "ClaimReport":
         """max over generators s of the exact boundary ratio of T_k.
 
         Left orientation measures |T_k \\ s T_k| / |T_k|; right orientation
@@ -229,15 +229,10 @@ class TilingSequence:
         construction is stated in).
         """
         # |T \ sT| = #{t in T : s^-1 t not in T} = escape fraction of s^-1
-        per_gen = {s: self.escape_fraction(self.group.inverse(s), k) for s in self.group.generators}
-        return FolnerReport(
-            k=k,
-            value=max(per_gen.values()),
-            per_generator=per_gen,
-            claimed=self.claimed_epsilon(k),
-        )
+        value = max(self.escape_fraction(self.group.inverse(s), k) for s in self.group.generators)
+        return ClaimReport(value, self.claimed_epsilon(k))
 
-    def tile_diameter(self, k: int, mode: str, samples: int = 100_000, seed: int = 0) -> "DiameterReport":
+    def tile_diameter(self, k: int, mode: str, samples: int = 100_000, seed: int = 0) -> "ClaimReport":
         """Diameter of T_k in the word metric, in one of two modes.
 
         "exact" is the maximum over all pairs of T_k (a closed form for the
@@ -245,8 +240,7 @@ class TilingSequence:
         over ``samples`` seeded pairs, a lower bound.
         """
         if mode == "exact":
-            value = self._exact_diameter(k)
-            return DiameterReport(k, value, False, self.claimed_radius(k))
+            return ClaimReport(self._exact_diameter(k), self.claimed_radius(k))
         if mode != "sampled":
             raise UsageError(f"diameter mode must be exact|sampled, got {mode!r}")
         mul, inv, length = self.group.multiply, self.group.inverse, self.group.word_length
@@ -258,7 +252,7 @@ class TilingSequence:
             points = map(self.prefix_product, zip(*levels))
             return max(length(mul(inv(u), v)) for u, v in zip(points, points))
 
-        return DiameterReport(k, max(sample_blocks(samples, pairs)), True, self.claimed_radius(k))
+        return ClaimReport(max(sample_blocks(samples, pairs)), self.claimed_radius(k))
 
     def _exact_diameter(self, k: int) -> int:
         tile = self.build_tiles(k)[k]
@@ -294,28 +288,16 @@ def _first_duplicate(items):
         seen[x] = i
 
 
-class _Claimed:
+@dataclass
+class ClaimReport:
     """A computed ``value`` beside the ``claimed`` bound of the construction."""
+
+    value: Fraction | int
+    claimed: Fraction | int
 
     @property
     def within_claim(self) -> bool:
         return self.value <= self.claimed
-
-
-@dataclass
-class FolnerReport(_Claimed):
-    k: int
-    value: Fraction
-    per_generator: dict
-    claimed: Fraction
-
-
-@dataclass
-class DiameterReport(_Claimed):
-    k: int
-    value: int
-    lower_bound_only: bool
-    claimed: int
 
 
 # ---------------------------------------------------------------------------

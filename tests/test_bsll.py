@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from oelab import bsll
 from oelab._rng import derive
 from oelab.bsll import (
     BiInfinitePoint,
@@ -155,9 +156,9 @@ def test_changes_match_a_brute_force_window(k):
         digits.update({i: run for i in range(start, start + rng.randrange(1, 7))})
         x = C.point(rng.getrandbits(50), digits)
         a, s, n = g = C.bs.make(rng.randrange(-30, 31), rng.randrange(0, 3), rng.randrange(-2, 3))
-        y, changes = bs_act(C.bs, g, x, C.carry_bound)
+        y, changes = bs_act(C.bs, g, x)
         # bs_act raises before its carry passes the end of this window
-        reach = range(-s, -s + C.carry_bound + abs(a).bit_length() + 1)
+        reach = range(-s, -s + bsll.DEFAULT_CARRY_BOUND + abs(a).bit_length() + 1)
         assert changes == _nonzero_diffs(y, x.shifted(-n), reach), (g, digits)
         assert list(changes) == sorted(changes)  # carry order
         lamps = {i: rng.randrange(1, k) for i in rng.sample(range(-4, 5), rng.randrange(4))}
@@ -230,11 +231,11 @@ def test_carry_length_geometric_law(c2, c3):
             assert abs(cnt / N - expect) <= 5 * se + 1e-3, (k, t, cnt / N, expect)
 
 
-def test_window_exhausted(c2):
-    tight = BsLamplighterCoupling(2, carry_bound=3)
-    x = tight.point(1, {i: 1 for i in range(0, 10)})
+def test_window_exhausted(c2, monkeypatch):
+    monkeypatch.setattr(bsll, "DEFAULT_CARRY_BOUND", 3)
+    x = c2.point(1, {i: 1 for i in range(0, 10)})
     with pytest.raises(WindowExhausted):
-        bs_act(tight.bs, (1, 0, 0), x, carry_bound=3)
+        bs_act(c2.bs, (1, 0, 0), x)
 
 
 def test_tail_bound_sweep_passes_and_thresholds(c2):
@@ -263,9 +264,9 @@ def test_side_metric_validation(c2):
         c2.move_distance("nope", (1, 0, 0), c2.point(1))
 
 
-def test_window_exhausted_samples_exceed_every_threshold():
-    tight = BsLamplighterCoupling(2, carry_bound=2)
-    reps = tight.tail_bound_sweep((1, 0, 0), range(2, 9), 2000, 3)
+def test_window_exhausted_samples_exceed_every_threshold(monkeypatch):
+    monkeypatch.setattr(bsll, "DEFAULT_CARRY_BOUND", 2)
+    reps = BsLamplighterCoupling(2).tail_bound_sweep((1, 0, 0), range(2, 9), 2000, 3)
     exhausted = reps[2].exhausted
     assert exhausted > 0
     for M, rep in reps.items():

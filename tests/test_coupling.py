@@ -21,7 +21,7 @@ from oelab.coupling import (
     return_time_density,
 )
 from oelab.errors import DepthExhausted, UsageError
-from oelab.tilings import HeisTiling, LamplighterTiling, ZnGroupedTiling, ZnTiling, builtin
+from oelab.tilings import HeisTiling, LamplighterTiling, ZBlocksTiling, ZnGroupedTiling, ZnTiling, builtin
 
 
 @pytest.fixture(scope="module")
@@ -501,6 +501,18 @@ def test_cylinder_validation():
 def test_mismatched_letter_counts_rejected():
     with pytest.raises(UsageError):
         MatchedCoupling(ZnTiling(2), ZnTiling(1))
+
+
+def test_deep_letter_counts_checked_without_state():
+    # the counts first differ at level 10, past the levels checked up front
+    coupling = MatchedCoupling(ZBlocksTiling(lambda k: 2 if k < 10 else 3), ZnTiling(1), max_depth=20)
+    x = CouplingPoint((0,) * 12)
+    before = dict(vars(coupling))
+    _, n = coupling.act("left", (1 << 9,), x)
+    assert n == 9 and vars(coupling) == before
+    for _ in range(2):
+        with pytest.raises(UsageError, match="level 10"):
+            coupling.act("left", (1 << 10,), x)
 
 
 def test_determinism_across_runs(z2z):

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oelab import groups
 from oelab.errors import ResourceExhausted, UsageError
 from oelab.groups import (
-    DEFAULT_BALL_BUDGET,
     ZN,
     BaumslagSolitar,
     CyclicGroup,
@@ -123,7 +123,7 @@ def test_word_length_symmetric_and_triangle(group):
 def test_closed_form_matches_bfs(group, radius):
     # BFS is the oracle: every element of the sphere of radius r has length r;
     # one search yields every sphere, where sphere(r) would search again per r
-    for r, sphere in enumerate(group._spheres(radius, DEFAULT_BALL_BUDGET)):
+    for r, sphere in enumerate(group._spheres(radius)):
         for g in sphere:
             assert group.word_length(g) == r, g
 
@@ -284,16 +284,19 @@ def test_lamplighter_length_examples():
     assert ll3.word_length(ll3.make({0: 2}, 0)) == 1
 
 
-def test_budget_exhaustion_reports_last_radius():
+def test_budget_exhaustion_reports_last_radius(monkeypatch):
     # |B(3)| = 53 and |B(4)| = 135 in heis; a budget of 100 stops at radius 4
     for call in ("ball", "growth"):
         h = Heisenberg()
-        with pytest.raises(ResourceExhausted) as exc:
-            getattr(h, call)(6, budget=100)
+        with monkeypatch.context() as m:
+            m.setattr(groups, "DEFAULT_BALL_BUDGET", 100)
+            with pytest.raises(ResourceExhausted) as exc:
+                getattr(h, call)(6)
         assert exc.value.progress == 3
         # a failed search leaves nothing behind: a larger budget then gets the right ball
         assert h.growth(4) == 135
-    assert len(Heisenberg().ball(3, budget=100)) == 53
+    monkeypatch.setattr(groups, "DEFAULT_BALL_BUDGET", 100)
+    assert len(Heisenberg().ball(3)) == 53
 
 
 @pytest.mark.parametrize("group", FAMILIES + [CyclicGroup(5)], ids=lambda g: g.name)

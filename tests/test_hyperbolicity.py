@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 
@@ -7,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oelab import hyperbolicity
 from oelab.errors import NotApplicable, ResourceExhausted, UsageError
 from oelab.groups import ZN, BaumslagSolitar, Heisenberg, Lamplighter
 from oelab.hyperbolicity import (
@@ -20,7 +20,6 @@ from oelab.hyperbolicity import (
     extract_fat_cycle,
     four_point_delta,
     geodesic_stability_check,
-    log_form_bound,
     cycle_contraction_bound,
     min_cycle_length,
     rips_delta,
@@ -97,6 +96,19 @@ def test_budget_guard():
         rips_delta(g, budget_mb=1)
 
 
+def test_four_point_guard(monkeypatch):
+    # the guard refuses before the scan, which never reads the distances
+    scans = []
+    monkeypatch.setattr(hyperbolicity, "_pairs_by_distance", lambda *a: scans.append(a) or iter(()))
+    with pytest.raises(ResourceExhausted, match="201"):
+        four_point_delta(MetricGraph.path_graph(201))
+    assert four_point_delta(MetricGraph.path_graph(200)) == 0 and len(scans) == 1
+    monkeypatch.setattr(hyperbolicity, "FOUR_POINT_MAX_VERTICES", 5)
+    with pytest.raises(ResourceExhausted):
+        four_point_delta(MetricGraph.path_graph(6))
+    assert len(scans) == 1
+
+
 def test_distance_matrix_budget_guard(monkeypatch):
     import oelab.hyperbolicity
 
@@ -149,14 +161,14 @@ def test_cycle_distortion_validation():
 
 def test_geodesic_stability_rejects_a_negative_vertex():
     # -1 read as vertex 3 of the 4-cycle, which is adjacent to 2
+    g = MetricGraph.cycle_graph(4)
     with pytest.raises(UsageError):
-        geodesic_stability_check(MetricGraph.cycle_graph(4), [-1, 2])
+        geodesic_stability_check(g, [-1, 2], delta=rips_delta(g))
 
 
 def test_bound_formulas():
     assert cycle_contraction_bound(0, 10, 1) == pytest.approx(0.6)
     assert cycle_contraction_bound(1, 1024, 1) == pytest.approx((4 * 10 + 6) / 1024)
-    assert log_form_bound(1, math.e**2) == pytest.approx(24 / math.e**2)
     with pytest.raises(UsageError):
         cycle_contraction_bound(-1, 10, 1)
 
@@ -211,23 +223,28 @@ def test_geodesic_stability_audit_zoo():
 def test_geodesic_stability_trivial_cases():
     # unique geodesics: the path contains the whole interval, defect 0
     g = MetricGraph.path_graph(9)
-    rep = geodesic_stability_check(g, list(range(9)))
+    rep = geodesic_stability_check(g, list(range(9)), delta=rips_delta(g))
     assert rep.max_defect == 0
     tree = MetricGraph.random_tree(20, 2)
     geo = tree.geodesic(0, tree.n - 1)
-    assert geodesic_stability_check(tree, geo).max_defect == 0
+    assert geodesic_stability_check(tree, geo, delta=rips_delta(tree)).max_defect == 0
     # in a grid the interval holds all staircases, so a single geodesic only
     # satisfies the bound, not defect zero
     grid = MetricGraph.grid_graph(4, 4)
     geo = grid.geodesic(0, 15)
-    rep = geodesic_stability_check(grid, geo)
+    rep = geodesic_stability_check(grid, geo, delta=rips_delta(grid))
     assert rep.passes
 
 
 def test_cayley_ball_labels():
-    ball = MetricGraph.cayley_ball(ZN(2), 2)
+    z2 = ZN(2)
+    ball = MetricGraph.cayley_ball(z2, 2)
     assert ball.n == 13
-    assert ball.labels is not None and len(ball.labels) == 13
+    # vertex i is the i-th ball element in repr order
+    elements = sorted(z2.ball(2), key=repr)
+    for i, g in enumerate(elements):
+        steps = {z2.multiply(g, s) for s in z2.generators}
+        assert {elements[j] for j in ball.adj[i]} == steps & set(elements)
 
 
 def test_extract_fat_cycle_grid():
@@ -280,10 +297,11 @@ def test_simple_cycle_from_walk_erases_loops():
     assert _simple_cycle_from_walk([]) == []
 
 
-def test_extract_sampled_fallback_on_tiny_budget():
+def test_extract_sampled_fallback_on_tiny_budget(monkeypatch):
     # force the sampled fat-triangle path; the audit still binds the output
+    monkeypatch.setattr(hyperbolicity, "SAMPLED_TRIANGLES", 800)
     G = MetricGraph.grid_graph(12, 12)
-    res = extract_fat_cycle(G, budget_mb=1, sample_trials=800, seed=4)
+    res = extract_fat_cycle(G, budget_mb=1, seed=4)
     audit = cycle_distortion(G, res.cycle)
     assert audit.a == res.report.a and audit.b == res.report.b
     assert res.report.n >= 3

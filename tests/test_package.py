@@ -1,8 +1,10 @@
 import ast
 import pathlib
+import re
 import sys
 
 import oelab
+from oelab import bsll, groups, hyperbolicity
 
 _ALLOWED = set(sys.stdlib_module_names) | {"numpy", "oelab"}
 
@@ -22,3 +24,19 @@ def test_modules_import_only_the_standard_library_and_numpy():
                 continue
             stray += [(path.name, n) for n in names if n.split(".")[0] not in _ALLOWED]
     assert not stray
+
+
+def test_readme_states_each_fixed_cap():
+    # every README line naming a cap's constant states its current value
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    caps = {
+        "DEFAULT_BALL_BUDGET": groups.DEFAULT_BALL_BUDGET,
+        "DEFAULT_CARRY_BOUND": bsll.DEFAULT_CARRY_BOUND,
+        "FOUR_POINT_MAX_VERTICES": hyperbolicity.FOUR_POINT_MAX_VERTICES,
+        "SAMPLED_TRIANGLES": hyperbolicity.SAMPLED_TRIANGLES,
+        "DEFAULT_MATRIX_BUDGET_MB": hyperbolicity.DEFAULT_MATRIX_BUDGET_MB,
+    }
+    for name, value in caps.items():
+        lines = [line for line in readme if f"`{name}`" in line]
+        stated = re.compile(rf"(?<![\d,]){value:,}(?![\d,])")
+        assert lines and all(stated.search(line) for line in lines), (name, lines)

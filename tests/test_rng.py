@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oelab import _rng
+from oelab import _rng, bsll
 from oelab._rng import _MASK, Moments, derive, derive_array, per_sample, randbelow, randbelow_array, sample_blocks
 from oelab.bsll import BsLamplighterCoupling
 from oelab.coupling import (
@@ -161,6 +161,13 @@ def _shallow_llz():
     return MatchedCoupling(LamplighterTiling(2), builtin("zmatch:ll:2"), max_depth=2)
 
 
+def _tight_window_sweep():
+    # a one-position carry window exhausts about one draw in eight
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(bsll, "DEFAULT_CARRY_BOUND", 1)
+        return BsLamplighterCoupling(2).tail_bound_sweep((1, 0, 0), [2, 3], 40, 5)
+
+
 # each run truncates some of its draws (rewrite depth or carry window)
 _ENGINE_RUNS = {
     "mc_integrability": lambda: mc_integrability(
@@ -173,9 +180,7 @@ _ENGINE_RUNS = {
         MatchedCoupling(ZnTiling(2), ZnGroupedTiling(1, 2), max_depth=1),
         "left", FiniteSupportFunction(ZN(1), {(0,): 1.0, (3,): -1.0}), 2, 30, 6,
     ),
-    "tail_bound_sweep": lambda: BsLamplighterCoupling(2, carry_bound=1).tail_bound_sweep(
-        (1, 0, 0), [2, 3], 40, 5
-    ),
+    "tail_bound_sweep": _tight_window_sweep,
     "mc_tail_frequencies, array kernel": lambda: mc_tail_frequencies(
         TilingAction(ZnTiling(2), 3), (1, 0), range(4), 20, 7
     ),

@@ -172,7 +172,9 @@ def test_diameters():
     # sampled mode is a lower bound below the claim
     ll = LamplighterTiling(2)
     rep = ll.tile_diameter(2, mode="sampled", samples=2000, seed=5)
-    assert rep.lower_bound_only and rep.value <= rep.claimed == 24
+    assert rep.value <= rep.claimed == 24
+    exact = ll.tile_diameter(1, mode="exact").value
+    assert ll.tile_diameter(1, mode="sampled", samples=200, seed=5).value <= exact
 
 
 def test_heis_exact_diameter_within_radius():
