@@ -196,7 +196,7 @@ def cmd_tiling_verify(args):
         }
         if args.exact_diameter or args.samples:
             mode = "exact" if args.exact_diameter else "sampled"
-            diam = t.tile_diameter(k, mode=mode, samples=args.samples, seed=args.seed)
+            diam = t.tile_diameter(k, mode=mode, samples=args.samples, seed=args.seed, budget=budget)
             row["diameter" if args.exact_diameter else "diameter_lower_bound"] = diam.value
             row["radius_claimed"] = diam.claimed
             row["ok"] = row["ok"] and diam.within_claim

@@ -16,15 +16,19 @@ of the infinite product is finitely representable and every estimate is
 reproducible from (seed, counters).
 
 The tail estimator reads rewrite depths one block of the sample engine
-(``_rng``) at a time through :meth:`TilingAction.depths`.  On left tilings
-with array hooks (the box tilings ``zn:N``, ``zn:N:grouped:M``,
-``zblocks`` and ``zmatch``, and ``heis``) it walks the levels over a
-whole block of samples in numpy int64, each level only after
+(``_rng``) at a time through :meth:`TilingAction.depths`.  On tilings
+with row hooks (the box tilings ``zn:N``, ``zn:N:grouped:M``, ``zblocks``
+and ``zmatch``, ``heis``, and ``ll:M`` for the identity alone) it walks
+the levels over a whole block of samples in numpy int64, growing each
+prefix through ``TilingSequence.grow_array``, each level only after
 ``proven_bound`` has proved, with Python ints, that no value there
 reaches 2^62.  The samples still unresolved at the first level that
 fails the proof finish through the scalar :meth:`act`, and every other
-tiling runs :meth:`act` per sample.  The scalar ``act`` stays in place
-as the oracle of the kernel: both give the same depth for every sample.
+tiling runs :meth:`act` per sample: ``ll:M``'s gate admits no gamma but
+the identity, whose depth is 0 without a level, so its rewrite depths
+(and ``couple tail`` on an ``ll`` side) stay scalar.  The scalar ``act``
+stays in place as the oracle of the kernel: both give the same depth for
+every sample.
 """
 
 from __future__ import annotations
@@ -183,6 +187,8 @@ class TilingAction:
         """
         t = self.tiling
         seeds = np.asarray(tail_seeds, dtype=np.uint64)
+        if gamma == self.group.identity:
+            return np.zeros(len(seeds), dtype=np.int64)  # as act: the identity rewrites nothing
         depth = np.full(len(seeds), self.max_depth + 1, dtype=np.int64)
         active = np.arange(len(seeds))  # the samples not yet rewritten
         prod = None
@@ -196,10 +202,9 @@ class TilingAction:
                     except DepthExhausted:
                         pass  # stays max_depth + 1
                 break
-            mul = self.group.multiply_array
             f = t.letter_array(n, t.random_letter_indices(n, seeds[active]).astype(np.int64))
-            prod = f if prod is None else mul(prod, f)
-            hit = t.contains_array(mul(np.asarray(gamma, dtype=np.int64), prod), n)
+            prod = f if prod is None else t.grow_array(prod, f)
+            hit = t.contains_array(t.grow_array(np.asarray(t.oriented(gamma), dtype=np.int64), prod), n)
             depth[active[hit]] = n
             active, prod = active[~hit], prod[~hit]
         return depth

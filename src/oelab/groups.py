@@ -27,15 +27,22 @@ test suite's oracle for the closed forms.
 
 All elements are plain hashable tuples (ints for cyclic groups) and all
 groups are immutable after construction.
-``ZN`` and ``Heisenberg`` also multiply rows of (N, d) int64 arrays
-(``multiply_array``) for the batched rewrite-depth kernel; its caller
-proves beforehand that no value leaves int64.
+
+``ZN``, ``Heisenberg`` and ``Lamplighter`` also have row hooks on (N, d)
+int64 arrays: ``multiply_array``, and ``distance_array(u, v)``, the word
+length of u^-1 v row by row, for the batched rewrite-depth kernel, the
+array tiles and the sampled tile diameter.  A ``Lamplighter`` row is
+(cursor, lamp digits on a window [0, W)).  Their callers prove beforehand
+(``TilingSequence.proven_bound``) that no value leaves int64, and the
+scalar methods are the oracles of the row hooks.
 """
 
 from __future__ import annotations
 
 from math import isqrt
 from typing import Iterable
+
+import numpy as np
 
 from .errors import ResourceExhausted, UsageError
 
@@ -172,6 +179,10 @@ class ZN(Group):
         """multiply on (N, n) int64 arrays (or broadcastable rows); int64 wraps."""
         return g + h
 
+    def distance_array(self, u, v):
+        """word_length(multiply(inverse(u), v)) row by row: the ell^1 norm of v - u."""
+        return np.abs(v - u).sum(axis=-1)
+
     def inverse(self, g):
         return tuple(-a for a in g)
 
@@ -206,6 +217,29 @@ class Heisenberg(Group):
         out = g + h
         out[..., 2] += g[..., 1] * h[..., 0]
         return out
+
+    def distance_array(self, u, v):
+        """word_length(multiply(inverse(u), v)) row by row, in exact int64.
+
+        u^-1 v = (dx, dy, z' - z - y dx), and :meth:`word_length`'s closed
+        form runs on every row at once.  The float square root is only a
+        first guess: two integer steps make it isqrt exactly.
+        """
+        x = v[..., 0] - u[..., 0]
+        y = v[..., 1] - u[..., 1]
+        z = v[..., 2] - u[..., 2] - u[..., 1] * x
+        z = np.where((x < 0) == (y < 0), z, -z)
+        x, y = np.abs(x), np.abs(y)
+        z = np.where(z < 0, x * y - z, z)
+        r = np.sqrt(z).astype(np.int64)
+        r -= r * r > z
+        r += (r + 1) * (r + 1) <= z
+        box = None
+        for X in (x, r - 1, r, r + 1, r + 2, np.where(y > 0, -(-z // np.maximum(y, 1)), x)):
+            X = np.maximum(np.maximum(X, x), 1)
+            cost = 2 * X - x + y + 2 * np.maximum(0, -(-z // X) - y)
+            box = cost if box is None else np.minimum(box, cost)
+        return np.where(z <= x * y, x + y, box)
 
     def inverse(self, g):
         x, y, z = g
@@ -258,6 +292,40 @@ class Lamplighter(Group):
         """Normal form from a {position: value} dict (values taken mod m)."""
         ls = tuple(sorted((p, v % self.m) for p, v in lamps.items() if v % self.m))
         return (ls, pos)
+
+    def multiply_array(self, g, h):
+        """multiply on rows (cursor, lamp digits on [0, W)), or broadcastable rows.
+
+        The product has g's window: h's digits, shifted by g's cursor, must
+        land inside it, which holds for f t with f a lamplighter letter and
+        t in the tile below.
+        """
+        shape = np.broadcast_shapes(g.shape[:-1], h.shape[:-1])
+        out = np.empty(shape + g.shape[-1:], dtype=np.int64)
+        out[...] = g
+        out[..., 0] += h[..., 0]
+        rows = np.indices(shape, sparse=True)
+        for q in range(1, h.shape[-1]):
+            out[(*rows, g[..., 0] + q)] += h[..., q]  # one digit column at a time: no full-size index
+        out[..., 1:] %= self.m
+        return out
+
+    def distance_array(self, u, v):
+        """word_length(multiply(inverse(u), v)) row by row, for rows on one window.
+
+        With delta = v - u mod m per position and cursors a, b, it is
+        sum min(delta, m - delta) + 2 (hi - lo) - |b - a|, where [lo, hi]
+        spans a, b and the support of delta: :func:`line_tour` shifted by a.
+        """
+        a, b = u[..., 0], v[..., 0]
+        delta = (v[..., 1:] - u[..., 1:]) % self.m
+        lit = delta != 0
+        on = lit.any(axis=-1)
+        first = lit.argmax(axis=-1)
+        last = delta.shape[-1] - 1 - lit[..., ::-1].argmax(axis=-1)
+        lo = np.where(on, np.minimum(np.minimum(a, b), first), np.minimum(a, b))
+        hi = np.where(on, np.maximum(np.maximum(a, b), last), np.maximum(a, b))
+        return np.minimum(delta, self.m - delta).sum(axis=-1) + 2 * (hi - lo) - np.abs(b - a)
 
     def multiply(self, g, h):
         lamps1, n1 = g

@@ -17,13 +17,21 @@ the tests' enumeration oracle and the exact diameter's tile, and it proves
 disjointness for the families without array hooks.
 
 The box tilings ``zn:N``, ``zn:N:grouped:M``, ``zblocks`` and ``zmatch`` are
-one class with one alphabet, :class:`_BoxTiling`.  They and ``heis`` also
-unrank letters and test membership on (N, d) int64 arrays, and bound those
-values through ``int64_bound``, so the batched rewrite-depth kernel in
-``coupling`` and the sorted-row disjointness proof in
-:meth:`TilingSequence.prove_disjoint` can prove int64 exact first; the scalar
-methods are the oracles.  The sampled ``tile_diameter`` draws each level's
-letter indices as one array, as ``depths`` does, and multiplies per point.
+one class with one alphabet, :class:`_BoxTiling`.  They, ``heis`` and ``ll:M``
+have row hooks: they unrank letters and test membership on (N, d) int64
+arrays (an ``ll:M`` row is the cursor, then the lamp digits on
+[0, 2^(k+1))), and bound those values, the group's products and its
+``distance_array`` through ``int64_bound``.  ``proven_bound`` is the one
+gate: the batched rewrite-depth kernel in ``coupling``, the sorted-row
+disjointness proof in :meth:`TilingSequence.prove_disjoint` and the sampled
+``tile_diameter`` run a level on rows only after it proves int64 exact, and
+the scalar methods are the oracles.  ``ll:M``'s gate admits only the
+identity (a window row cannot hold t gamma^-1), so its rewrite depths stay
+scalar.  :meth:`TilingSequence.grow_array` is the one place that reads the
+orientation on rows.  The sampled diameter draws each level's letter indices
+as one array, as ``depths`` does, and takes the largest ``distance_array``
+over each engine block of pairs; a tiling that fails the gate at some level
+up to k multiplies per point instead.
 
 A box tiling's ``_levels`` list grows level by level on demand and ``grow``
 is cached on first use; with a wreath point's realized lamps, that is all
@@ -72,6 +80,12 @@ class TilingSequence:
         if self.orientation is Orientation.LEFT:
             return mul
         return lambda t, f: mul(f, t)
+
+    def grow_array(self, t, f):
+        """grow on int64 rows: multiply_array(t, f) for left tilings, multiply_array(f, t) for right."""
+        if self.orientation is Orientation.LEFT:
+            return self.group.multiply_array(t, f)
+        return self.group.multiply_array(f, t)
 
     def oriented(self, gamma):
         """gamma (left) or gamma^-1 (right): grow(oriented(gamma), g) is gamma acting on g."""
@@ -139,10 +153,11 @@ class TilingSequence:
     def int64_bound(self, gamma, k: int) -> int | None:
         """Bound on every |value| the array hooks compute at level k of gamma's rewrite.
 
-        That covers ``letter_array(k, .)``, ``contains_array(., k)`` and the
+        That covers ``letter_array(k, .)``, ``contains_array(., k)``, the
         group's ``multiply_array`` forming prefix products in T_k and
-        grow(gamma, prefix).  None when the family has no array hooks; only
-        left tilings define it.
+        grow(gamma, prefix), and, for the identity, the group's
+        ``distance_array`` on two points of T_k.  None when the family has no
+        array hooks for gamma.
         """
         return None
 
@@ -195,30 +210,31 @@ class TilingSequence:
         """
         proved = -1  # the last level proved on arrays
         if K >= 0 and self.tile_size(K) <= budget:
-            for rows, bound in self._tile_arrays(K):
-                if not _distinct_rows(rows, bound):
+            for rows in self._tile_arrays(K):
+                if not _distinct_rows(rows):
                     break
                 proved += 1
         if K < 0 or proved < K:
             self.build_tiles(K, budget)
 
     def _tile_arrays(self, K: int):
-        """Yield (T_k, bound) for k = 0..K: T_k an int64 array with rows in build_tiles's order.
+        """Yield T_k for k = 0..K as int64 arrays with rows in build_tiles's order.
 
-        Level k is one broadcast grow(T_{k-1}, F_k), letter outer and previous
-        tile inner, and only the previous level is held.  Only tilings with
-        array hooks yield, each level after proven_bound proves its values
-        below 2^62; the generator stops at the first level it cannot prove.
+        Level k is one broadcast grow_array(T_{k-1}, F_k), letter outer and
+        previous tile inner, so only the output is full size, and only the
+        previous level is held.  Only tilings with array hooks yield, each
+        level after proven_bound proves its values below 2^62; the generator
+        stops at the first level it cannot prove.
         """
         prev = None
         for k in range(K + 1):
-            bound = self.proven_bound(self.group.identity, k)
-            if bound is None:
+            if self.proven_bound(self.group.identity, k) is None:
                 return
             rows = self.letter_array(k, np.arange(self.letter_count(k), dtype=np.int64))
             if prev is not None:
-                rows = self.group.multiply_array(prev[None], rows[:, None]).reshape(-1, rows.shape[1])
-            yield rows, bound
+                grown = self.grow_array(prev[None], rows[:, None])
+                rows = grown.reshape(-1, grown.shape[-1])
+            yield rows
             prev = rows
 
     def folner_constant(self, k: int) -> "ClaimReport":
@@ -232,50 +248,62 @@ class TilingSequence:
         value = max(self.escape_fraction(self.group.inverse(s), k) for s in self.group.generators)
         return ClaimReport(value, self.claimed_epsilon(k))
 
-    def tile_diameter(self, k: int, mode: str, samples: int = 100_000, seed: int = 0) -> "ClaimReport":
+    def tile_diameter(
+        self, k: int, mode: str, samples: int = 100_000, seed: int = 0, budget: int = DEFAULT_TILE_BUDGET
+    ) -> "ClaimReport":
         """Diameter of T_k in the word metric, in one of two modes.
 
         "exact" is the maximum over all pairs of T_k (a closed form for the
-        box tilings, quadratic in |T_k| otherwise); "sampled" is the maximum
-        over ``samples`` seeded pairs, a lower bound.
+        box tilings, quadratic in |T_k| otherwise, whose tile build_tiles
+        makes under ``budget``); "sampled" is the maximum over ``samples``
+        seeded pairs, a lower bound.  It runs on int64 rows when levels 0..k
+        all pass proven_bound(identity, .), and per point otherwise; both
+        draw the same pairs and give the same maximum.
         """
         if mode == "exact":
-            return ClaimReport(self._exact_diameter(k), self.claimed_radius(k))
+            return ClaimReport(self._exact_diameter(k, budget), self.claimed_radius(k))
         if mode != "sampled":
             raise UsageError(f"diameter mode must be exact|sampled, got {mode!r}")
         mul, inv, length = self.group.multiply, self.group.inverse, self.group.word_length
+        on_rows = all(self.proven_bound(self.group.identity, j) is not None for j in range(k + 1))
 
         def pairs(start, stop):
             # pair i joins the points drawn at counters 2i and 2i + 1
             counters = np.arange(2 * start, 2 * stop)
+            if on_rows:
+                points = None
+                for j in range(k + 1):
+                    f = self.letter_array(j, self.random_letter_indices(j, seed, counters).astype(np.int64))
+                    points = f if points is None else self.grow_array(points, f)
+                return int(self.group.distance_array(points[0::2], points[1::2]).max())
             levels = [self.random_letter_indices(j, seed, counters).tolist() for j in range(k + 1)]
             points = map(self.prefix_product, zip(*levels))
             return max(length(mul(inv(u), v)) for u, v in zip(points, points))
 
         return ClaimReport(max(sample_blocks(samples, pairs)), self.claimed_radius(k))
 
-    def _exact_diameter(self, k: int) -> int:
-        tile = self.build_tiles(k)[k]
+    def _exact_diameter(self, k: int, budget: int) -> int:
+        tile = self.build_tiles(k, budget)[k]
         mul, inv = self.group.multiply, self.group.inverse
         quotients = {mul(inv(u), v) for u in tile for v in tile}
         return max(map(self.group.word_length, quotients))
 
 
-def _distinct_rows(rows: np.ndarray, bound: int) -> bool:
+def _distinct_rows(rows: np.ndarray) -> bool:
     """Whether sorting proves the rows of an (N, d) int64 array distinct.
 
-    Each row, its entries in [-bound, bound], packs into one mixed-radix int64
-    key, which is injective on that box.  False when two keys are equal, or
-    when (2 bound + 1)^d reaches 2^62 and the keys could leave int64.  Equal
-    rows always give equal keys, so a wrong bound could raise a false alarm
-    but never hide a collision.
+    Column c takes values in [lo_c, hi_c], its observed min and max, so each
+    row packs into one mixed-radix int64 key with radix hi_c - lo_c + 1,
+    which is injective on the rows.  False when two keys are equal, or when
+    the product of the radices reaches 2^62 and the keys could leave int64.
     """
-    radix = 2 * bound + 1
-    if radix ** rows.shape[1] >= INT64_SAFE:
+    lows = rows.min(axis=0)
+    radices = [int(hi) - int(lo) + 1 for lo, hi in zip(lows, rows.max(axis=0))]
+    if math.prod(radices) >= INT64_SAFE:
         return False
     key = np.zeros(len(rows), dtype=np.int64)
-    for column in rows.T:
-        key = key * radix + (column + bound)
+    for column, low, radix in zip(rows.T, lows, radices):
+        key = key * radix + (column - low)
     key.sort()
     return not (key[1:] == key[:-1]).any()
 
@@ -373,8 +401,9 @@ class _BoxTiling(TilingSequence):
         return ((g >= 0) & (g < L)).all(axis=1)
 
     def int64_bound(self, gamma, k):
-        # letters and prefix products lie in the box; gamma shifts them by |gamma|
-        return max(map(abs, gamma)) + self.side(k)
+        # letters and prefix products lie in the box, gamma shifts them by
+        # |gamma|, and two points of the box lie at most n side apart
+        return max(map(abs, gamma)) + self.n * self.side(k)
 
     def escape_fraction(self, gamma, k):
         # box translation: survivors form the shifted sub-box
@@ -382,7 +411,7 @@ class _BoxTiling(TilingSequence):
         stay = math.prod(max(0, L - abs(a)) for a in gamma)
         return 1 - Fraction(stay, L**self.n)
 
-    def _exact_diameter(self, k):
+    def _exact_diameter(self, k, budget):
         return self.n * (self.side(k) - 1)
 
 
@@ -487,10 +516,11 @@ class HeisTiling(TilingSequence):
 
     def int64_bound(self, gamma, k):
         # T_k has x, y < L and z < 2 L^2; gamma (x, y, z) adds |y_gamma| x to z,
-        # and the membership test subtracts a cross term below L^2
+        # the membership test subtracts a cross term below L^2, and the
+        # distance kernel's values on two points of T_k stay below 8 L^2 + L + 4
         p, q, r = gamma
         L = 1 << (k + 1)
-        return abs(p) + (abs(q) + 1) * L + abs(r) + 3 * L * L
+        return abs(p) + (abs(q) + 1) * L + abs(r) + 9 * L * L
 
     def decode(self, g, k):
         if not self.contains(g, k):
@@ -574,10 +604,34 @@ class LamplighterTiling(TilingSequence):
                 lamps[start + j] = v
         return self.group.make(lamps, 0 if branch == 0 else width)
 
+    def letter_array(self, k, idx):
+        """Letters as rows (cursor, digits on [0, 2^(k+1)))."""
+        m = self.m
+        if k == 0:
+            return np.stack([idx // (m * m), idx // m % m, idx % m], axis=1)
+        width = 1 << k
+        branch, rem = np.divmod(idx, m**width)
+        digits = rem[:, None] // m ** np.arange(width) % m
+        low = branch[:, None] == 1  # (h, width) holds [0, width), (h, 0) the top half
+        return np.concatenate([(branch * width)[:, None], np.where(low, digits, 0), np.where(low, 0, digits)], axis=1)
+
     def contains(self, g, k):
         lamps, n = g
         L = 1 << (k + 1)
         return 0 <= n < L and all(0 <= p < L for p, _ in lamps)
+
+    def contains_array(self, g, k):
+        # a row's lamps lie in its window [0, W); those at L or beyond must be off
+        L = 1 << (k + 1)
+        return (g[:, 0] >= 0) & (g[:, 0] < L) & ~g[:, 1 + L :].any(axis=1)
+
+    def int64_bound(self, gamma, k):
+        # only the identity: a window row cannot hold t gamma^-1, whose lamps
+        # may leave [0, L).  Rows hold a cursor below L and L digits below m,
+        # and a distance is at most L m / 2 switches plus a 2 L walk
+        if gamma != self.group.identity:
+            return None
+        return (self.m + 3) << (k + 1)
 
     def decode(self, g, k):
         if not self.contains(g, k):

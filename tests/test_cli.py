@@ -57,6 +57,17 @@ def test_tiling_verify_epsilon(capsys):
     assert last["diameter"] <= last["radius_claimed"]
 
 
+def test_exact_diameter_honours_the_budget(capsys):
+    # heis's exact diameter builds T_k, so a budget below |T_0| = 16 stops it
+    argv = ["tiling", "verify", "--k", "2", "--exact-diameter", "--budget", "10"]
+    code, out, err = run_cli(capsys, *argv, "--builtin", "heis")
+    assert code == 1 and out == ""
+    assert err.startswith("ResourceExhausted: |T_0| = 16 exceeds budget 10")
+    # the box tilings' diameter is a closed form that builds nothing
+    code, report, _ = run_json(capsys, *argv, "--builtin", "zn:2")
+    assert code == 0 and report["results"][-1]["diameter"] == 2 * 7
+
+
 def test_couple_tail_csv_and_exit(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -291,13 +291,13 @@ def test_depth_kernel_guard_and_blocks():
 
 def test_depth_gate_keeps_its_letter_count_half():
     # zn:4:grouped:16 has (2^16)^4 = 2^64 letters at level 0 under a bound of
-    # 65,537: the letter count alone closes the gate, so depths runs act, whose
+    # 1 + 4 * 2^16: the letter count alone closes the gate, so depths runs act, whose
     # answers it must give sample for sample (an array draw would overflow)
     t = builtin("zn:4:grouped:16")
     gamma = (1, 0, 0, 0)
-    assert t.int64_bound(gamma, 0) == 65_537 and t.letter_count(0) == 1 << 64
+    assert t.int64_bound(gamma, 0) == 262_145 and t.letter_count(0) == 1 << 64
     assert t.proven_bound(gamma, 0) is None
-    assert ZnTiling(4).proven_bound(gamma, 3) == 17
+    assert ZnTiling(4).proven_bound(gamma, 3) == 65
     assert LamplighterTiling(2).proven_bound(((), 1), 0) is None
     action = TilingAction(t, 3)
     seeds = derive_array(3, np.arange(40))
@@ -308,6 +308,19 @@ def test_depth_gate_keeps_its_letter_count_half():
         except DepthExhausted:
             want = 4
         assert got[i] == want, i
+
+
+def test_lamplighter_identity_depths_are_zero(monkeypatch):
+    # ll's gate admits the identity alone, whose depth is 0 at every sample, as act says
+    action = TilingAction(LamplighterTiling(2), 5)
+    identity = action.group.identity
+    assert action.tiling.proven_bound(identity, 0) is not None
+    seeds = derive_array(4, np.arange(300))
+    assert [action.act(identity, CouplingPoint((), s))[1] for s in seeds.tolist()] == [0] * 300
+    monkeypatch.setattr(action, "act", lambda *a: pytest.fail("ran the scalar act"))
+    assert not action.depths(identity, seeds).any()
+    freqs = mc_tail_frequencies(action, identity, range(6), 5000, seed=2)
+    assert freqs == {k: (0.0, 0.0) for k in range(6)}
 
 
 def test_mc_tail_memory_is_flat_in_samples():

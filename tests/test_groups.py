@@ -330,3 +330,82 @@ def test_multiply_array_matches_multiply(group):
     # a single row on the left, as the depth kernel forms gamma * prefix
     row = group.multiply_array(np.array(g[0]), np.array(h))
     assert [tuple(map(int, r)) for r in row] == [group.multiply(g[0], b) for b in h]
+
+
+def test_lamplighter_multiply_array_matches_multiply():
+    # rows (cursor, digits on [0, W)); h's digits shifted by g's cursor stay in the window
+    rng = random.Random(6)
+    for m, W, w in ((2, 8, 4), (3, 16, 8), (5, 4, 4)):
+        group = Lamplighter(m)
+        g = np.array([[rng.randrange(W - w + 1)] + [rng.randrange(m) for _ in range(W)] for _ in range(300)])
+        h = np.array([[rng.randrange(-5, 6)] + [rng.randrange(m) for _ in range(w)] for _ in range(300)])
+        got = group.multiply_array(g, h)
+        assert [_ll_element(group, r) for r in got] == [
+            group.multiply(_ll_element(group, a), _ll_element(group, b)) for a, b in zip(g, h)
+        ]
+        # letters against tiles: (F, 1) rows broadcast against (1, P) rows
+        grid = group.multiply_array(g[:5, None], h[None, :7])
+        assert grid.shape == (5, 7, W + 1)
+        assert [_ll_element(group, r) for r in grid.reshape(-1, W + 1)] == [
+            group.multiply(_ll_element(group, a), _ll_element(group, b)) for a in g[:5] for b in h[:7]
+        ]
+
+
+def _ll_element(group, row):
+    row = [int(a) for a in row]
+    return group.make(dict(enumerate(row[1:])), row[0])
+
+
+def _scalar_distance(group, u, v):
+    return group.word_length(group.multiply(group.inverse(u), v))
+
+
+# the last levels proven_bound admits: a box of side below 2^62 / n on Z^n,
+# heis T_28 (L = 2^29), and ll windows of 64 lamps (ll:2 and ll:3 at k = 5)
+_HEIS_L = 1 << 29
+
+
+@given(st.data(), st.sampled_from([1, 3, 5]), st.sampled_from([9, None]))
+@settings(max_examples=200, deadline=None)
+def test_zn_distance_array_matches_word_length(data, n, side):
+    side = side or ((1 << 62) - 1) // n
+    coords = st.tuples(*[st.integers(0, side - 1)] * n)
+    pairs = data.draw(st.lists(st.tuples(coords, coords), min_size=1, max_size=20))
+    group = ZN(n)
+    got = group.distance_array(np.array([u for u, _ in pairs]), np.array([v for _, v in pairs]))
+    assert [int(d) for d in got] == [_scalar_distance(group, u, v) for u, v in pairs]
+
+
+@given(st.data(), st.sampled_from([4, 64, _HEIS_L]))
+@settings(max_examples=300, deadline=None)
+def test_heisenberg_distance_array_matches_word_length(data, L):
+    # points of T_k lie in [0, L)^2 x [0, 2 L^2)
+    point = st.tuples(st.integers(0, L - 1), st.integers(0, L - 1), st.integers(0, 2 * L * L - 1))
+    pairs = data.draw(st.lists(st.tuples(point, point), min_size=1, max_size=20))
+    group = Heisenberg()
+    got = group.distance_array(np.array([u for u, _ in pairs]), np.array([v for _, v in pairs]))
+    assert [int(d) for d in got] == [_scalar_distance(group, u, v) for u, v in pairs]
+
+
+def test_heisenberg_distance_array_edge_rows():
+    # z on either side of xy, zero rows, corners of T_28 and exact squares
+    L = _HEIS_L
+    corners = [0, 1, L - 1]
+    points = [(x, y, z) for x in corners for y in corners for z in (0, 1, L * L, 2 * L * L - 1)]
+    points += [(0, 1, r * r) for r in (3, 1 << 20, L - 1)] + [(1, 0, 5), (0, 0, 7)]
+    group = Heisenberg()
+    u = np.array([p for p in points for _ in points])
+    v = np.array([q for _ in points for q in points])
+    want = [_scalar_distance(group, p, q) for p in points for q in points]
+    assert [int(d) for d in group.distance_array(u, v)] == want
+
+
+@given(st.data(), st.sampled_from([2, 3]), st.sampled_from([2, 4, 64]))
+@settings(max_examples=200, deadline=None)
+def test_lamplighter_distance_array_matches_word_length(data, m, W):
+    row = st.tuples(st.integers(0, W - 1), *[st.integers(0, m - 1)] * W)
+    pairs = data.draw(st.lists(st.tuples(row, row), min_size=1, max_size=20))
+    group = Lamplighter(m)
+    got = group.distance_array(np.array([u for u, _ in pairs]), np.array([v for _, v in pairs]))
+    want = [_scalar_distance(group, _ll_element(group, u), _ll_element(group, v)) for u, v in pairs]
+    assert [int(d) for d in got] == want

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oelab import _rng
 from oelab.errors import NotInTile, ResourceExhausted, TilingViolation, UsageError
@@ -437,8 +439,16 @@ def test_lamplighter_escape_interval_matches_the_loop():
 ARRAY_HOOKED = [t for t in BUILTINS if t.int64_bound(t.group.identity, 0) is not None] + [ZnTiling(3)]
 
 
-def _largest_k(t, limit=5000, top=3):
+def _largest_k(t, limit=60_000, top=3):
     return max(k for k in range(top + 1) if t.tile_size(k) <= limit)
+
+
+def _element(t, row):
+    """The normal form an int64 row stands for: the row itself, or (lamps, cursor) for ll."""
+    row = [int(a) for a in row]
+    if isinstance(t, LamplighterTiling):
+        return t.group.make(dict(enumerate(row[1:])), row[0])
+    return tuple(row)
 
 
 @pytest.mark.parametrize("t", ARRAY_HOOKED, ids=lambda t: t.name)
@@ -447,12 +457,53 @@ def test_tile_arrays_match_build_tiles(t, monkeypatch):
     tiles = t.build_tiles(K)
     levels = list(t._tile_arrays(K))
     assert len(levels) == K + 1
-    for k, (rows, bound) in enumerate(levels):
+    for k, rows in enumerate(levels):
         # the same tiles in the same order: letter outer, previous tile inner
-        assert [tuple(map(int, r)) for r in rows] == tiles[k], k
-        assert int(np.abs(rows).max()) <= bound
+        assert [_element(t, r) for r in rows] == tiles[k], k
+        assert int(np.abs(rows).max()) <= t.proven_bound(t.group.identity, k)
     monkeypatch.setattr(t, "build_tiles", lambda *a: pytest.fail("took the scalar proof"))
     t.prove_disjoint(K)
+
+
+def test_lamplighter_t3_rows_follow_build_tiles_order(monkeypatch):
+    # ll:2's T_3 has 2^20 rows, too many to enumerate as tuples here: row p is
+    # letter p // |T_2| grown on row p % |T_2|, the order build_tiles uses
+    t = LamplighterTiling(2)
+    *_, below, rows = t._tile_arrays(3)
+    tile = t.build_tiles(2)[2]
+    assert len(rows) == t.tile_size(3) and [_element(t, r) for r in below] == tile
+    rng = random.Random(3)
+    for p in [0, len(rows) - 1, *(rng.randrange(len(rows)) for _ in range(3000))]:
+        a, b = divmod(p, len(tile))
+        assert _element(t, rows[p]) == t.grow(tile[b], t.letter(3, a)), p
+    monkeypatch.setattr(t, "build_tiles", lambda *a: pytest.fail("took the scalar proof"))
+    t.prove_disjoint(3)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_lamplighter_row_hooks_match_the_scalar_letters_and_membership(m):
+    t = LamplighterTiling(m)
+    rng = random.Random(m)
+    for k in range(4):
+        count = t.letter_count(k)
+        idx = np.array(sorted(rng.sample(range(count), min(count, 2000))), dtype=np.int64)
+        letters = t.letter_array(k, idx)
+        assert letters.shape[1] == 1 + (2 << k)
+        assert [_element(t, f) for f in letters] == [t.letter(k, int(i)) for i in idx], k
+        # rows on a wider window, cursors in and out of [0, L), lamps past L
+        rows = np.zeros((600, 1 + (4 << k)), dtype=np.int64)
+        rows[:, 0] = [rng.randint(-3, (4 << k) + 3) for _ in rows]
+        for row in rows:
+            for _ in range(rng.randrange(3)):
+                row[1 + rng.randrange(row.size - 1)] = rng.randrange(1, m)
+        got = t.contains_array(rows, k)
+        assert list(got) == [t.contains(_element(t, r), k) for r in rows], k
+        assert got.any() and not got.all()
+    # the gate: the identity alone, up to k = 5, where the letter count is
+    # still below 2^62 (2^33 for ll:2, 2 * 3^32 for ll:3)
+    assert t.int64_bound(((), 1), 0) is None and t.int64_bound(((), 0), 0) is not None
+    assert t.proven_bound(t.group.identity, 5) is not None
+    assert t.proven_bound(t.group.identity, 6) is None
 
 
 @pytest.mark.parametrize("t", [t for t in BUILTINS if t not in ARRAY_HOOKED], ids=lambda t: t.name)
@@ -466,8 +517,8 @@ def test_prove_disjoint_without_array_hooks_runs_build_tiles(t, monkeypatch):
 
 def test_array_proof_collision_raises_the_build_tiles_witness():
     t = Collides([2, 2])
-    rows, bound = list(t._tile_arrays(1))[1]
-    assert not _distinct_rows(rows, bound)
+    rows = list(t._tile_arrays(1))[1]
+    assert not _distinct_rows(rows)
     with pytest.raises(TilingViolation) as scalar:
         t.build_tiles(1)
     with pytest.raises(TilingViolation) as arrays:
@@ -502,11 +553,26 @@ def test_distinct_rows_proves_only_what_the_packed_key_can_hold():
     rng = np.random.default_rng(5)
     rows = np.unique(rng.integers(-3, 4, size=(400, 3)), axis=0)
     rng.shuffle(rows)
-    assert _distinct_rows(rows, 3)
-    assert not _distinct_rows(np.concatenate([rows, rows[7:8]]), 3)
-    # (2^21 + 1)^3 passes 2^62: undecided, not distinct; (2^20 + 1)^3 does not
-    assert not _distinct_rows(rows, 1 << 20)
-    assert _distinct_rows(rows, 1 << 19)
+    assert _distinct_rows(rows)
+    assert not _distinct_rows(np.concatenate([rows, rows[7:8]]))
+    # the radices are the observed column ranges: 2^31 * 2^31 reaches 2^62,
+    # undecided and so not distinct; 2^31 * (2^31 - 1) does not
+    assert not _distinct_rows(np.array([[0, 0], [(1 << 31) - 1, (1 << 31) - 1]]))
+    assert _distinct_rows(np.array([[0, 0], [(1 << 31) - 1, (1 << 31) - 2]]))
+    # an offset the old [-bound, bound] box could not hold
+    assert _distinct_rows(rows + (1 << 61))
+
+
+_INT64 = st.integers(-4, 4) | st.integers(-(1 << 63), (1 << 63) - 1)
+
+
+@given(st.lists(st.tuples(_INT64, _INT64, _INT64), min_size=1, max_size=30), st.data())
+@settings(max_examples=200, deadline=None)
+def test_distinct_rows_always_catches_a_duplicated_row(entries, data):
+    rows = np.array(entries, dtype=np.int64)
+    twin = data.draw(st.integers(0, len(rows) - 1))
+    at = data.draw(st.integers(0, len(rows)))
+    assert not _distinct_rows(np.insert(rows, at, rows[twin], axis=0))
 
 
 def _sampled_diameter_per_point(t, k, samples, seed):
@@ -521,13 +587,17 @@ def _sampled_diameter_per_point(t, k, samples, seed):
 
 _DIAMETER_CASES = [
     ("ll:2", 2),  # power-of-two letter counts
-    ("ll:2", 6),  # 2^65 letters at level 6: multi-word draws
+    ("ll:2", 5),  # the last level on rows: 2^33 letters, 64 lamp columns
+    ("ll:2", 6),  # 2^65 letters at level 6: multi-word draws, per point
     ("ll:3", 3),  # rejection sampling
     ("heis", 2),
+    ("heis", 3),
+    ("zn:2", 6),
     ("zn:3", 3),
     ("zmatch:ll:2", 3),
-    ("cyclic:3", 2),  # one letter past level 0
+    ("cyclic:3", 2),  # one letter past level 0, no row hooks
 ]
+_PER_POINT_CASES = {("ll:2", 6), ("cyclic:3", 2)}
 
 
 @pytest.mark.parametrize("draws", [6, 2 * _rng.BLOCK])  # letter-index draws per engine block, two per pair
@@ -535,6 +605,16 @@ _DIAMETER_CASES = [
 def test_sampled_diameter_matches_per_point_draws(monkeypatch, spec, k, draws):
     monkeypatch.setattr(_rng, "BLOCK", draws // 2)  # 6: 7 and 40 pairs span several blocks
     t = builtin(spec)
+    if (spec, k) not in _PER_POINT_CASES:
+        monkeypatch.setattr(t, "prefix_product", lambda *a: pytest.fail("left the rows"))
     for samples, seed in ((1, 0), (7, 11), (40, -3)):
         rep = t.tile_diameter(k, mode="sampled", samples=samples, seed=seed)
-        assert rep.value == _sampled_diameter_per_point(t, k, samples, seed), (samples, seed)
+        assert rep.value == _sampled_diameter_per_point(builtin(spec), k, samples, seed), (samples, seed)
+
+
+def test_exact_diameter_builds_its_tile_under_the_budget():
+    with pytest.raises(ResourceExhausted, match="exceeds budget 10"):
+        HeisTiling().tile_diameter(0, mode="exact", budget=10)
+    assert HeisTiling().tile_diameter(0, mode="exact", budget=16).value == 8
+    # the box tilings' closed form builds nothing
+    assert ZnTiling(2).tile_diameter(4, mode="exact", budget=1).value == 2 * 31
