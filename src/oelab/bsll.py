@@ -21,13 +21,20 @@ Points hold the digits a move wrote over a deterministic seeded
 background, so every trajectory is reproducible and carries never silently
 overrun: a carry longer than the window bound raises WindowExhausted (an
 event of probability <= k^-bound per step).
+
+tail_bound_sweep runs the odometer on arrays of point seeds, one engine block
+at a time (move_distance_array); the counter-based background makes its
+digits those of the scalar points, and move_distance stays the oracle that
+every block spot-checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._rng import binomial_band, derive, per_sample, proportion, sample_blocks
+import numpy as np
+
+from ._rng import binomial_band, derive, derive_array, proportion, sample_blocks
 from .errors import UsageError, WindowExhausted
 from .groups import BaumslagSolitar, Lamplighter
 
@@ -156,32 +163,86 @@ class BsLamplighterCoupling:
             return self.bs.word_length(bs_element(self.bs, changes, -g[1]))
         raise UsageError(f"side_metric must be ll|bs, got {side_metric!r}")
 
+    def move_distance_array(self, g, seeds) -> np.ndarray:
+        """move_distance("ll", g, point(s)) for each point seed s: the batched odometer.
+
+        The carry runs one position at a time, on the samples whose carry is
+        still alive.  Where bs_act would raise WindowExhausted the distance
+        is -1.  The addend left at position -s + j is floor(a / k^j), shared
+        by every sample, plus a per-sample carry of 0 or 1, so any a works on
+        int64 rows.  A scale k of 2^32 or more goes through move_distance seed
+        by seed, in an object array.
+        """
+        seeds = np.asarray(seeds, dtype=np.uint64)
+        k = self.k
+        if k >= 1 << 32:
+            return np.array([self._ll_distance(g, self.point(int(s))) for s in seeds], dtype=object)
+        a, s, n = g  # s and |n| are small: word_length(g) walks that many heights
+        bound = DEFAULT_CARRY_BOUND + abs(a).bit_length()  # as bs_act, read at call time
+        switches = np.zeros(len(seeds), dtype=np.int64)
+        lo = np.full(len(seeds), min(0, -n), dtype=np.int64)  # the tour spans 0, -n and the changes
+        hi = np.full(len(seeds), max(0, -n), dtype=np.int64)
+        live = np.arange(len(seeds))
+        carry = np.zeros(len(seeds), dtype=np.int64)
+        rest = a
+        for j in range(bound + 2):
+            if rest in (0, -1):  # the addend rest + carry is 0 only here
+                keep = carry != -rest
+                live, carry = live[keep], carry[keep]
+            if not len(live):
+                break
+            if j > bound:
+                switches[live] = -1  # bs_act's WindowExhausted
+                break
+            pos = j - s
+            rest, r = divmod(rest, k)
+            step = (r + carry) % k  # new - old mod k, so the digit changed iff step != 0
+            switches[live] += np.minimum(step, k - step)
+            changed = live[step != 0]
+            lo[changed] = np.minimum(lo[changed], pos)
+            hi[changed] = np.maximum(hi[changed], pos)
+            old = (derive_array(seeds[live], pos + n) % np.uint64(k)).astype(np.int64)
+            carry = (old + r + carry) // k
+        return np.where(switches < 0, -1, switches + 2 * (hi - lo) - abs(n))
+
+    def _ll_distance(self, g, x: BiInfinitePoint) -> int:
+        """move_distance("ll", g, x), or -1 where the carry runs past the window."""
+        try:
+            return self.move_distance("ll", g, x)
+        except WindowExhausted:
+            return -1
+
     def tail_bound_sweep(self, g, Ms, samples: int, seed: int) -> dict[int, "TailBoundReport"]:
         """Frequency of d_ll(g.x, x) >= (k+1)(2|g|_T + 2M + 3) vs the bound k^(1-M).
 
         One sampling pass serves every threshold M in Ms for the same g.  M must
         be at least 2: for M <= 1 the bound is at least 1 and cannot fail.
+        Each engine block runs move_distance_array, and recomputes its first
+        draw with the scalar move_distance: a mismatch raises RuntimeError.
+        That guards the kernel's integer arithmetic against numpy changing
+        its rules, as NEP 50 did for uint64 scalars in numpy 2.
         """
         if any(M < 2 for M in Ms):
             raise UsageError(f"tail thresholds need M >= 2, got {list(Ms)}")
         k = self.k
         glen = self.bs.word_length(g)
         thresholds = {M: (k + 1) * (2 * glen + 2 * M + 3) for M in Ms}
-        lowest = min(thresholds.values())
 
-        def draw(i):
-            return self.move_distance("ll", g, self.point(derive(seed, i)))
+        def draw_block(start, stop):
+            d = self.move_distance_array(g, derive_array(seed, np.arange(start, stop)))
+            spot = self._ll_distance(g, self.point(derive(seed, start)))
+            if d[0] != spot:
+                raise RuntimeError(f"batched odometer gave {d[0]} where move_distance gives {spot} (sample {start})")
+            return d
 
         counts = {M: 0 for M in Ms}
         exhausted = 0
-        for block in sample_blocks(samples, per_sample(draw, WindowExhausted)):
-            exhausted += block.count(None)
-            for d in block:
-                # a carry past the window (d is None) certainly exceeds every threshold
-                if d is None or d >= lowest:
-                    for M, thr in thresholds.items():
-                        if d is None or d >= thr:
-                            counts[M] += 1
+        for d in sample_blocks(samples, draw_block):
+            # a carry past the window (d = -1) certainly exceeds every threshold
+            lost = d < 0
+            exhausted += int(np.count_nonzero(lost))
+            for M, thr in thresholds.items():
+                counts[M] += int(np.count_nonzero(lost | (d >= thr)))
         out = {}
         for M in Ms:
             freq, stderr = proportion(counts[M], samples)

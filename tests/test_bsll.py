@@ -2,10 +2,13 @@ import math
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oelab import bsll
-from oelab._rng import derive
+from oelab import _rng, bsll
+from oelab._rng import derive, derive_array, per_sample, proportion, sample_blocks
 from oelab.bsll import (
     BiInfinitePoint,
     BsLamplighterCoupling,
@@ -272,3 +275,127 @@ def test_window_exhausted_samples_exceed_every_threshold(monkeypatch):
     for M, rep in reps.items():
         assert rep.exhausted == exhausted
         assert rep.freq >= exhausted / rep.samples, (M, rep)
+
+
+def _scalar_sweep(C, g, Ms, samples, seed):
+    # the batched odometer's oracle: move_distance on one point at a time,
+    # None for a carry past the window
+    k = C.k
+    glen = C.bs.word_length(g)
+    thresholds = {M: (k + 1) * (2 * glen + 2 * M + 3) for M in Ms}
+
+    def draw(i):
+        return C.move_distance("ll", g, C.point(derive(seed, i)))
+
+    counts = {M: 0 for M in Ms}
+    exhausted = 0
+    for block in sample_blocks(samples, per_sample(draw, WindowExhausted)):
+        exhausted += block.count(None)
+        for d in block:
+            for M, thr in thresholds.items():
+                if d is None or d >= thr:
+                    counts[M] += 1
+    out = {}
+    for M in Ms:
+        freq, stderr = proportion(counts[M], samples)
+        out[M] = TailBoundReport(
+            g=C.bs.format_element(g), g_length=glen, M=M, threshold=thresholds[M], samples=samples,
+            freq=freq, stderr=stderr, bound=float(k) ** (1 - M), exhausted=exhausted,
+        )
+    return out
+
+
+def _sweep_elements(C):
+    # a < 0, a divisible by k (s = 0 keeps it), s > 0, n of both signs, and an a far beyond int64
+    k = C.k
+    return [C.bs.make(*g) for g in ((1, 0, 0), (-7, 2, 3), (3 * k, 0, -2), (5, 1, -1), (-(1 << 70) - 1, 1, 2))]
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+@pytest.mark.parametrize("case", range(5))
+def test_sweep_equals_the_scalar_sweep(k, case):
+    C = BsLamplighterCoupling(k)
+    g = _sweep_elements(C)[case]
+    samples = _rng.BLOCK + 300  # two engine blocks
+    want = _scalar_sweep(C, g, range(2, 6), samples, 17)
+    assert C.tail_bound_sweep(g, range(2, 6), samples, 17) == want
+    if g == (1, 0, 0) and k == 2:
+        assert want[2].freq > 0  # a case whose counts are not all zero
+
+
+@pytest.mark.parametrize("carry_bound", [1, 2, 64])
+def test_sweep_on_three_sample_blocks_equals_the_scalar_sweep(monkeypatch, carry_bound):
+    monkeypatch.setattr(_rng, "BLOCK", 3)
+    monkeypatch.setattr(bsll, "DEFAULT_CARRY_BOUND", carry_bound)
+    for k in (2, 3, 5):
+        C = BsLamplighterCoupling(k)
+        for g in _sweep_elements(C):
+            want = _scalar_sweep(C, g, [2, 3], 40, 5)
+            assert C.tail_bound_sweep(g, [2, 3], 40, 5) == want, (k, g)
+            if carry_bound == 1 and g == (1, 0, 0):
+                assert want[2].exhausted > 0
+
+
+def _scalar_distances(C, g, seed, samples):
+    out = []
+    for i in range(samples):
+        try:
+            out.append(C.move_distance("ll", g, C.point(derive(seed, i))))
+        except WindowExhausted:
+            out.append(None)
+    return out
+
+
+@pytest.mark.parametrize("carry_bound", [1, 2, 3])
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_odometer_distances_match_move_distance(monkeypatch, k, carry_bound):
+    # every -1 of the kernel is a WindowExhausted of bs_act, and the rest agree
+    monkeypatch.setattr(bsll, "DEFAULT_CARRY_BOUND", carry_bound)
+    C = BsLamplighterCoupling(k)
+    exhausted = 0
+    for g in _sweep_elements(C):
+        got = C.move_distance_array(g, derive_array(23, np.arange(400))).tolist()
+        want = _scalar_distances(C, g, 23, 400)
+        assert [None if d == -1 else d for d in got] == want, (k, g)
+        exhausted += want.count(None)
+    assert exhausted > 0 or carry_bound > 1  # the one-position window certainly exhausts some
+
+
+@given(
+    k=st.sampled_from([2, 3, 5, 7]),
+    a=st.one_of(st.integers(-50, 50), st.integers(-(1 << 80), 1 << 80)),
+    s=st.integers(0, 4),
+    n=st.integers(-5, 5),
+    carry_bound=st.sampled_from([1, 3, 64]),
+    seed=st.integers(0, (1 << 64) - 1),
+)
+@example(k=2, a=0, s=0, n=-3, carry_bound=64, seed=1)
+@example(k=2, a=-1, s=0, n=0, carry_bound=2, seed=2)
+@example(k=3, a=9, s=0, n=1, carry_bound=1, seed=3)
+@settings(max_examples=60, deadline=None)
+def test_odometer_matches_move_distance_per_sample(k, a, s, n, carry_bound, seed):
+    C = BsLamplighterCoupling(k)
+    g = C.bs.make(a, s, n)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(bsll, "DEFAULT_CARRY_BOUND", carry_bound)
+        got = C.move_distance_array(g, derive_array(seed, np.arange(60))).tolist()
+        want = _scalar_distances(C, g, seed, 60)
+    assert [None if d == -1 else d for d in got] == want
+
+
+@pytest.mark.parametrize("k", [(1 << 32) - 1, 1 << 32, (1 << 64) + 3])
+def test_large_scales_equal_the_scalar_sweep(k):
+    # from 2^32 on, the kernel hands each seed to move_distance
+    C = BsLamplighterCoupling(k)
+    g = C.bs.make(-5, 1, 2)
+    assert C.tail_bound_sweep(g, [2, 3], 30, 4) == _scalar_sweep(C, g, [2, 3], 30, 4)
+
+
+def test_each_block_spot_checks_the_kernel_against_move_distance(monkeypatch):
+    C = BsLamplighterCoupling(2)
+    move_distance = BsLamplighterCoupling.move_distance
+    monkeypatch.setattr(
+        BsLamplighterCoupling, "move_distance", lambda self, *args: move_distance(self, *args) + 1
+    )
+    with pytest.raises(RuntimeError, match="move_distance"):
+        C.tail_bound_sweep((1, 0, 0), [2, 3], 100, 7)

@@ -258,6 +258,33 @@ def test_bsll_tail(capsys):
     assert res["pass"] and res["bound"] == 0.25
 
 
+# results recorded from the per-sample sweep, before the batched odometer
+_BSLL_GOLDEN = [
+    (
+        ["--k", "3", "--g", "bs:a=2,s=0,n=1", "--M", "3", "--samples", "9000", "--seed", "9"],
+        {"freq": 0.0, "stderr": 0.0, "bound": 0.1111111111111111, "threshold": 60, "g_length": 3,
+         "exhausted": 0, "pass": True},
+    ),
+    (
+        ["--k", "2", "--g", "bs:a=-3,s=1,n=-2", "--M", "4", "--samples", "9000", "--seed", "4"],
+        {"freq": 0.0, "stderr": 0.0, "bound": 0.125, "threshold": 69, "g_length": 6,
+         "exhausted": 0, "pass": True},
+    ),
+    (
+        ["--k", "2", "--g", "bs:a=1,s=0,n=0", "--M", "2", "--samples", "9000", "--seed", "5"],
+        {"freq": 0.002111111111111111, "stderr": 0.0004838106058489847, "bound": 0.5, "threshold": 27,
+         "g_length": 1, "exhausted": 0, "pass": True},
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,results", _BSLL_GOLDEN)
+def test_bsll_tail_results_are_unchanged(capsys, argv, results):
+    code, report, _ = run_json(capsys, "bs-ll", "tail", *argv)
+    assert code == 0
+    assert report["results"] == results
+
+
 def test_profile_csv(capsys):
     code, out, _ = run_cli(capsys, "profile", "--group", "zn:1", "--n", "3", "--format", "csv")
     assert code == 0
