@@ -29,8 +29,8 @@ from .groups import Group
 
 DEFAULT_MATRIX_BUDGET_MB = 1024
 CONTRACTION_FLOOR = Fraction(1, 2 * 17820)  # the least contraction a the fat-cycle self-audit accepts
-FOUR_POINT_MAX_VERTICES = 200
-SAMPLED_TRIANGLES = 4_000  # triples the fat-triangle search samples when the tensor exceeds its budget
+FOUR_POINT_MAX_CELLS = 800_000_000  # n^2 per pair the four-point scan visits; 200 vertices need at most 796M
+SAMPLED_TRIANGLES = 4_000  # triples the fat-triangle search samples when all interval rows, 2 n^3 bytes, exceed its budget
 
 
 def _check_budget(what: str, need: float, budget_mb: float, n: int) -> None:
@@ -177,45 +177,88 @@ class MetricGraph:
 
 
 # every batch of pairs or rows in the kernels below spans at most this many
-# cells, so their temporaries stay small next to the n^3 tensor
+# cells, so their temporaries stay small next to the interval rows
 BLOCK_CELLS = 1 << 15
 
 
-def _interval_tensor(G: MetricGraph, budget_mb: int) -> np.ndarray:
-    """T[a, x, c] = d(x, I(a, c)) for all a, x, c; the Rips workhorse.
+def _source_slab(D: np.ndarray, u: np.ndarray, v: np.ndarray, a: int, work: np.ndarray) -> np.ndarray:
+    """slab[x, c] = d(x, I(a, c)) for one source a, as a view of ``work``.
 
     I(a, c) is {c} together with I(a, p) for every neighbour p of c one step
     closer to a, so d(., I(a, c)) is the minimum of d(., c) and the
-    d(., I(a, p)) of those predecessors.  The rows for one source a are built
-    one BFS level from a at a time, then stored transposed.
+    d(., I(a, p)) of those predecessors.  ``work[c]`` is built one BFS level
+    from a at a time, then returned transposed.  (u, v) are the directed
+    edges, sorted by u.
     """
-    n = G.n
-    _check_budget("interval tensor", 2 * n**3 / 1e6, budget_mb, n)
-    D = G.dist.astype(np.int16)
-    # directed edges (u, v), sorted by u
-    u = np.repeat(np.arange(n), [len(nbrs) for nbrs in G.adj])
-    v = np.fromiter((w for nbrs in G.adj for w in nbrs), dtype=np.intp, count=len(u))
-    T = np.empty((n, n, n), dtype=np.int16)
-    rows = np.empty((n, n), dtype=np.int16)  # rows[c] = d(., I(a, c))
-    for a in range(n):
-        da = D[a]
-        rows[a] = da
-        # predecessor edges (c, p), sorted by the level of c, then by c
-        pred = da[v] == da[u] - 1
-        c, p = u[pred], v[pred]
-        order = np.argsort(da[c], kind="stable")
-        c, p = c[order], p[order]
-        first = np.flatnonzero(np.diff(c, prepend=-1))  # first edge of each c
-        ends = np.append(first, len(c))
-        # the c at level L own the runs levels[L - 1] to levels[L]
-        levels = np.searchsorted(da[c[first]], np.arange(1, int(da.max()) + 2))
-        for r0, r1 in zip(levels[:-1], levels[1:]):
-            lo, hi = ends[r0], ends[r1]
-            heads = c[first[r0:r1]]
-            via = np.minimum.reduceat(rows[p[lo:hi]], first[r0:r1] - lo, axis=0)
-            rows[heads] = np.minimum(via, D[heads])
-        T[a] = rows.T
-    return T
+    da = D[a]
+    work[a] = da
+    # predecessor edges (c, p), sorted by the level of c, then by c
+    pred = da[v] == da[u] - 1
+    c, p = u[pred], v[pred]
+    order = np.argsort(da[c], kind="stable")
+    c, p = c[order], p[order]
+    first = np.flatnonzero(np.diff(c, prepend=-1))  # first edge of each c
+    ends = np.append(first, len(c))
+    # the c at level L own the runs levels[L - 1] to levels[L]
+    levels = np.searchsorted(da[c[first]], np.arange(1, int(da.max()) + 2))
+    for r0, r1 in zip(levels[:-1], levels[1:]):
+        lo, hi = ends[r0], ends[r1]
+        heads = c[first[r0:r1]]
+        via = np.minimum.reduceat(work[p[lo:hi]], first[r0:r1] - lo, axis=0)
+        work[heads] = np.minimum(via, D[heads])
+    return work.T
+
+
+class _SourceRows:
+    """d(x, I(a, c)) as one (n, n) int16 slab per source a, built on request.
+
+    ``slab(a)[x, c]`` is d(x, I(a, c)) once ``need`` has been asked for a.
+    The pruned pair scan reads few sources on some graphs (4 of 121 on the
+    11x11 grid), so memory grows with the sources read, 2 n^2 bytes each,
+    and reaches the 2 n^3 bytes of the whole tensor only if all are read.
+    The slabs one ``need`` call builds share one array, a page, so a
+    gather makes one fancy index per page, not one per source.
+    """
+
+    def __init__(self, G: MetricGraph):
+        self.G = G
+        self.pages: list[np.ndarray] = []
+        self.page = np.full(G.n, -1)  # page of source a, -1 until built
+        self.slot = np.zeros(G.n, dtype=np.intp)  # its slab within the page
+        # directed edges (u, v), sorted by u
+        self.u = np.repeat(np.arange(G.n), [len(nbrs) for nbrs in G.adj])
+        self.v = np.fromiter((w for nbrs in G.adj for w in nbrs), dtype=np.intp, count=len(self.u))
+
+    def slab(self, a: int) -> np.ndarray:
+        return self.pages[self.page[a]][self.slot[a]]
+
+    def need(self, *sources: np.ndarray) -> None:
+        """Build the slabs of these sources that are not built yet."""
+        wanted = np.zeros(self.G.n, dtype=bool)
+        for src in sources:
+            wanted[src] = True
+        todo = np.flatnonzero(wanted & (self.page < 0))
+        if len(todo):
+            D = self.G.dist.astype(np.int16)
+            work = np.empty_like(D)
+            page = np.empty((len(todo), *D.shape), dtype=np.int16)
+            for j, a in enumerate(todo.tolist()):
+                page[j] = _source_slab(D, self.u, self.v, a, work)
+            self.page[todo] = len(self.pages)
+            self.slot[todo] = np.arange(len(todo))
+            self.pages.append(page)
+
+    def gather(self, src: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Row x[i] of the slab of src[i], for every i: one fancy index per page."""
+        page = self.page[src]
+        used = np.flatnonzero(np.bincount(page, minlength=1))
+        if len(used) == 1:  # the common case: no mask and no second copy
+            return self.pages[used[0]][self.slot[src], x]
+        out = np.empty((len(x), self.G.n), dtype=np.int16)
+        for k in used.tolist():
+            sel = page == k
+            out[sel] = self.pages[k][self.slot[src[sel]], x[sel]]
+        return out
 
 
 @dataclass
@@ -242,15 +285,18 @@ def _interval_rows(D: np.ndarray, a: np.ndarray, b: np.ndarray, floor: int):
     return np.nonzero(keep)
 
 
-def _row_defects(T: np.ndarray, a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """max over c of min(T[a, x, c], T[b, x, c]), one value per row."""
-    out = np.empty(len(x), dtype=T.dtype)
-    step = max(1, BLOCK_CELLS // T.shape[2])
+def _row_defects(rows: _SourceRows, a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """max over c of min(d(x, I(a, c)), d(x, I(b, c))), one value per row."""
+    rows.need(a, b)
+    out = np.empty(len(x), dtype=np.int16)
+    step = max(1, BLOCK_CELLS // rows.G.n)
     for i in range(0, len(x), step):
         s = slice(i, i + step)
-        m = T[a[s], x[s]]
-        np.minimum(m, T[b[s], x[s]], out=m)
-        out[s] = m.max(axis=1)
+        # the a side stacked on the b side, gathered in one pass
+        m = rows.gather(np.concatenate([a[s], b[s]]), np.tile(x[s], 2))
+        half = len(m) // 2
+        np.minimum(m[:half], m[half:], out=m[:half])
+        out[s] = m[:half].max(axis=1)
     return out
 
 
@@ -261,16 +307,22 @@ def rips_delta(
 
     delta = max over vertex triples (a,b,c) and x in I(a,b) of
     d(x, I(a,c) u I(b,c)), using metric intervals as the union of all
-    geodesics.  The n^3 int16 tensor of d(x, I(a,c)) comes from a level
-    recursion over BFS layers; the pair scan then visits (a, b) in order of
-    decreasing d(a,b) and stops once d(a,b)//2, a bound on any defect in
-    I(a,b), cannot beat the best found.  The witness is the first pair
-    (a <= b) in lexicographic order that attains delta, with the first
-    (c, x) in row-major order inside it.
+    geodesics.  The pair scan visits (a, b) in order of decreasing d(a,b)
+    and stops once d(a,b)//2, a bound on any defect in I(a,b), cannot beat
+    the best found.  It reads d(x, I(a,c)) from per-source int16 slabs,
+    each built by a level recursion over the BFS layers from its source
+    the first time the scan reads that source, so memory grows with the
+    sources read (4 of 121 on the 11x11 grid).  The budget is still
+    checked for all n^3 entries, 2 n^3 bytes.  The witness is the first
+    pair (a <= b) in lexicographic order that attains delta, with the
+    first (c, x) in row-major order inside it.
     """
-    T = _interval_tensor(G, budget_mb)
+    n = G.n
+    # the budget is checked for the worst case, every source read
+    _check_budget("interval tensor", 2 * n**3 / 1e6, budget_mb, n)
+    rows = _SourceRows(G)
     D = G.dist
-    step = max(1, BLOCK_CELLS // G.n)
+    step = max(1, BLOCK_CELLS // n)
     best = 0
     # a point x of I(a, b) has defect at most min(d(a,x), d(b,x)) <= d(a,b)//2
     for k, a, b in _pairs_by_distance(D, step):
@@ -278,7 +330,7 @@ def rips_delta(
             break
         p, x = _interval_rows(D, a, b, best + 1)
         if len(x):
-            best = max(best, int(_row_defects(T, a[p], b[p], x).max()))
+            best = max(best, int(_row_defects(rows, a[p], b[p], x).max()))
     if not witness:
         return Fraction(best)
     wit = ThinnessWitness(0, 0, 0, 0, 0)
@@ -287,12 +339,12 @@ def rips_delta(
         for i in range(0, len(A), step):
             a, b = A[i : i + step], B[i : i + step]
             p, x = _interval_rows(D, a, b, best)
-            hit = np.flatnonzero(_row_defects(T, a[p], b[p], x) == best)
+            hit = np.flatnonzero(_row_defects(rows, a[p], b[p], x) == best)
             if len(hit):
                 a, b = int(a[p[hit[0]]]), int(b[p[hit[0]]])
                 X = np.flatnonzero(G.interval(a, b))
                 # defect of x in side [a,b] against corner c, laid out (c, x)
-                m = np.minimum(T[a, X], T[b, X]).T
+                m = np.minimum(rows.slab(a)[X], rows.slab(b)[X]).T
                 c, xi = np.unravel_index(int(m.argmax()), m.shape)
                 wit = ThinnessWitness(a, b, int(c), int(X[xi]), best)
                 break
@@ -305,16 +357,23 @@ def four_point_delta(G: MetricGraph) -> Fraction:
     The defect of a quadruple is at most min(d(a,b), d(c,d)) for its pairing
     (a,b), (c,d) with the largest sum, so pairs are visited in order of
     decreasing d(a,b) and the scan stops once d(a,b) <= the best defect.
-    Graphs of more than FOUR_POINT_MAX_VERTICES vertices are refused.
+    Each pair visited costs n^2 cells; a scan that would pass
+    FOUR_POINT_MAX_CELLS raises ResourceExhausted with the best value so far
+    and the pairs visited as its progress.
     """
     n = G.n
-    if n > FOUR_POINT_MAX_VERTICES:
-        raise ResourceExhausted(f"|V| = {n} > {FOUR_POINT_MAX_VERTICES}: too large for four-point scan")
     D = G.dist
-    best = 0
+    best = visited = 0
     for k, a, b in _pairs_by_distance(D, max(1, BLOCK_CELLS // (n * n))):
         if k <= best:
             break
+        if (visited + len(a)) * n * n > FOUR_POINT_MAX_CELLS:
+            raise ResourceExhausted(
+                f"four-point scan needs more than {FOUR_POINT_MAX_CELLS:,} cells (|V| = {n}); "
+                f"delta >= {Fraction(best, 2)} after {visited} pairs",
+                progress={"best": Fraction(best, 2), "pairs": visited},
+            )
+        visited += len(a)
         s1 = k + D  # d(a,b) + d(c,d) over (c, d)
         # d(a,c) + d(b,d) over (pair, c, d); its transpose is d(b,c) + d(a,d)
         s2 = D[a, :, None] + D[b, None, :]
@@ -493,9 +552,11 @@ def extract_fat_cycle(
     the returned report carries the actual audited numbers, which are the
     only guarantees.
 
-    The triangle search is exact while the interval tensor fits the memory
-    budget; beyond that it falls back to SAMPLED_TRIANGLES sampled triples,
-    and the reported delta is then a lower bound for the thinness constant.
+    The triangle search is exact while the interval rows of every source,
+    2 n^3 bytes, would fit the memory budget, although rips_delta builds
+    only the rows its pruned scan reads; beyond that it falls back to
+    SAMPLED_TRIANGLES sampled triples, and the reported delta is then a
+    lower bound for the thinness constant.
     """
     try:
         delta, wit = rips_delta(G, budget_mb, witness=True)

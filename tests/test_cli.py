@@ -362,6 +362,20 @@ def test_hyp_delta_family_and_edges(capsys):
         os.unlink(name)
 
 
+def test_hyp_delta_four_point_bounds_cells_not_vertices(capsys, monkeypatch):
+    import oelab.hyperbolicity
+
+    # 225 vertices: refused (exit 1) while the four-point scan had a vertex cap
+    code, report, _ = run_json(capsys, "hyp", "delta", "--family", "grid:15", "--four-point")
+    assert code == 0
+    assert report["results"]["vertices"] == 225 and report["results"]["four_point_delta"] == [14, 1]
+    # the first batch of the 8-cycle, its 4 antipodal pairs, spans 4 * 64 cells
+    monkeypatch.setattr(oelab.hyperbolicity, "FOUR_POINT_MAX_CELLS", 63)
+    code, out, err = run_cli(capsys, "hyp", "delta", "--family", "cycle:8", "--four-point")
+    assert code == 1 and not out
+    assert err.startswith("ResourceExhausted: four-point scan needs more than 63 cells")
+
+
 def test_hyp_audit_cycle(capsys):
     cyc = ",".join(str(v) for v in range(8))
     code, report, _ = run_json(

@@ -13,7 +13,6 @@ from oelab.hyperbolicity import (
     CONTRACTION_FLOOR,
     MetricGraph,
     ThinnessWitness,
-    _interval_tensor,
     _simple_cycle_from_walk,
     _union_path,
     cycle_distortion,
@@ -96,17 +95,39 @@ def test_budget_guard():
         rips_delta(g, budget_mb=1)
 
 
+def random_tree_with_chords(n, seed):
+    """A random spanning tree plus n // 4 random chords: pairs that barely prune."""
+    rng = random.Random(seed)
+    edges = [(i, rng.randrange(i)) for i in range(1, n)]
+    return MetricGraph(n, edges + [(rng.randrange(n), rng.randrange(n)) for _ in range(n // 4)])
+
+
 def test_four_point_guard(monkeypatch):
-    # the guard refuses before the scan, which never reads the distances
-    scans = []
-    monkeypatch.setattr(hyperbolicity, "_pairs_by_distance", lambda *a: scans.append(a) or iter(()))
-    with pytest.raises(ResourceExhausted, match="201"):
-        four_point_delta(MetricGraph.path_graph(201))
-    assert four_point_delta(MetricGraph.path_graph(200)) == 0 and len(scans) == 1
-    monkeypatch.setattr(hyperbolicity, "FOUR_POINT_MAX_VERTICES", 5)
-    with pytest.raises(ResourceExhausted):
-        four_point_delta(MetricGraph.path_graph(6))
-    assert len(scans) == 1
+    # the guard counts the cells the scan visits, n^2 per pair: a 10-vertex
+    # path visits all 45 pairs, 4,500 cells, in nine batches of one distance
+    path = MetricGraph.path_graph(10)
+    monkeypatch.setattr(hyperbolicity, "FOUR_POINT_MAX_CELLS", 4_500)
+    assert four_point_delta(path) == 0
+    monkeypatch.setattr(hyperbolicity, "FOUR_POINT_MAX_CELLS", 4_499)
+    with pytest.raises(ResourceExhausted, match="4,499 cells") as exc:
+        four_point_delta(path)
+    # stopped before the last batch, the 9 pairs at distance 1
+    assert exc.value.progress == {"best": 0, "pairs": 36}
+
+
+def test_four_point_runs_pruned_grids_and_stops_unpruned_graphs():
+    # grids prune after two pairs, whatever their size: 225 and 400 vertices
+    # used to be refused by a vertex cap of 200
+    for side in (15, 20):
+        assert four_point_delta(MetricGraph.grid_graph(side, side)) == side - 1
+    # a tree with chords barely prunes; its scan stops at the cell bound
+    G = random_tree_with_chords(400, 1)
+    with pytest.raises(ResourceExhausted) as exc:
+        four_point_delta(G)
+    # it names a lower bound found before it stopped, one pair short of the bound
+    pairs = exc.value.progress["pairs"]
+    assert exc.value.progress["best"] > 0
+    assert pairs * G.n**2 <= hyperbolicity.FOUR_POINT_MAX_CELLS < (pairs + 1) * G.n**2
 
 
 def test_distance_matrix_budget_guard(monkeypatch):
@@ -402,15 +423,33 @@ def connected_graphs(draw, max_vertices=25):
 @example(MetricGraph(7, [(1, 0), (2, 0), (3, 2), (4, 2), (5, 3), (6, 4), (6, 5), (3, 0), (6, 3)]))
 @settings(max_examples=150, deadline=None)
 def test_fast_kernels_match_oracles(G):
-    T = _interval_tensor(G, 1024)
-    assert T.dtype == np.int16
+    rows = hyperbolicity._SourceRows(G)
+    rows.need(np.arange(G.n))
     for a, Ta in enumerate(scalar_interval_tensor(G)):
-        assert np.array_equal(T[a], Ta.T)
+        assert rows.slab(a).dtype == np.int16
+        assert np.array_equal(rows.slab(a), Ta.T)
     value, wit = rips_delta(G, witness=True)
     assert (value, wit) == scalar_rips(G)
     assert value == definition_rips(G.dist)
     assert rips_delta(G) == value
     assert four_point_delta(G) == brute_four_point(G.dist)
+
+
+def test_rips_delta_builds_only_the_sources_it_reads(monkeypatch):
+    built = []
+    source_slab = hyperbolicity._source_slab
+    monkeypatch.setattr(
+        hyperbolicity, "_source_slab", lambda D, u, v, a, work: built.append(a) or source_slab(D, u, v, a, work)
+    )
+    # on the grid only the four corners are read: the only pairs at distance
+    # 20 are the two corner diagonals, and their defect 10 ends the scan
+    assert rips_delta(MetricGraph.grid_graph(11, 11), witness=True)[0] == 10
+    assert sorted(built) == [0, 10, 110, 120]
+    # a tree never prunes, so every source is read, each built once
+    built.clear()
+    tree = MetricGraph.random_tree(30, 1)
+    assert rips_delta(tree, witness=True)[0] == 0
+    assert sorted(built) == list(range(tree.n))
 
 
 @pytest.mark.parametrize("G", graph_zoo(), ids=lambda G: str(G.n))
@@ -435,16 +474,21 @@ def test_all_pairs_matches_per_source_bfs():
             assert G.dist[src].tolist() == [row[y] for y in range(G.n)]
 
 
-def test_rips_delta_peak_memory_is_the_tensor():
+def test_rips_delta_peak_memory_follows_the_sources_read():
     import tracemalloc
 
-    G = MetricGraph.cayley_ball(BaumslagSolitar(2), 5)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        assert rips_delta(G, witness=True)[0] == 5
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 * G.n**3 + 2e6, peak
+    # bs(1,2) reads 95 of its 191 sources, the 11x11 grid 4 of 121; the whole
+    # tensor of d(x, I(a, c)) would take 2 n^3 bytes
+    for G, delta, share in (
+        (MetricGraph.cayley_ball(BaumslagSolitar(2), 5), 5, 0.6),
+        (MetricGraph.grid_graph(11, 11), 10, 0.1),
+    ):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            assert rips_delta(G, witness=True)[0] == delta
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < share * 2 * G.n**3, (G.n, peak)

@@ -32,7 +32,7 @@ def test_readme_states_each_fixed_cap():
     caps = {
         "DEFAULT_BALL_BUDGET": groups.DEFAULT_BALL_BUDGET,
         "DEFAULT_CARRY_BOUND": bsll.DEFAULT_CARRY_BOUND,
-        "FOUR_POINT_MAX_VERTICES": hyperbolicity.FOUR_POINT_MAX_VERTICES,
+        "FOUR_POINT_MAX_CELLS": hyperbolicity.FOUR_POINT_MAX_CELLS,
         "SAMPLED_TRIANGLES": hyperbolicity.SAMPLED_TRIANGLES,
         "DEFAULT_MATRIX_BUDGET_MB": hyperbolicity.DEFAULT_MATRIX_BUDGET_MB,
     }
