@@ -40,6 +40,7 @@ from . import __version__
 from ._rng import binomial_band, derive, per_sample, sample_blocks
 from .bsll import BsLamplighterCoupling
 from .coupling import (
+    DEFAULT_MAX_DEPTH,
     CylinderSet,
     IntegrabilityGauge,
     MatchedCoupling,
@@ -55,7 +56,7 @@ from .errors import (
     UsageError,
     WindowExhausted,
 )
-from .functional import isoperimetric_profile
+from .functional import DEFAULT_PROFILE_BUDGET, isoperimetric_profile
 from .groups import group_from_spec
 from .hyperbolicity import (
     CONTRACTION_FLOOR,
@@ -300,19 +301,17 @@ def cmd_bsll_tail(args):
 
 def cmd_profile(args):
     group = group_from_spec(args.group)
-    mode, _, maxval = args.mode.partition(":")
-    res = isoperimetric_profile(
-        group, args.n, mode=mode, max_value=_int(maxval or "1", "--mode int"), budget=args.budget
-    )
+    res = isoperimetric_profile(group, args.n, budget=args.budget)
     witness = [group.format_element(g) for g in res.witness]
     rows = [("n", "value_num", "value_den", "witness")]
     rows.append((res.n, res.value.numerator, res.value.denominator, " ".join(witness)))
     results = {
         "n": res.n,
-        "mode": res.mode,
+        # literals: perfbench/references.json records both for heis --n 7 until ROADMAP item 2's re-record
+        "mode": "sets",
         "value": res.value,
         "witness": witness,
-        "witness_values": list(res.witness_values) if res.witness_values else None,
+        "witness_values": None,
         "convention": res.convention,
         "subsets_searched": res.subsets_searched,
     }
@@ -493,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
         cp.add_argument("--left", required=True)
         cp.add_argument("--right", required=True)
         cp.add_argument("--side", choices=["left", "right"], default="left")
-        cp.add_argument("--max-depth", type=int, default=32)
+        cp.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH)
         cp.add_argument("--samples", type=int, default=100_000)
         if name == "tail":
             cp.add_argument("--gamma", required=True)
@@ -519,8 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     prof = sub.add_parser("profile", parents=[common], help="isoperimetric profile search")
     prof.add_argument("--group", required=True)
     prof.add_argument("--n", type=int, required=True)
-    prof.add_argument("--mode", default="sets", help="sets | int:MAXVAL")
-    prof.add_argument("--budget", type=_budget, default=200_000)
+    prof.add_argument("--budget", type=_budget, default=DEFAULT_PROFILE_BUDGET)
     prof.set_defaults(fn=cmd_profile)
 
     wr = sub.add_parser("wreath", help="wreath coupling identity checks")

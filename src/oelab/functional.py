@@ -10,20 +10,19 @@ On a coupling, a finitely supported f on one group induces functions f^x on
 the other whose left gradients are controlled on average by the cocycle
 moments; induced_gradient_check measures both sides.
 
-The isoperimetric machinery is exhaustive and exact over connected supports:
-sets-only mode maximizes |A| / ||grad 1_A||_1, integer mode maximizes
-||f||_1 / ||grad f||_1 over bounded integer values on the same supports.
-Sets mode never translates a support: the enumeration carries
-out(A) = #{(g, s) : g in A, s g not in A}, so ||grad 1_A||_1 = 2 out(A), and
-updates it from a per-call table of each element's neighbours as it adds
-one element; the tests recompute the gradient from scratch as its oracle.
-On a finite group the whole group is a support with an empty boundary,
-which is a usage error in both modes.
+The isoperimetric profile is one exhaustive, exact search over connected
+supports that maximizes |A| / ||grad 1_A||_1.  Weighting a support gains
+nothing: by the coarea formula ||f||_1 / ||grad f||_1 is a weighted mean of
+the ratios of f's level sets.  The search never translates a support: the
+enumeration carries out(A) = #{(g, s) : g in A, s g not in A}, so
+||grad 1_A||_1 = 2 out(A), and updates it from a per-call table of each
+element's neighbours as it adds one element; the tests recompute the
+gradient from scratch as its oracle.  On a finite group the whole group is
+a support with an empty boundary, which is a usage error.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,6 +32,8 @@ from ._rng import Moments, derive, per_sample, sample_blocks
 from .coupling import CouplingPoint, IntegrabilityGauge, MatchedCoupling, mc_integrability
 from .errors import DepthExhausted, ResourceExhausted, TruncationError, UsageError
 from .groups import Group
+
+DEFAULT_PROFILE_BUDGET = 200_000
 
 
 @dataclass
@@ -283,10 +284,8 @@ def induced_gradient_check(
 @dataclass
 class ProfileResult:
     n: int
-    mode: str
     value: Fraction
     witness: tuple
-    witness_values: tuple | None
     convention: str
     subsets_searched: int
 
@@ -335,53 +334,34 @@ def _connected_supports(group: Group, max_size: int, budget: int):
                 stack.append((B, out + len(gens) - 2 * inside))
 
 
-def isoperimetric_profile(
-    group: Group,
-    n: int,
-    mode: str = "sets",
-    max_value: int = 1,
-    budget: int = 200_000,
-) -> ProfileResult:
+def isoperimetric_profile(group: Group, n: int, budget: int | None = None) -> ProfileResult:
     """Exact profile lower bound over connected supports containing e.
 
-    sets mode: max |A| / ||grad^l 1_A||_1 over connected A with |A| <= n
-    (the denominator counts each generator's displacement separately, i.e.
-    it is the ell^1 left gradient of the indicator, 2 out(A)).
-    int mode: max ||f||_1 / ||grad^l f||_1 over f with values in 1..max_value
-    on such supports.  Both return exact rationals within the searched class.
-    A support with an empty boundary (a whole finite group) is a usage error.
+    max |A| / ||grad^l 1_A||_1 over connected A with |A| <= n, as an exact
+    rational (the denominator counts each generator's displacement
+    separately, i.e. it is the ell^1 left gradient of the indicator,
+    2 out(A)).  No f with values on such a support scores higher: by the
+    coarea formula its ratio is a weighted mean of its level sets' ratios.
+    Past ``budget`` supports (default DEFAULT_PROFILE_BUDGET, read at call
+    time) ResourceExhausted carries the best so far.  A support with an
+    empty boundary (a whole finite group) is a usage error.
     """
-    if mode not in ("sets", "int"):
-        raise UsageError(f"profile mode must be sets|int, got {mode!r}")
     if n < 0:
         raise UsageError("profile needs n >= 0")
-    if mode == "int" and max_value < 1:
-        raise UsageError(f"int profile needs max_value >= 1, got {max_value}")
+    if budget is None:
+        budget = DEFAULT_PROFILE_BUDGET
     best = Fraction(0)
     witness: tuple = ()
-    witness_values = None
     searched = 0
     if n > 0:
         try:
             for A, out in _connected_supports(group, n, budget):
                 searched += 1
-                if mode == "sets":
-                    if out == 0:
-                        raise _unbounded(group, A)
-                    # |A| / (2 out) > best, in integers
-                    if len(A) * best.denominator > 2 * out * best.numerator:
-                        best, witness = Fraction(len(A), 2 * out), tuple(sorted(A))
-                else:
-                    sup = tuple(sorted(A))
-                    for values in itertools.product(range(1, max_value + 1), repeat=len(sup)):
-                        fmap = dict(zip(sup, values))
-                        num = sum(values)
-                        denom = _gradient_power_sum(group, fmap, "left", 1)
-                        if denom == 0:
-                            raise _unbounded(group, A)
-                        val = Fraction(num, denom)
-                        if val > best:
-                            best, witness, witness_values = val, sup, values
+                if out == 0:
+                    raise _unbounded(group, A)
+                # |A| / (2 out) > best, in integers
+                if len(A) * best.denominator > 2 * out * best.numerator:
+                    best, witness = Fraction(len(A), 2 * out), tuple(sorted(A))
         except ResourceExhausted as exc:
             raise ResourceExhausted(
                 f"profile search budget hit after {searched} supports",
@@ -392,7 +372,7 @@ def isoperimetric_profile(
         "(sum over generators s of sum_g |f(g) - f(s^-1 g)|); "
         "supports restricted to connected sets containing the identity"
     )
-    return ProfileResult(n, mode, best, witness, witness_values, convention, searched)
+    return ProfileResult(n, best, witness, convention, searched)
 
 
 def _unbounded(group: Group, A) -> UsageError:

@@ -230,11 +230,10 @@ def test_an_unwritable_report_writes_nothing(capsys):
     assert capsys.readouterr().out == ""
 
 
-@pytest.mark.parametrize("mode", ["sets", "int:2"])
-def test_profile_of_a_finite_group_is_a_usage_error(capsys, mode):
+def test_profile_of_a_finite_group_is_a_usage_error(capsys):
     # cyclic:3 is its own support of size 3, with an empty boundary; this
     # used to end in a ZeroDivisionError traceback
-    code, out, err = run_cli(capsys, "profile", "--group", "cyclic:3", "--n", "3", "--mode", mode)
+    code, out, err = run_cli(capsys, "profile", "--group", "cyclic:3", "--n", "3")
     assert code == 1 and out == ""
     assert err.startswith("usage error: cyclic:3 is finite") and "empty boundary" in err
 
@@ -283,6 +282,29 @@ def test_bsll_tail_results_are_unchanged(capsys, argv, results):
     code, report, _ = run_json(capsys, "bs-ll", "tail", *argv)
     assert code == 0
     assert report["results"] == results
+
+
+# the results perfbench/references.json records for this command
+_HEIS_PROFILE_7 = {
+    "n": 7,
+    "mode": "sets",
+    "value": [7, 32],
+    "witness": [
+        "heis:-3,0,2", "heis:-2,0,2", "heis:-2,1,0", "heis:-1,0,2", "heis:-1,1,0", "heis:0,0,0", "heis:0,1,0",
+    ],
+    "witness_values": None,
+    "convention": (
+        "denominator = ell^1 left gradient of the function (sum over generators s of "
+        "sum_g |f(g) - f(s^-1 g)|); supports restricted to connected sets containing the identity"
+    ),
+    "subsets_searched": 16580,
+}
+
+
+def test_profile_results_are_the_recorded_ones(capsys):
+    code, report, _ = run_json(capsys, "profile", "--group", "heis", "--n", "7")
+    assert code == 0
+    assert report["results"] == _HEIS_PROFILE_7
 
 
 def test_profile_csv(capsys):
@@ -542,9 +564,9 @@ _OUT_OF_RANGE = [
     ("hyp delta --family cayley-ball:zn:2:x", ["hyp", "delta", "--family", "cayley-ball:zn:2:x"]),
     ("hyp audit-cycle --cycle 0,1,x", ["hyp", "audit-cycle", "--family", "cycle:5", "--cycle", "0,1,x"]),
     ("couple return-time --x0 a", ["couple", "return-time", *_COUPLE, "--x0", "a", "--samples", "5"]),
-    ("profile --mode int:x", ["profile", "--group", "zn:1", "--n", "3", "--mode", "int:x"]),
-    ("profile --mode int:-1", ["profile", "--group", "zn:1", "--n", "3", "--mode", "int:-1"]),
-    ("profile --mode int:0", ["profile", "--group", "zn:1", "--n", "3", "--mode", "int:0"]),
+    # the profile has one search, so --mode is an unknown option
+    ("profile --mode int:2", ["profile", "--group", "zn:1", "--n", "3", "--mode", "int:2"]),
+    ("profile --mode sets", ["profile", "--group", "zn:1", "--n", "3", "--mode", "sets"]),
     ("couple tail --k above --max-depth", ["couple", "tail", *_COUPLE, "--gamma", "zn:1,0", "--k", "6", "--samples", "1500", "--seed", "2", "--max-depth", "3"]),
     ("hyp audit-cycle --cycle 9,0,1", ["hyp", "audit-cycle", "--family", "cycle:5", "--cycle", "9,0,1"]),
     ("hyp delta --edges 'a b'", ["hyp", "delta", "--edges", "<bad-edges>"]),

@@ -4,7 +4,7 @@ import re
 import sys
 
 import oelab
-from oelab import bsll, groups, hyperbolicity
+from oelab import bsll, functional, groups, hyperbolicity
 
 _ALLOWED = set(sys.stdlib_module_names) | {"numpy", "oelab"}
 
@@ -35,6 +35,7 @@ def test_readme_states_each_fixed_cap():
         "FOUR_POINT_MAX_CELLS": hyperbolicity.FOUR_POINT_MAX_CELLS,
         "SAMPLED_TRIANGLES": hyperbolicity.SAMPLED_TRIANGLES,
         "DEFAULT_MATRIX_BUDGET_MB": hyperbolicity.DEFAULT_MATRIX_BUDGET_MB,
+        "DEFAULT_PROFILE_BUDGET": functional.DEFAULT_PROFILE_BUDGET,
     }
     for name, value in caps.items():
         lines = [line for line in readme if f"`{name}`" in line]
