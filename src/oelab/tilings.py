@@ -13,8 +13,8 @@ can compare computed boundary ratios and diameters against them.
 Every built-in answers ``contains``, ``decode``, ``escape_fraction`` and both
 claims in closed form; the base class has no fallback for them.
 :meth:`TilingSequence.build_tiles` materializes tiles as Python tuples: it is
-the tests' enumeration oracle and the exact diameter's tile, and it proves
-disjointness for the families without array hooks.
+the tests' enumeration oracle, and it proves disjointness and gives the exact
+diameter's tile for the families without array hooks.
 
 The box tilings ``zn:N``, ``zn:N:grouped:M``, ``zblocks`` and ``zmatch`` are
 one class with one alphabet, :class:`_BoxTiling`.  They, ``heis`` and ``ll:M``
@@ -23,11 +23,12 @@ arrays (an ``ll:M`` row is the cursor, then the lamp digits on
 [0, 2^(k+1))), and bound those values, the group's products and its
 ``distance_array`` through ``int64_bound``.  ``proven_bound`` is the one
 gate: the batched rewrite-depth kernel in ``coupling``, the sorted-row
-disjointness proof in :meth:`TilingSequence.prove_disjoint` and the sampled
-``tile_diameter`` run a level on rows only after it proves int64 exact, and
-the scalar methods are the oracles.  ``ll:M``'s gate admits only the
-identity (a window row cannot hold t gamma^-1), so its rewrite depths stay
-scalar.  :meth:`TilingSequence.grow_array` is the one place that reads the
+disjointness proof in :meth:`TilingSequence.prove_disjoint`, the exact
+diameter on the rows that proof sorted, and the sampled ``tile_diameter`` run
+a level on rows only after it proves int64 exact, and the scalar methods are
+the oracles.  ``ll:M``'s gate admits only the identity (a window row cannot
+hold t gamma^-1), so its rewrite depths stay scalar.
+:meth:`TilingSequence.grow_array` is the one place that reads the
 orientation on rows.  The sampled diameter draws each level's letter indices
 as one array, as ``depths`` does, and takes the largest ``distance_array``
 over each engine block of pairs; a tiling that fails the gate at some level
@@ -56,6 +57,7 @@ from .errors import NotInTile, ResourceExhausted, TilingViolation, UsageError
 
 DEFAULT_TILE_BUDGET = 4_000_000
 INT64_SAFE = 1 << 62  # array hooks run only where int64_bound proves values stay below this
+DIAMETER_BLOCK_PAIRS = 1 << 13  # pairs per distance_array call of the exact diameter; its temporaries stay in cache
 
 
 class Orientation(Enum):
@@ -203,19 +205,27 @@ class TilingSequence:
     def prove_disjoint(self, K: int, budget: int = DEFAULT_TILE_BUDGET) -> None:
         """The tiling condition of :meth:`build_tiles` up to level K, on arrays where possible.
 
-        The levels that :meth:`_tile_arrays` yields are proved disjoint by
-        sorting their rows.  Any other level, or one the sort cannot prove,
-        sends the whole proof through build_tiles, which raises the same
-        errors and the same TilingViolation witness.
+        When :meth:`_proved_rows` cannot prove every level, the whole proof
+        goes through build_tiles, which raises the same errors and the same
+        TilingViolation witness.
         """
-        proved = -1  # the last level proved on arrays
-        if K >= 0 and self.tile_size(K) <= budget:
-            for rows in self._tile_arrays(K):
-                if not _distinct_rows(rows):
-                    break
-                proved += 1
-        if K < 0 or proved < K:
+        if self._proved_rows(K, budget) is None:
             self.build_tiles(K, budget)
+
+    def _proved_rows(self, K: int, budget: int) -> np.ndarray | None:
+        """T_K as int64 rows, once T_0..T_K are each proved disjoint by sorting their rows.
+
+        None when K < 0, |T_K| exceeds the budget, or a level of
+        :meth:`_tile_arrays` fails its gate or the sort cannot prove it;
+        build_tiles then decides, with its own error or witness.
+        """
+        if K < 0 or self.tile_size(K) > budget:
+            return None
+        k, rows = -1, None
+        for k, rows in enumerate(self._tile_arrays(K)):
+            if not _distinct_rows(rows):
+                return None
+        return rows if k == K else None
 
     def _tile_arrays(self, K: int):
         """Yield T_k for k = 0..K as int64 arrays with rows in build_tiles's order.
@@ -253,12 +263,17 @@ class TilingSequence:
     ) -> "ClaimReport":
         """Diameter of T_k in the word metric, in one of two modes.
 
-        "exact" is the maximum over all pairs of T_k (a closed form for the
-        box tilings, quadratic in |T_k| otherwise, whose tile build_tiles
-        makes under ``budget``); "sampled" is the maximum over ``samples``
-        seeded pairs, a lower bound.  It runs on int64 rows when levels 0..k
-        all pass proven_bound(identity, .), and per point otherwise; both
-        draw the same pairs and give the same maximum.
+        "exact" is the maximum over all pairs of T_k, under ``budget``: a
+        closed form for the box tilings, and quadratic in |T_k| otherwise.
+        It scans the rows that prove T_0..T_k disjoint
+        (:meth:`_proved_rows`) with ``distance_array``, in blocks of pairs on
+        and above the diagonal, after checking the scan on T_0 against the
+        scalar oracle, the loop over every quotient of build_tiles's tile;
+        without proved rows it runs that loop on T_k.  "sampled" is the
+        maximum over ``samples`` seeded pairs, a lower bound.  It runs on
+        int64 rows when levels 0..k all pass proven_bound(identity, .), and
+        per point otherwise; both draw the same pairs and give the same
+        maximum.
         """
         if mode == "exact":
             return ClaimReport(self._exact_diameter(k, budget), self.claimed_radius(k))
@@ -283,7 +298,34 @@ class TilingSequence:
         return ClaimReport(max(sample_blocks(samples, pairs)), self.claimed_radius(k))
 
     def _exact_diameter(self, k: int, budget: int) -> int:
-        tile = self.build_tiles(k, budget)[k]
+        rows = self._proved_rows(k, budget)
+        if rows is None:
+            # build_tiles raises the budget error or the collision witness first
+            return self._quotient_diameter(self.build_tiles(k, budget)[k])
+        # a live oracle, as in tail_bound_sweep: on T_0, the scan must give the
+        # scalar loop's value, which guards distance_array's int64 arithmetic
+        # against numpy changing its rules
+        letters = self.letter_array(0, np.arange(self.letter_count(0), dtype=np.int64))
+        scan, loop = self._row_diameter(letters), self._quotient_diameter(self.build_tiles(0, budget)[0])
+        if scan != loop:
+            raise RuntimeError(f"distance_array gave diameter {scan} on T_0 where the scalar loop gives {loop}")
+        return self._row_diameter(rows)
+
+    def _row_diameter(self, rows: np.ndarray) -> int:
+        """The largest distance_array over the blocks of pairs on and above the diagonal.
+
+        |u^-1 v| = |v^-1 u| as S = S^-1, so those side x side blocks hold every distance.
+        """
+        side = math.isqrt(DIAMETER_BLOCK_PAIRS)
+        distance = self.group.distance_array
+        return max(
+            int(distance(rows[i : i + side, None], rows[None, j : j + side]).max())
+            for i in range(0, len(rows), side)
+            for j in range(i, len(rows), side)
+        )
+
+    def _quotient_diameter(self, tile: list) -> int:
+        """The scalar oracle: the largest word length over every quotient u^-1 v of the tile."""
         mul, inv = self.group.multiply, self.group.inverse
         quotients = {mul(inv(u), v) for u in tile for v in tile}
         return max(map(self.group.word_length, quotients))
@@ -297,12 +339,13 @@ def _distinct_rows(rows: np.ndarray) -> bool:
     which is injective on the rows.  False when two keys are equal, or when
     the product of the radices reaches 2^62 and the keys could leave int64.
     """
-    lows = rows.min(axis=0)
-    radices = [int(hi) - int(lo) + 1 for lo, hi in zip(lows, rows.max(axis=0))]
+    columns = rows.T  # 1-D reductions per column: far faster than axis 0 on C-ordered rows
+    lows = [column.min() for column in columns]
+    radices = [int(column.max()) - int(lo) + 1 for column, lo in zip(columns, lows)]
     if math.prod(radices) >= INT64_SAFE:
         return False
     key = np.zeros(len(rows), dtype=np.int64)
-    for column, low, radix in zip(rows.T, lows, radices):
+    for column, low, radix in zip(columns, lows, radices):
         key = key * radix + (column - low)
     key.sort()
     return not (key[1:] == key[:-1]).any()

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import oelab
-from oelab.cli import _emit, main
+from oelab.cli import _emit, build_parser, main
 from oelab.errors import ResourceExhausted
 from oelab.groups import group_from_spec
 from oelab.hyperbolicity import MetricGraph, extract_fat_cycle
@@ -305,6 +305,42 @@ def test_profile_results_are_the_recorded_ones(capsys):
     code, report, _ = run_json(capsys, "profile", "--group", "heis", "--n", "7")
     assert code == 0
     assert report["results"] == _HEIS_PROFILE_7
+
+
+# the results of two exact-cli commands, recorded before the exact diameter
+# moved to rows and before the key ranges became column reductions
+_HEIS_K1_EXACT_DIAMETER = [
+    {"k": 0, "size": 16, "epsilon_computed": [9, 16], "epsilon_claimed": [1, 1], "ok": True,
+     "diameter": 8, "radius_claimed": 40},
+    {"k": 1, "size": 256, "epsilon_computed": [39, 128], "epsilon_claimed": [1, 2], "ok": True,
+     "diameter": 17, "radius_claimed": 80},
+]
+_ZN3_K5 = [
+    {"k": k, "size": 8 ** (k + 1), "epsilon_computed": [1, 2 ** (k + 1)], "epsilon_claimed": [1, 2 ** (k + 1)], "ok": True}
+    for k in range(6)
+]
+_HEIS_K1_ARGV = ["tiling", "verify", "--builtin", "heis", "--k", "1", "--exact-diameter"]
+
+
+@pytest.mark.parametrize(
+    "argv,results",
+    [(_HEIS_K1_ARGV, _HEIS_K1_EXACT_DIAMETER), (["tiling", "verify", "--builtin", "zn:3", "--k", "5"], _ZN3_K5)],
+    ids=["heis-k1-exact", "zn3-k5"],
+)
+def test_tiling_verify_results_are_the_recorded_ones(capsys, argv, results):
+    code, report, _ = run_json(capsys, *argv)
+    assert code == 0
+    assert report["results"] == results
+
+
+def test_one_parser_serves_every_call(capsys):
+    assert build_parser() is build_parser()
+    # a usage error leaves the shared parser as it was: the next command
+    # exits and reports as it did alone in a fresh process, when recorded
+    code, _, err = run_cli(capsys, "profile", "--group", "zn:1", "--n", "3", "--mode", "sets")
+    assert code == 1 and err.startswith("usage error")
+    code, report, _ = run_json(capsys, *_HEIS_K1_ARGV)
+    assert (code, report["results"]) == (0, _HEIS_K1_EXACT_DIAMETER)
 
 
 def test_profile_csv(capsys):

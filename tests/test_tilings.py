@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oelab import _rng
+from oelab import _rng, tilings
 from oelab.errors import NotInTile, ResourceExhausted, TilingViolation, UsageError
 from oelab.tilings import (
+    DEFAULT_TILE_BUDGET,
     INT64_SAFE,
     FiniteCyclicTiling,
     HeisTiling,
@@ -618,3 +619,88 @@ def test_exact_diameter_builds_its_tile_under_the_budget():
     assert HeisTiling().tile_diameter(0, mode="exact", budget=16).value == 8
     # the box tilings' closed form builds nothing
     assert ZnTiling(2).tile_diameter(4, mode="exact", budget=1).value == 2 * 31
+
+
+# -- the exact diameter on proved rows --------------------------------------
+
+# the scalar quotient loop's values, recorded before the rows took over
+_EXACT_DIAMETERS = {"heis": [8, 17, 35], "ll:2": [4, 10, 22], "ll:3": [4, 10]}
+_EXACT_CASES = [(spec, k, d) for spec, ds in _EXACT_DIAMETERS.items() for k, d in enumerate(ds)]
+
+
+def _loop_diameter(monkeypatch, spec, k):
+    """Oracle: the scalar loop over every quotient of build_tiles's tile, which rows never reach."""
+    t = builtin(spec)
+    monkeypatch.setattr(t, "_proved_rows", lambda K, budget: None)
+    return t.tile_diameter(k, mode="exact").value
+
+
+@pytest.mark.parametrize("spec,k,recorded", _EXACT_CASES, ids=[f"{s}-k{k}" for s, k, _ in _EXACT_CASES])
+def test_exact_diameter_on_rows_matches_the_quotient_loop(monkeypatch, spec, k, recorded):
+    t = builtin(spec)
+    real = t.build_tiles
+    # build_tiles makes only T_0, for the live oracle; T_k comes from the proof's rows
+    monkeypatch.setattr(t, "build_tiles", lambda K, budget: real(K, budget) if K == 0 else pytest.fail("built T_k"))
+    assert t.tile_diameter(k, mode="exact").value == recorded
+    if t.tile_size(k) <= 400:  # heis T_2 (4,096 elements) takes the loop 11 s, ll:2 T_2 27 s
+        assert _loop_diameter(monkeypatch, spec, k) == recorded
+
+
+@pytest.mark.parametrize("spec,k,pairs", [("heis", 1, 9), ("ll:2", 1, 30), ("ll:3", 0, 2)])
+def test_row_diameter_blocks_cover_the_upper_triangle(monkeypatch, spec, k, pairs):
+    # sides 3, 5 and 1, so heis T_1's 256 rows and ll:2 T_1's 64 end in a
+    # short block; every pair i <= j of T_k lands in one of the blocks
+    monkeypatch.setattr(tilings, "DIAMETER_BLOCK_PAIRS", pairs)
+    t = builtin(spec)
+    rows = t._proved_rows(k, DEFAULT_TILE_BUDGET)
+    index = {tuple(r): i for i, r in enumerate(rows.tolist())}
+    real, covered, blocks = t.group.distance_array, set(), []
+
+    def distance(u, v):
+        blocks.append(u.shape[0] * v.shape[1])
+        assert blocks[-1] <= pairs
+        covered.update((index[tuple(a)], index[tuple(b)]) for a in u[:, 0].tolist() for b in v[0].tolist())
+        return real(u, v)
+
+    monkeypatch.setattr(t.group, "distance_array", distance)
+    assert t._row_diameter(rows) == _EXACT_DIAMETERS[spec][k]
+    n, side = len(rows), math.isqrt(pairs)
+    assert len(blocks) == math.comb(-(-n // side) + 1, 2)
+    assert all((i, j) in covered for i in range(n) for j in range(i, n))
+
+
+def test_exact_diameter_on_rows_checks_t0_against_the_quotient_loop(monkeypatch):
+    t = HeisTiling()
+    real = t.group.distance_array
+    monkeypatch.setattr(t.group, "distance_array", lambda u, v: real(u, v) + (len(u) == 16))
+    with pytest.raises(RuntimeError, match="diameter 9 on T_0 where the scalar loop gives 8"):
+        t.tile_diameter(1, mode="exact")
+
+
+def test_exact_diameter_without_row_hooks_runs_the_quotient_loop(monkeypatch):
+    t = builtin("cyclic:3")
+    real, calls = t.build_tiles, []
+    monkeypatch.setattr(t, "build_tiles", lambda K, budget: calls.append(K) or real(K, budget))
+    assert t.tile_diameter(2, mode="exact").value == 1
+    assert calls == [2]
+
+
+class HeisRepeatsALetter(HeisTiling):
+    """Letter 1 of F_1 is letter 0 again: T_1 = T_0 F_1 collides, as rows and as tuples."""
+
+    def letter(self, k, idx):
+        return super().letter(k, 0 if k == 1 and idx == 1 else idx)
+
+    def letter_array(self, k, idx):
+        return super().letter_array(k, np.where(idx == 1, 0, idx) if k == 1 else idx)
+
+
+def test_exact_diameter_collision_raises_the_build_tiles_witness():
+    t = HeisRepeatsALetter()
+    assert t.tile_diameter(0, mode="exact").value == 8
+    with pytest.raises(TilingViolation) as proof:
+        t.prove_disjoint(1)
+    with pytest.raises(TilingViolation) as diameter:
+        t.tile_diameter(1, mode="exact")
+    assert proof.value.k == 1
+    assert (diameter.value.k, diameter.value.witness) == (proof.value.k, proof.value.witness)
