@@ -248,7 +248,8 @@ def induced_gradient_check(
     best = None
     best_stderr = 0.0
     for s in grp.generators:
-        rep = mc_integrability(coupling, which, s, moment_gauge, n_samples, derive(seed, 2))
+        # only the estimate is read: strata_depth=0 forms no claimed radius past R_0
+        rep = mc_integrability(coupling, which, s, moment_gauge, n_samples, derive(seed, 2), strata_depth=0)
         if best is None or rep.estimate > best:
             best = rep.estimate
             best_stderr = rep.stderr

@@ -450,15 +450,21 @@ class BaumslagSolitar(Group):
         the last takes what is left, so one carry pass keeps at most three
         values alive.  Past W = low + |a|.bit_length() + 1 only 0 or +-1 is
         left, and a deeper walk pays 2 letters a level to save at most 1.
+        While e = top - s - W > 0 a value is a k**e + c and its digit is c mod
+        k, so the pass carries the small offset c, linear in n where the
+        value itself would be quadratic; no cost is read before
+        W >= low >= top - s, where the values take over.
         """
         self.check_element(g)
         a, s, n = g
         k = self.k
         top = max(0, n, s)
         low = top - min(0, n)
-        carries = {a * k ** (top - s): 0}  # value left to write -> least digit cost
+        carries = {0: 0}  # offset c of a k**(top - s - W) left to write -> least digit cost
         costs = []
         for W in range(low + abs(a).bit_length() + 2):
+            if W == top - s:
+                carries = {a + c: cost for c, cost in carries.items()}  # the values themselves from here
             if W >= low:
                 costs.append(2 * W - abs(n) + min(c + abs(v) for v, c in carries.items()))
             step = {}

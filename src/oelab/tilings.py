@@ -13,8 +13,9 @@ can compare computed boundary ratios and diameters against them.
 Every built-in answers ``contains``, ``decode``, ``escape_fraction`` and both
 claims in closed form; the base class has no fallback for them.
 :meth:`TilingSequence.build_tiles` materializes tiles as Python tuples: it is
-the tests' enumeration oracle, and it proves disjointness and gives the exact
-diameter's tile for the families without array hooks.
+the tests' enumeration oracle, and it proves disjointness for the families
+without array hooks.  Each built-in but ``cyclic:Q`` takes its exact diameter
+from its own structure, with the quotient loop over that tile as the oracle.
 
 The box tilings ``zn:N``, ``zn:N:grouped:M``, ``zblocks`` and ``zmatch`` are
 one class with one alphabet, :class:`_BoxTiling`.  They, ``heis`` and ``ll:M``
@@ -23,11 +24,11 @@ arrays (an ``ll:M`` row is the cursor, then the lamp digits on
 [0, 2^(k+1))), and bound those values, the group's products and its
 ``distance_array`` through ``int64_bound``.  ``proven_bound`` is the one
 gate: the batched rewrite-depth kernel in ``coupling``, the sorted-row
-disjointness proof in :meth:`TilingSequence.prove_disjoint`, the exact
-diameter on the rows that proof sorted, and the sampled ``tile_diameter`` run
-a level on rows only after it proves int64 exact, and the scalar methods are
-the oracles.  ``ll:M``'s gate admits only the identity (a window row cannot
-hold t gamma^-1), so its rewrite depths stay scalar.
+disjointness proof in :meth:`TilingSequence.prove_disjoint` and the sampled
+``tile_diameter`` run a level on rows only after it proves int64 exact, and
+the scalar methods are the oracles.  ``ll:M``'s gate admits only the
+identity (a window row cannot hold t gamma^-1), so its rewrite depths stay
+scalar.
 :meth:`TilingSequence.grow_array` is the one place that reads the
 orientation on rows.  The sampled diameter draws each level's letter indices
 as one array, as ``depths`` does, and takes the largest ``distance_array``
@@ -43,6 +44,7 @@ oelab is single-threaded: share a tiling, coupling or point under a lock.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -57,7 +59,6 @@ from .errors import NotInTile, ResourceExhausted, TilingViolation, UsageError
 
 DEFAULT_TILE_BUDGET = 4_000_000
 INT64_SAFE = 1 << 62  # array hooks run only where int64_bound proves values stay below this
-DIAMETER_BLOCK_PAIRS = 1 << 13  # pairs per distance_array call of the exact diameter; its temporaries stay in cache
 
 
 class Orientation(Enum):
@@ -205,27 +206,16 @@ class TilingSequence:
     def prove_disjoint(self, K: int, budget: int = DEFAULT_TILE_BUDGET) -> None:
         """The tiling condition of :meth:`build_tiles` up to level K, on arrays where possible.
 
-        When :meth:`_proved_rows` cannot prove every level, the whole proof
-        goes through build_tiles, which raises the same errors and the same
-        TilingViolation witness.
+        Each level of :meth:`_tile_arrays` must sort into distinct rows.  When
+        K < 0, |T_K| exceeds the budget, or a level fails its gate or the
+        sort, the whole proof goes through build_tiles, which raises the same
+        errors and the same TilingViolation witness.
         """
-        if self._proved_rows(K, budget) is None:
-            self.build_tiles(K, budget)
-
-    def _proved_rows(self, K: int, budget: int) -> np.ndarray | None:
-        """T_K as int64 rows, once T_0..T_K are each proved disjoint by sorting their rows.
-
-        None when K < 0, |T_K| exceeds the budget, or a level of
-        :meth:`_tile_arrays` fails its gate or the sort cannot prove it;
-        build_tiles then decides, with its own error or witness.
-        """
-        if K < 0 or self.tile_size(K) > budget:
-            return None
-        k, rows = -1, None
-        for k, rows in enumerate(self._tile_arrays(K)):
-            if not _distinct_rows(rows):
-                return None
-        return rows if k == K else None
+        if 0 <= K and self.tile_size(K) <= budget:
+            proved = itertools.takewhile(_distinct_rows, self._tile_arrays(K))
+            if sum(1 for _ in proved) == K + 1:
+                return
+        self.build_tiles(K, budget)
 
     def _tile_arrays(self, K: int):
         """Yield T_k for k = 0..K as int64 arrays with rows in build_tiles's order.
@@ -263,17 +253,14 @@ class TilingSequence:
     ) -> "ClaimReport":
         """Diameter of T_k in the word metric, in one of two modes.
 
-        "exact" is the maximum over all pairs of T_k, under ``budget``: a
-        closed form for the box tilings, and quadratic in |T_k| otherwise.
-        It scans the rows that prove T_0..T_k disjoint
-        (:meth:`_proved_rows`) with ``distance_array``, in blocks of pairs on
-        and above the diagonal, after checking the scan on T_0 against the
-        scalar oracle, the loop over every quotient of build_tiles's tile;
-        without proved rows it runs that loop on T_k.  "sampled" is the
-        maximum over ``samples`` seeded pairs, a lower bound.  It runs on
-        int64 rows when levels 0..k all pass proven_bound(identity, .), and
-        per point otherwise; both draw the same pairs and give the same
-        maximum.
+        "exact" is the maximum over all pairs of T_k: a closed form for the
+        box tilings and ``ll:M``, the column ends of T_k for ``heis`` once
+        T_0..T_k are proved disjoint under ``budget``, and otherwise the
+        scalar loop over every quotient of build_tiles's T_k, their oracle.
+        "sampled" is the maximum over ``samples`` seeded pairs, a lower
+        bound.  It runs on int64 rows when levels 0..k all pass
+        proven_bound(identity, .), and per point otherwise; both draw the
+        same pairs and give the same maximum.
         """
         if mode == "exact":
             return ClaimReport(self._exact_diameter(k, budget), self.claimed_radius(k))
@@ -298,36 +285,14 @@ class TilingSequence:
         return ClaimReport(max(sample_blocks(samples, pairs)), self.claimed_radius(k))
 
     def _exact_diameter(self, k: int, budget: int) -> int:
-        rows = self._proved_rows(k, budget)
-        if rows is None:
-            # build_tiles raises the budget error or the collision witness first
-            return self._quotient_diameter(self.build_tiles(k, budget)[k])
-        # a live oracle, as in tail_bound_sweep: on T_0, the scan must give the
-        # scalar loop's value, which guards distance_array's int64 arithmetic
-        # against numpy changing its rules
-        letters = self.letter_array(0, np.arange(self.letter_count(0), dtype=np.int64))
-        scan, loop = self._row_diameter(letters), self._quotient_diameter(self.build_tiles(0, budget)[0])
-        if scan != loop:
-            raise RuntimeError(f"distance_array gave diameter {scan} on T_0 where the scalar loop gives {loop}")
-        return self._row_diameter(rows)
+        """The scalar oracle: the largest word length over every quotient u^-1 v of build_tiles's T_k."""
+        tile = self.build_tiles(k, budget)[k]
+        return self._largest_quotient(tile, tile)
 
-    def _row_diameter(self, rows: np.ndarray) -> int:
-        """The largest distance_array over the blocks of pairs on and above the diagonal.
-
-        |u^-1 v| = |v^-1 u| as S = S^-1, so those side x side blocks hold every distance.
-        """
-        side = math.isqrt(DIAMETER_BLOCK_PAIRS)
-        distance = self.group.distance_array
-        return max(
-            int(distance(rows[i : i + side, None], rows[None, j : j + side]).max())
-            for i in range(0, len(rows), side)
-            for j in range(i, len(rows), side)
-        )
-
-    def _quotient_diameter(self, tile: list) -> int:
-        """The scalar oracle: the largest word length over every quotient u^-1 v of the tile."""
+    def _largest_quotient(self, us, vs) -> int:
+        """max |u^-1 v| over u in us and v in vs, one word length per distinct quotient."""
         mul, inv = self.group.multiply, self.group.inverse
-        quotients = {mul(inv(u), v) for u in tile for v in tile}
+        quotients = {mul(u_inv, v) for u_inv in map(inv, us) for v in vs}
         return max(map(self.group.word_length, quotients))
 
 
@@ -607,6 +572,31 @@ class HeisTiling(TilingSequence):
             esc += int(np.minimum(W, np.abs(delta)).sum())
         return Fraction(esc, L * L * W)
 
+    def _exact_diameter(self, k, budget):
+        # build_tiles raises the budget error or the collision witness first
+        self.prove_disjoint(k, budget)
+        # a live oracle, as in tail_bound_sweep: on T_0 the column ends must
+        # give the quotient loop's value
+        ends, loop = self._column_end_diameter(0), super()._exact_diameter(0, budget)
+        if ends != loop:
+            raise RuntimeError(f"the column ends give diameter {ends} on T_0 where the quotient loop gives {loop}")
+        return self._column_end_diameter(k)
+
+    def _column_end_diameter(self, k: int) -> int:
+        """The largest |u^-1 v| with u on the floor and v on the top of a column of T_k.
+
+        Column (x, y) of T_k holds z = cross(x, y) + w for w in [0, L^2), and
+        u = (x, y, z), v = (x', y', z') have u^-1 v = (x' - x, y' - y,
+        z' - z - y (x' - x)), so over two columns
+        only the last coordinate moves, with z' - z over an interval whose
+        ends pair a floor with a top.  |(x, y, z)| is quasi-convex in z, so
+        the ends hold the maximum, and |g^-1| = |g| turns each top-to-floor
+        pair into a floor-to-top one.
+        """
+        L = 1 << (k + 1)
+        floors = [(x, y, self._cross(x, y)) for x in range(L) for y in range(L)]
+        return self._largest_quotient(floors, [(x, y, z + L * L - 1) for x, y, z in floors])
+
 
 class LamplighterTiling(TilingSequence):
     """Right tiling of Z/mZ wr Z, per the lamplighter construction.
@@ -719,6 +709,14 @@ class LamplighterTiling(TilingSequence):
         shifts = [0, j, *(p for p, _ in lamps)]
         lo, hi = -min(shifts), L - max(shifts)
         return Fraction(L - max(0, hi - lo), L)
+
+    def _exact_diameter(self, k, budget):
+        # u^-1 v holds its lamp differences on L sites, each at most m // 2
+        # switches from off, and walks from 0 to its cursor within those
+        # sites, at most 2 (L - 1) steps; v with every lamp at m // 2 and
+        # cursor 0 meets both bounds at u = identity
+        L = 1 << (k + 1)
+        return L * (self.m // 2) + 2 * (L - 1)
 
 
 class ZBlocksTiling(_BoxTiling):

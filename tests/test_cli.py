@@ -58,7 +58,7 @@ def test_tiling_verify_epsilon(capsys):
 
 
 def test_exact_diameter_honours_the_budget(capsys):
-    # heis's exact diameter builds T_k, so a budget below |T_0| = 16 stops it
+    # heis's exact diameter proves T_k disjoint, so a budget below |T_0| = 16 stops it
     argv = ["tiling", "verify", "--k", "2", "--exact-diameter", "--budget", "10"]
     code, out, err = run_cli(capsys, *argv, "--builtin", "heis")
     assert code == 1 and out == ""
@@ -66,6 +66,16 @@ def test_exact_diameter_honours_the_budget(capsys):
     # the box tilings' diameter is a closed form that builds nothing
     code, report, _ = run_json(capsys, *argv, "--builtin", "zn:2")
     assert code == 0 and report["results"][-1]["diameter"] == 2 * 7
+
+
+def test_exact_diameter_reads_each_tilings_structure(capsys):
+    # heis scans the ends of T_k's columns, not the pairs of its 65,536 elements at k = 3
+    argv = ["tiling", "verify", "--exact-diameter", "--builtin"]
+    code, report, _ = run_json(capsys, *argv, "heis", "--k", "3")
+    assert code == 0 and [row["diameter"] for row in report["results"]] == [8, 17, 35, 73]
+    # ll:M's closed form builds no tile, so |T_3| = 2^20 above the budget does not stop it
+    code, report, _ = run_json(capsys, *argv, "ll:2", "--k", "4", "--budget", "100000")
+    assert code == 0 and [row["diameter"] for row in report["results"]] == [4, 10, 22, 46, 94]
 
 
 def test_couple_tail_csv_and_exit(capsys):
@@ -282,6 +292,13 @@ def test_bsll_tail_results_are_unchanged(capsys, argv, results):
     code, report, _ = run_json(capsys, "bs-ll", "tail", *argv)
     assert code == 0
     assert report["results"] == results
+
+
+def test_bsll_tail_g_length_is_linear_in_its_height(capsys):
+    # a carry pass on the values a k**(n - W) themselves would take 23 s here
+    argv = ["--k", "2", "--g", "bs:a=1,s=0,n=100000", "--M", "5", "--samples", "10"]
+    code, report, _ = run_json(capsys, "bs-ll", "tail", *argv)
+    assert code == 0 and report["results"]["g_length"] == 100_001
 
 
 # the results perfbench/references.json records for this command

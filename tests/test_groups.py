@@ -182,6 +182,33 @@ def test_bs_closed_form_matches_carry_search(k, a, s, n):
     assert bs.word_length(g) == _bs_carry_minimum(k, g)
 
 
+def _bs_value_carry_pass(k, g):
+    """The carry pass on the values a k**(top - s - W) + c themselves, quadratic in n."""
+    a, s, n = g
+    top = max(0, n, s)
+    low = top - min(0, n)
+    carries = {a * k ** (top - s): 0}
+    costs = []
+    for W in range(low + abs(a).bit_length() + 2):
+        if W >= low:
+            costs.append(2 * W - abs(n) + min(c + abs(v) for v, c in carries.items()))
+        step = {}
+        for v, c in carries.items():
+            for d in (v % k, v % k - k):
+                step[(v - d) // k] = min(step.get((v - d) // k, c + abs(d)), c + abs(d))
+        carries = step
+    return min(costs)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_bs_offset_carry_pass_matches_the_value_pass(k):
+    bs, rng = BaumslagSolitar(k), random.Random(k)
+    for _ in range(1000):
+        a = rng.choice([rng.randint(-9, 9), rng.randint(-10**6, 10**6), rng.randint(-(10**30), 10**30)])
+        g = bs.make(a, rng.randint(0, 40), rng.randint(-60, 200))
+        assert bs.word_length(g) == _bs_value_carry_pass(k, g), g
+
+
 def test_heisenberg_bfs_word_lengths():
     h = Heisenberg()
     # commutator [E1, E2] = (0,0,?) has length 4: E1 E2 E1^-1 E2^-1

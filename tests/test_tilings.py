@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oelab import _rng, tilings
+from oelab import _rng
 from oelab.errors import NotInTile, ResourceExhausted, TilingViolation, UsageError
 from oelab.tilings import (
     DEFAULT_TILE_BUDGET,
@@ -621,59 +621,52 @@ def test_exact_diameter_builds_its_tile_under_the_budget():
     assert ZnTiling(2).tile_diameter(4, mode="exact", budget=1).value == 2 * 31
 
 
-# -- the exact diameter on proved rows --------------------------------------
+# -- the exact diameter from each tiling's structure -----------------------
 
-# the scalar quotient loop's values, recorded before the rows took over
-_EXACT_DIAMETERS = {"heis": [8, 17, 35], "ll:2": [4, 10, 22], "ll:3": [4, 10]}
+# the scalar quotient loop's values; heis's 73 at k = 3 is the value the
+# all-pairs scan over T_3's int64 rows gave
+_EXACT_DIAMETERS = {"heis": [8, 17, 35, 73], "ll:2": [4, 10, 22], "ll:3": [4, 10]}
 _EXACT_CASES = [(spec, k, d) for spec, ds in _EXACT_DIAMETERS.items() for k, d in enumerate(ds)]
 
 
-def _loop_diameter(monkeypatch, spec, k):
-    """Oracle: the scalar loop over every quotient of build_tiles's tile, which rows never reach."""
-    t = builtin(spec)
-    monkeypatch.setattr(t, "_proved_rows", lambda K, budget: None)
-    return t.tile_diameter(k, mode="exact").value
+def _loop_diameter(spec, k):
+    """Oracle: the scalar loop over every quotient of build_tiles's tile."""
+    return TilingSequence._exact_diameter(builtin(spec), k, DEFAULT_TILE_BUDGET)
 
 
 @pytest.mark.parametrize("spec,k,recorded", _EXACT_CASES, ids=[f"{s}-k{k}" for s, k, _ in _EXACT_CASES])
 def test_exact_diameter_on_rows_matches_the_quotient_loop(monkeypatch, spec, k, recorded):
     t = builtin(spec)
     real = t.build_tiles
-    # build_tiles makes only T_0, for the live oracle; T_k comes from the proof's rows
+    # build_tiles makes only heis's T_0, for the live oracle; no diameter enumerates T_k
     monkeypatch.setattr(t, "build_tiles", lambda K, budget: real(K, budget) if K == 0 else pytest.fail("built T_k"))
     assert t.tile_diameter(k, mode="exact").value == recorded
-    if t.tile_size(k) <= 400:  # heis T_2 (4,096 elements) takes the loop 11 s, ll:2 T_2 27 s
-        assert _loop_diameter(monkeypatch, spec, k) == recorded
+    if t.tile_size(k) <= 400:  # the loop is quadratic: heis T_2 has 4,096 elements, ll:2 T_2 2,048
+        assert _loop_diameter(spec, k) == recorded
 
 
-@pytest.mark.parametrize("spec,k,pairs", [("heis", 1, 9), ("ll:2", 1, 30), ("ll:3", 0, 2)])
-def test_row_diameter_blocks_cover_the_upper_triangle(monkeypatch, spec, k, pairs):
-    # sides 3, 5 and 1, so heis T_1's 256 rows and ll:2 T_1's 64 end in a
-    # short block; every pair i <= j of T_k lands in one of the blocks
-    monkeypatch.setattr(tilings, "DIAMETER_BLOCK_PAIRS", pairs)
-    t = builtin(spec)
-    rows = t._proved_rows(k, DEFAULT_TILE_BUDGET)
-    index = {tuple(r): i for i, r in enumerate(rows.tolist())}
-    real, covered, blocks = t.group.distance_array, set(), []
+def test_heisenberg_length_is_quasi_convex_in_z():
+    # the premise of heis's column ends: along z, |(x, y, z)| falls, then rises
+    length = HeisTiling().group.word_length
+    for x in range(-9, 10):
+        for y in range(-9, 10):
+            lengths = [length((x, y, z)) for z in range(-300, 301)]
+            rises = [b > a for a, b in zip(lengths, lengths[1:]) if b != a]
+            assert rises == sorted(rises), (x, y)
 
-    def distance(u, v):
-        blocks.append(u.shape[0] * v.shape[1])
-        assert blocks[-1] <= pairs
-        covered.update((index[tuple(a)], index[tuple(b)]) for a in u[:, 0].tolist() for b in v[0].tolist())
-        return real(u, v)
 
-    monkeypatch.setattr(t.group, "distance_array", distance)
-    assert t._row_diameter(rows) == _EXACT_DIAMETERS[spec][k]
-    n, side = len(rows), math.isqrt(pairs)
-    assert len(blocks) == math.comb(-(-n // side) + 1, 2)
-    assert all((i, j) in covered for i in range(n) for j in range(i, n))
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_lamplighter_diameter_closed_form_matches_the_quotient_loop(m):
+    t = LamplighterTiling(m)
+    for k in itertools.takewhile(lambda k: t.tile_size(k) <= 5000, itertools.count()):
+        assert t.tile_diameter(k, mode="exact").value == _loop_diameter(f"ll:{m}", k), k
 
 
 def test_exact_diameter_on_rows_checks_t0_against_the_quotient_loop(monkeypatch):
+    # a cross term a column height too high at (1, 1) breaks the column ends on T_0 itself
     t = HeisTiling()
-    real = t.group.distance_array
-    monkeypatch.setattr(t.group, "distance_array", lambda u, v: real(u, v) + (len(u) == 16))
-    with pytest.raises(RuntimeError, match="diameter 9 on T_0 where the scalar loop gives 8"):
+    monkeypatch.setattr(t, "_cross", lambda x, y: 4 * x * y)
+    with pytest.raises(RuntimeError, match="diameter 11 on T_0 where the quotient loop gives 8"):
         t.tile_diameter(1, mode="exact")
 
 
