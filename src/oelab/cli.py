@@ -387,7 +387,7 @@ def cmd_hyp_audit_cycle(args):
 def cmd_hyp_extract(args):
     G = _graph_from_args(args)
     try:
-        res = extract_fat_cycle(G, budget_mb=args.budget or _budget_mb(), seed=args.seed)
+        res = extract_fat_cycle(G, budget_mb=args.budget or _budget_mb())
     except NotApplicable as exc:
         return {"not_applicable": str(exc)}, True, None
     min_length = min_cycle_length(res.delta)
@@ -542,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
         hp = hsub.add_parser(name, parents=[common])
         hp.add_argument("--family", help="grid:N | grid:WxH | cycle:N | path:N | tree:N:SEED | cayley-ball:GROUP:R")
         hp.add_argument("--edges", help="edge-list file, one 'u v' per line")
-        hp.add_argument("--budget", type=_budget, default=None, help="tensor budget in MB; default from OELAB_BUDGET_MB")
+        hp.add_argument("--budget", type=_budget, default=None, help="interval-row budget in MB; default from OELAB_BUDGET_MB")
         if name == "delta":
             hp.add_argument("--four-point", action="store_true")
         if name == "audit-cycle":

@@ -30,12 +30,12 @@ from .groups import Group
 DEFAULT_MATRIX_BUDGET_MB = 1024
 CONTRACTION_FLOOR = Fraction(1, 2 * 17820)  # the least contraction a the fat-cycle self-audit accepts
 FOUR_POINT_MAX_CELLS = 800_000_000  # n^2 per pair the four-point scan visits; 200 vertices need at most 796M
-SAMPLED_TRIANGLES = 4_000  # triples the fat-triangle search samples when all interval rows, 2 n^3 bytes, exceed its budget
 
 
-def _check_budget(what: str, need: float, budget_mb: float, n: int) -> None:
+def _check_budget(what: str, need: float, budget_mb: float, n: int, after: str = "", progress=None) -> None:
     if need > budget_mb:
-        raise ResourceExhausted(f"{what} needs ~{need:.0f} MB > budget {budget_mb} MB (|V| = {n})")
+        size = f"{need:.3g}" if need < 100 else f"{need:.0f}"
+        raise ResourceExhausted(f"{what} ~{size} MB > budget {budget_mb:g} MB (|V| = {n}){after}", progress)
 
 
 class MetricGraph:
@@ -65,7 +65,7 @@ class MetricGraph:
         """
         n = self.n
         # the int32 matrix and two n x n bool arrays
-        _check_budget("distance matrix", 6 * n**2 / 1e6, DEFAULT_MATRIX_BUDGET_MB, n)
+        _check_budget("distance matrix needs", 6 * n**2 / 1e6, DEFAULT_MATRIX_BUDGET_MB, n)
         width = max(map(len, self.adj))
         # slot j of v is its j-th neighbour, or v itself past its degree
         slots = np.repeat(np.arange(n, dtype=np.int32)[:, None], width, axis=1)
@@ -215,13 +215,14 @@ class _SourceRows:
     ``slab(a)[x, c]`` is d(x, I(a, c)) once ``need`` has been asked for a.
     The pruned pair scan reads few sources on some graphs (4 of 121 on the
     11x11 grid), so memory grows with the sources read, 2 n^2 bytes each,
-    and reaches the 2 n^3 bytes of the whole tensor only if all are read.
-    The slabs one ``need`` call builds share one array, a page, so a
-    gather makes one fancy index per page, not one per source.
+    and ``need`` charges exactly that against ``budget_mb``.  The slabs one
+    ``need`` call builds share one array, a page, so a gather makes one
+    fancy index per page, not one per source.
     """
 
-    def __init__(self, G: MetricGraph):
+    def __init__(self, G: MetricGraph, budget_mb: float):
         self.G = G
+        self.budget_mb = budget_mb
         self.pages: list[np.ndarray] = []
         self.page = np.full(G.n, -1)  # page of source a, -1 until built
         self.slot = np.zeros(G.n, dtype=np.intp)  # its slab within the page
@@ -232,13 +233,18 @@ class _SourceRows:
     def slab(self, a: int) -> np.ndarray:
         return self.pages[self.page[a]][self.slot[a]]
 
-    def need(self, *sources: np.ndarray) -> None:
-        """Build the slabs of these sources that are not built yet."""
-        wanted = np.zeros(self.G.n, dtype=bool)
+    def need(self, best: int, *sources: np.ndarray) -> None:
+        """Build the slabs of these sources that are not built yet, all within
+        the budget, or raise with ``best``, the caller's delta so far."""
+        n = self.G.n
+        wanted = np.zeros(n, dtype=bool)
         for src in sources:
             wanted[src] = True
         todo = np.flatnonzero(wanted & (self.page < 0))
         if len(todo):
+            built = sum(map(len, self.pages))
+            after, progress = f"; delta >= {best} after {built} sources", {"best": Fraction(best), "sources": built}
+            _check_budget("interval rows need", 2 * n**2 * (built + len(todo)) / 1e6, self.budget_mb, n, after, progress)
             D = self.G.dist.astype(np.int16)
             work = np.empty_like(D)
             page = np.empty((len(todo), *D.shape), dtype=np.int16)
@@ -285,9 +291,9 @@ def _interval_rows(D: np.ndarray, a: np.ndarray, b: np.ndarray, floor: int):
     return np.nonzero(keep)
 
 
-def _row_defects(rows: _SourceRows, a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _row_defects(rows: _SourceRows, a: np.ndarray, b: np.ndarray, x: np.ndarray, best: int) -> np.ndarray:
     """max over c of min(d(x, I(a, c)), d(x, I(b, c))), one value per row."""
-    rows.need(a, b)
+    rows.need(best, a, b)
     out = np.empty(len(x), dtype=np.int16)
     step = max(1, BLOCK_CELLS // rows.G.n)
     for i in range(0, len(x), step):
@@ -300,9 +306,12 @@ def _row_defects(rows: _SourceRows, a: np.ndarray, b: np.ndarray, x: np.ndarray)
     return out
 
 
-def rips_delta(
-    G: MetricGraph, budget_mb: int = DEFAULT_MATRIX_BUDGET_MB, witness: bool = False
-):
+def _is_tree(G: MetricGraph) -> bool:
+    """Connected with n - 1 edges: one geodesic per pair, so every defect is 0."""
+    return sum(map(len, G.adj)) == 2 * (G.n - 1)
+
+
+def rips_delta(G: MetricGraph, budget_mb: float = DEFAULT_MATRIX_BUDGET_MB, witness: bool = False):
     """Exact interval-based Rips constant of the graph.
 
     delta = max over vertex triples (a,b,c) and x in I(a,b) of
@@ -312,25 +321,25 @@ def rips_delta(
     the best found.  It reads d(x, I(a,c)) from per-source int16 slabs,
     each built by a level recursion over the BFS layers from its source
     the first time the scan reads that source, so memory grows with the
-    sources read (4 of 121 on the 11x11 grid).  The budget is still
-    checked for all n^3 entries, 2 n^3 bytes.  The witness is the first
+    sources read (4 of 121 on the 11x11 grid).  Each slab is charged
+    2 n^2 bytes against budget_mb as it is built; one that would pass the
+    budget raises ResourceExhausted with the best delta so far and the
+    sources built.  A tree is 0 with no scan.  The witness is the first
     pair (a <= b) in lexicographic order that attains delta, with the
     first (c, x) in row-major order inside it.
     """
     n = G.n
-    # the budget is checked for the worst case, every source read
-    _check_budget("interval tensor", 2 * n**3 / 1e6, budget_mb, n)
-    rows = _SourceRows(G)
+    rows = _SourceRows(G, budget_mb)
     D = G.dist
     step = max(1, BLOCK_CELLS // n)
     best = 0
     # a point x of I(a, b) has defect at most min(d(a,x), d(b,x)) <= d(a,b)//2
-    for k, a, b in _pairs_by_distance(D, step):
+    for k, a, b in () if _is_tree(G) else _pairs_by_distance(D, step):
         if k // 2 <= best:
             break
         p, x = _interval_rows(D, a, b, best + 1)
         if len(x):
-            best = max(best, int(_row_defects(rows, a[p], b[p], x).max()))
+            best = max(best, int(_row_defects(rows, a[p], b[p], x, best).max()))
     if not witness:
         return Fraction(best)
     wit = ThinnessWitness(0, 0, 0, 0, 0)
@@ -339,7 +348,7 @@ def rips_delta(
         for i in range(0, len(A), step):
             a, b = A[i : i + step], B[i : i + step]
             p, x = _interval_rows(D, a, b, best)
-            hit = np.flatnonzero(_row_defects(rows, a[p], b[p], x) == best)
+            hit = np.flatnonzero(_row_defects(rows, a[p], b[p], x, best) == best)
             if len(hit):
                 a, b = int(a[p[hit[0]]]), int(b[p[hit[0]]])
                 X = np.flatnonzero(G.interval(a, b))
@@ -359,12 +368,12 @@ def four_point_delta(G: MetricGraph) -> Fraction:
     decreasing d(a,b) and the scan stops once d(a,b) <= the best defect.
     Each pair visited costs n^2 cells; a scan that would pass
     FOUR_POINT_MAX_CELLS raises ResourceExhausted with the best value so far
-    and the pairs visited as its progress.
+    and the pairs visited as its progress.  A tree is 0 with no scan.
     """
     n = G.n
     D = G.dist
     best = visited = 0
-    for k, a, b in _pairs_by_distance(D, max(1, BLOCK_CELLS // (n * n))):
+    for k, a, b in () if _is_tree(G) else _pairs_by_distance(D, max(1, BLOCK_CELLS // (n * n))):
         if k <= best:
             break
         if (visited + len(a)) * n * n > FOUR_POINT_MAX_CELLS:
@@ -518,29 +527,7 @@ def _simple_cycle_from_walk(walk: list[int]) -> list[int]:
     return best
 
 
-def _thinness_sampled(G: MetricGraph, trials: int, seed: int) -> ThinnessWitness:
-    """Budgeted fat-triangle search: max interval defect over sampled triples."""
-    best = ThinnessWitness(0, 0, 0, 0, 0)
-    n = G.n
-    for i in range(trials):
-        a = derive(seed, i, 0) % n
-        b = derive(seed, i, 1) % n
-        c = derive(seed, i, 2) % n
-        if len({a, b, c}) < 3:
-            continue
-        union = np.flatnonzero(G.interval(a, c) | G.interval(b, c))
-        du = G.dist_to_set(union)
-        X = np.flatnonzero(G.interval(a, b))
-        xi = int(du[X].argmax())
-        defect = int(du[X[xi]])
-        if defect > best.defect:
-            best = ThinnessWitness(a, b, c, int(X[xi]), defect)
-    return best
-
-
-def extract_fat_cycle(
-    G: MetricGraph, budget_mb: int = DEFAULT_MATRIX_BUDGET_MB, seed: int = 0
-) -> FatCycleResult:
+def extract_fat_cycle(G: MetricGraph, budget_mb: float = DEFAULT_MATRIX_BUDGET_MB) -> FatCycleResult:
     """Construct a long cycle of bounded distortion from a fattest triangle.
 
     Discrete adaptation of the thick-triangle-to-cycle argument: find the
@@ -552,17 +539,10 @@ def extract_fat_cycle(
     the returned report carries the actual audited numbers, which are the
     only guarantees.
 
-    The triangle search is exact while the interval rows of every source,
-    2 n^3 bytes, would fit the memory budget, although rips_delta builds
-    only the rows its pruned scan reads; beyond that it falls back to
-    SAMPLED_TRIANGLES sampled triples, and the reported delta is then a
-    lower bound for the thinness constant.
+    The triangle is rips_delta's witness, exact under the same budget; a
+    scan whose interval rows would pass it raises ResourceExhausted.
     """
-    try:
-        delta, wit = rips_delta(G, budget_mb, witness=True)
-    except ResourceExhausted:
-        wit = _thinness_sampled(G, SAMPLED_TRIANGLES, seed)
-        delta = Fraction(wit.defect)
+    delta, wit = rips_delta(G, budget_mb, witness=True)
     if delta == 0:
         raise NotApplicable("graph is 0-thin (a tree-like interval structure)")
     D = wit.defect

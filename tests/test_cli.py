@@ -11,8 +11,6 @@ import pytest
 import oelab
 from oelab.cli import _emit, build_parser, main
 from oelab.errors import ResourceExhausted
-from oelab.groups import group_from_spec
-from oelab.hyperbolicity import MetricGraph, extract_fat_cycle
 
 
 def run_cli(capsys, *argv):
@@ -466,18 +464,74 @@ def test_hyp_extract(capsys):
     assert report["results"]["self_audit"]["pass"]
 
 
-def test_hyp_extract_seed_reaches_the_sampled_fallback(capsys):
-    # 299 vertices: the interval tensor exceeds 1 MB, so the triangle search samples
-    G = MetricGraph.cayley_ball(group_from_spec("heis"), 5)
-    cycles = []
-    for seed in (0, 5):
-        _, report, _ = run_json(
-            capsys, "hyp", "extract", "--family", "cayley-ball:heis:5", "--budget", "1", "--seed", str(seed)
-        )
-        assert report["seed"] == seed
-        assert report["results"]["cycle"] == extract_fat_cycle(G, budget_mb=1, seed=seed).cycle
-        cycles.append(report["results"]["cycle"])
-    assert cycles[0] != cycles[1]
+def test_hyp_extract_past_its_budget_exits_1(capsys):
+    # 299 vertices: the first page of interval rows passes 1 MB, and the
+    # extraction stops there with nothing on stdout; it samples no triangles
+    code, out, err = run_cli(capsys, "hyp", "extract", "--family", "cayley-ball:heis:5", "--budget", "1")
+    assert code == 1 and not out
+    assert err.startswith("ResourceExhausted: interval rows need ~16.4 MB > budget 1 MB (|V| = 299)")
+
+
+def test_hyp_grid_40_is_exact_under_the_default_budget(capsys):
+    # all interval rows would take 2 n^3 bytes, 8,192 MB; the scan reads 4 sources
+    code, report, _ = run_json(capsys, "hyp", "delta", "--family", "grid:40")
+    assert code == 0 and report["results"]["rips_delta"] == [39, 1]
+    code, report, _ = run_json(capsys, "hyp", "extract", "--family", "grid:40")
+    assert code == 0 and report["results"]["delta"] == [39, 1]
+    assert report["results"]["self_audit"]["pass"]
+
+
+@pytest.mark.parametrize("family", ["tree:400:1", "path:250"])
+def test_hyp_trees_answer_both_deltas_at_once(capsys, family):
+    code, report, _ = run_json(capsys, "hyp", "delta", "--family", family, "--four-point")
+    assert code == 0
+    assert report["results"]["rips_delta"] == [0, 1] == report["results"]["four_point_delta"]
+
+
+def test_hyp_extract_on_a_large_tree_is_not_applicable(capsys):
+    code, report, _ = run_json(capsys, "hyp", "extract", "--family", "tree:2000:1")
+    assert code == 0
+    assert report["results"] == {"not_applicable": "graph is 0-thin (a tree-like interval structure)"}
+
+
+_README_HYP = [
+    (
+        ["hyp", "delta", "--family", "grid:10", "--four-point"],
+        {
+            "vertices": 100,
+            "rips_delta": [9, 1],
+            "convention": "metric-interval Rips constant (exact for vertex intervals)",
+            "four_point_delta": [9, 1],
+        },
+    ),
+    (
+        ["hyp", "audit-cycle", "--family", "cycle:12", "--cycle", "0,1,2,3,4,5,6,7,8,9,10,11"],
+        {
+            "distortion": {"n": 12, "a": [1, 1], "b": [1, 1], "witness_a": [0, 1], "witness_b": [0, 1]},
+            "rips_delta": [3, 1],
+            "bound": 6.169925001442312,
+            "within_bound": True,
+        },
+    ),
+    (
+        ["hyp", "extract", "--family", "grid:20"],
+        {
+            "delta": [19, 1],
+            "cycle_length": 76,
+            # the boundary of the 20x20 grid, from vertex 20 round to vertex 0
+            "cycle": [*range(20, 381, 20), *range(381, 400), *range(379, 18, -20), *range(18, -1, -1)],
+            "distortion": {"n": 76, "a": [19, 37], "b": [1, 1], "witness_a": [8, 47], "witness_b": [0, 1]},
+            "discrete_slack": 2,
+            "self_audit": {"min_length": 1, "contraction_floor": [1, 35640], "pass": True},
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,results", _README_HYP, ids=[argv[1] for argv, _ in _README_HYP])
+def test_readme_hyp_commands_keep_their_results(capsys, argv, results):
+    code, report, _ = run_json(capsys, *argv)
+    assert code == 0 and report["results"] == results
 
 
 def test_usage_errors_exit_1(capsys):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -104,15 +105,16 @@ def random_tree_with_chords(n, seed):
 
 def test_four_point_guard(monkeypatch):
     # the guard counts the cells the scan visits, n^2 per pair: a 10-vertex
-    # path visits all 45 pairs, 4,500 cells, in nine batches of one distance
-    path = MetricGraph.path_graph(10)
+    # path with the chord (0, 2) is no tree but has four-point delta 0, so it
+    # visits all 45 pairs, 4,500 cells, in batches of one distance each
+    G = MetricGraph(10, [(i, i + 1) for i in range(9)] + [(0, 2)])
     monkeypatch.setattr(hyperbolicity, "FOUR_POINT_MAX_CELLS", 4_500)
-    assert four_point_delta(path) == 0
+    assert four_point_delta(G) == 0
     monkeypatch.setattr(hyperbolicity, "FOUR_POINT_MAX_CELLS", 4_499)
     with pytest.raises(ResourceExhausted, match="4,499 cells") as exc:
-        four_point_delta(path)
-    # stopped before the last batch, the 9 pairs at distance 1
-    assert exc.value.progress == {"best": 0, "pairs": 36}
+        four_point_delta(G)
+    # stopped before the last batch, the 10 pairs at distance 1
+    assert exc.value.progress == {"best": 0, "pairs": 35}
 
 
 def test_four_point_runs_pruned_grids_and_stops_unpruned_graphs():
@@ -318,14 +320,34 @@ def test_simple_cycle_from_walk_erases_loops():
     assert _simple_cycle_from_walk([]) == []
 
 
-def test_extract_sampled_fallback_on_tiny_budget(monkeypatch):
-    # force the sampled fat-triangle path; the audit still binds the output
-    monkeypatch.setattr(hyperbolicity, "SAMPLED_TRIANGLES", 800)
+def test_extract_past_its_budget_raises():
+    # the fattest triangle is always the exact one: past the budget the
+    # extraction stops with the scan, it does not sample triangles
     G = MetricGraph.grid_graph(12, 12)
-    res = extract_fat_cycle(G, budget_mb=1, seed=4)
-    audit = cycle_distortion(G, res.cycle)
-    assert audit.a == res.report.a and audit.b == res.report.b
-    assert res.report.n >= 3
+    assert extract_fat_cycle(G, budget_mb=1).delta == 11
+    with pytest.raises(ResourceExhausted, match="^interval rows need") as exc:
+        extract_fat_cycle(G, budget_mb=0.1)
+    assert exc.value.progress == {"best": 0, "sources": 0}
+
+
+def test_rips_budget_charges_each_slab_built():
+    # the 11x11 grid reads 4 sources, 2 * 121^2 bytes each
+    G = MetricGraph.grid_graph(11, 11)
+    fits = 4 * 2 * 121**2 / 1e6
+    assert rips_delta(G, budget_mb=fits) == 10
+    with pytest.raises(ResourceExhausted, match="need ~0.117 MB > budget 0.117127 MB") as exc:
+        rips_delta(G, budget_mb=fits - 1e-6)
+    assert exc.value.progress == {"best": 0, "sources": 0}
+    assert str(exc.value).endswith("; delta >= 0 after 0 sources")
+    # the 3x4 grid scans 4 sources for delta 2, and its witness pass reads 6
+    # more under the same budget: stopped there, its progress holds delta
+    G = MetricGraph.grid_graph(3, 4)
+    scan, everything = 4 * 2 * 12**2 / 1e6, 10 * 2 * 12**2 / 1e6
+    assert rips_delta(G, budget_mb=scan) == 2
+    assert rips_delta(G, budget_mb=everything, witness=True)[0] == 2
+    with pytest.raises(ResourceExhausted) as exc:
+        rips_delta(G, budget_mb=scan, witness=True)
+    assert exc.value.progress == {"best": 2, "sources": 4}
 
 
 def test_rips_delta_leaves_no_allocations_behind():
@@ -423,8 +445,8 @@ def connected_graphs(draw, max_vertices=25):
 @example(MetricGraph(7, [(1, 0), (2, 0), (3, 2), (4, 2), (5, 3), (6, 4), (6, 5), (3, 0), (6, 3)]))
 @settings(max_examples=150, deadline=None)
 def test_fast_kernels_match_oracles(G):
-    rows = hyperbolicity._SourceRows(G)
-    rows.need(np.arange(G.n))
+    rows = hyperbolicity._SourceRows(G, hyperbolicity.DEFAULT_MATRIX_BUDGET_MB)
+    rows.need(0, np.arange(G.n))
     for a, Ta in enumerate(scalar_interval_tensor(G)):
         assert rows.slab(a).dtype == np.int16
         assert np.array_equal(rows.slab(a), Ta.T)
@@ -445,11 +467,27 @@ def test_rips_delta_builds_only_the_sources_it_reads(monkeypatch):
     # 20 are the two corner diagonals, and their defect 10 ends the scan
     assert rips_delta(MetricGraph.grid_graph(11, 11), witness=True)[0] == 10
     assert sorted(built) == [0, 10, 110, 120]
-    # a tree never prunes, so every source is read, each built once
+    # a tree answers 0 with no scan, so it builds no slab
     built.clear()
     tree = MetricGraph.random_tree(30, 1)
-    assert rips_delta(tree, witness=True)[0] == 0
-    assert sorted(built) == list(range(tree.n))
+    assert rips_delta(tree, witness=True) == (0, ThinnessWitness(0, 0, 0, 0, 0))
+    assert built == []
+
+
+@st.composite
+def trees(draw, max_vertices=40):
+    n = draw(st.integers(1, max_vertices))
+    return MetricGraph(n, [(i, draw(st.integers(0, i - 1))) for i in range(1, n)])
+
+
+@given(trees())
+@settings(max_examples=60, deadline=None)
+def test_trees_answer_the_oracles_without_a_scan(G):
+    # one geodesic per pair: both kernels are 0 without building a slab
+    with mock.patch.object(hyperbolicity, "_source_slab", side_effect=AssertionError("a tree built a slab")):
+        assert rips_delta(G, witness=True) == (definition_rips(G.dist), ThinnessWitness(0, 0, 0, 0, 0))
+        assert rips_delta(G) == 0
+        assert four_point_delta(G) == brute_four_point(G.dist) == 0
 
 
 @pytest.mark.parametrize("G", graph_zoo(), ids=lambda G: str(G.n))

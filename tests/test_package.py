@@ -33,7 +33,6 @@ def test_readme_states_each_fixed_cap():
         "DEFAULT_BALL_BUDGET": groups.DEFAULT_BALL_BUDGET,
         "DEFAULT_CARRY_BOUND": bsll.DEFAULT_CARRY_BOUND,
         "FOUR_POINT_MAX_CELLS": hyperbolicity.FOUR_POINT_MAX_CELLS,
-        "SAMPLED_TRIANGLES": hyperbolicity.SAMPLED_TRIANGLES,
         "DEFAULT_MATRIX_BUDGET_MB": hyperbolicity.DEFAULT_MATRIX_BUDGET_MB,
         "DEFAULT_PROFILE_BUDGET": functional.DEFAULT_PROFILE_BUDGET,
     }
