@@ -29,7 +29,7 @@ from .groups import Group
 
 DEFAULT_MATRIX_BUDGET_MB = 1024
 CONTRACTION_FLOOR = Fraction(1, 2 * 17820)  # the least contraction a the fat-cycle self-audit accepts
-FOUR_POINT_MAX_CELLS = 800_000_000  # n^2 per pair the four-point scan visits; 200 vertices need at most 796M
+FOUR_POINT_MAX_CELLS = 800_000_000  # m^2 per pair the four-point scan visits in an m-vertex block; 200 vertices need at most 796M
 
 
 def _check_budget(what: str, need: float, budget_mb: float, n: int, after: str = "", progress=None) -> None:
@@ -306,9 +306,86 @@ def _row_defects(rows: _SourceRows, a: np.ndarray, b: np.ndarray, x: np.ndarray,
     return out
 
 
-def _is_tree(G: MetricGraph) -> bool:
-    """Connected with n - 1 edges: one geodesic per pair, so every defect is 0."""
-    return sum(map(len, G.adj)) == 2 * (G.n - 1)
+def _blocks(G: MetricGraph) -> list[tuple[list[int], int]]:
+    """(vertices in G's order, edge count) of each biconnected component of G.
+
+    One iterative depth-first search (Tarjan, SIAM J. Comput. 1972): when
+    the search returns from w to its parent v with low(w) >= disc(v), v cuts
+    w's subtree off, and v with the vertices stacked since w is one block.
+    Every edge joins a vertex to an ancestor, and it belongs to the block
+    that pops its lower end.  A single vertex has no block.
+    """
+    disc, low, up = [-1] * G.n, [0] * G.n, [0] * G.n  # up: edges to ancestors
+    disc[0], seen = 0, 1
+    stack, blocks = [0], []
+    # (v, its unread neighbours, the stack height below v)
+    path = [(0, iter(G.adj[0]), 0)]
+    while path:
+        v, nbrs, _ = path[-1]
+        for w in nbrs:
+            if disc[w] < 0:
+                disc[w] = low[w] = seen
+                seen += 1
+                path.append((w, iter(G.adj[w]), len(stack)))
+                stack.append(w)
+                break
+            low[v] = min(low[v], disc[w])
+            up[v] += disc[w] < disc[v]
+        else:
+            _, _, height = path.pop()
+            if path:
+                u = path[-1][0]
+                low[u] = min(low[u], low[v])
+                if low[v] >= disc[u]:
+                    below = stack[height:]
+                    blocks.append((sorted([u, *below]), sum(up[x] for x in below)))
+                    del stack[height:]
+    return blocks
+
+
+def _scan_blocks(G: MetricGraph) -> list[tuple[int, MetricGraph]]:
+    """(diameter, block) for every block of G that is not a clique, by
+    decreasing diameter.
+
+    delta of a connected graph is the largest delta of its blocks, for the
+    Rips and the four-point constant alike (Cohen, Coudert and Lancin, "On
+    computing the Gromov hyperbolicity", ACM JEA 2015), and a clique's is 0.
+    A block is convex: a geodesic that left it through a cut vertex would
+    come back through the same vertex.  So a block's distances are a slice
+    of G.dist.  A block that spans G is G itself.
+    """
+    out = []
+    for V, edges in _blocks(G):
+        m = len(V)
+        if 2 * edges == m * (m - 1):  # a clique: every defect is 0
+            continue
+        if m == G.n:
+            B = G
+        else:
+            local = {v: i for i, v in enumerate(V)}
+            B = MetricGraph.__new__(MetricGraph)
+            B.n, B.dist = m, G.dist[np.ix_(V, V)]
+            B.adj = [[local[w] for w in G.adj[v] if w in local] for v in V]
+        out.append((int(B.dist.max()), B))
+    out.sort(key=lambda block: -block[0])
+    return out
+
+
+def _rips_scan(G: MetricGraph, rows: _SourceRows, best: int) -> int:
+    """The largest defect of G if it beats ``best``, else ``best``.
+
+    Pairs (a, b) come by decreasing d(a,b), and the scan stops once
+    d(a,b)//2, a bound on the defect of any x in I(a,b), cannot beat the
+    best found.
+    """
+    D = G.dist
+    for k, a, b in _pairs_by_distance(D, max(1, BLOCK_CELLS // G.n)):
+        if k // 2 <= best:
+            break
+        p, x = _interval_rows(D, a, b, best + 1)
+        if len(x):
+            best = max(best, int(_row_defects(rows, a[p], b[p], x, best).max()))
+    return best
 
 
 def rips_delta(G: MetricGraph, budget_mb: float = DEFAULT_MATRIX_BUDGET_MB, witness: bool = False):
@@ -316,34 +393,41 @@ def rips_delta(G: MetricGraph, budget_mb: float = DEFAULT_MATRIX_BUDGET_MB, witn
 
     delta = max over vertex triples (a,b,c) and x in I(a,b) of
     d(x, I(a,c) u I(b,c)), using metric intervals as the union of all
-    geodesics.  The pair scan visits (a, b) in order of decreasing d(a,b)
-    and stops once d(a,b)//2, a bound on any defect in I(a,b), cannot beat
-    the best found.  It reads d(x, I(a,c)) from per-source int16 slabs,
-    each built by a level recursion over the BFS layers from its source
-    the first time the scan reads that source, so memory grows with the
-    sources read (4 of 121 on the 11x11 grid).  Each slab is charged
-    2 n^2 bytes against budget_mb as it is built; one that would pass the
-    budget raises ResourceExhausted with the best delta so far and the
-    sources built.  A tree is 0 with no scan.  The witness is the first
-    pair (a <= b) in lexicographic order that attains delta, with the
-    first (c, x) in row-major order inside it.
+    geodesics.  It is the largest delta over G's biconnected components
+    (blocks), so the pruned pair scan runs on each block that is not a
+    clique, by decreasing diameter, and skips a block whose diameter//2
+    cannot beat the best so far; a block graph (a tree, a path) is 0 with
+    no scan.  The scan reads d(x, I(a,c)) from per-source int16 slabs of
+    its block, each built by a level recursion over the BFS layers from its
+    source the first time the scan reads that source, so memory grows with
+    the sources read (4 of 121 on the 11x11 grid, 25 of the 26-vertex
+    block of the ll:2 ball of radius 5).  Each slab is charged 2 m^2 bytes
+    against budget_mb as it is built, m the block's size, and a block's
+    slabs are released before the next block starts; one that would pass
+    the budget raises ResourceExhausted with the best delta so far and the
+    sources of that block built.
+
+    With ``witness``, a graph whose blocks are all cliques answers
+    (0, ThinnessWitness(0, 0, 0, 0, 0)); any other is scanned whole, and the
+    witness is the first pair (a <= b) in lexicographic order that attains
+    delta, with the first (c, x) in row-major order inside it.
     """
-    n = G.n
-    rows = _SourceRows(G, budget_mb)
-    D = G.dist
-    step = max(1, BLOCK_CELLS // n)
-    best = 0
-    # a point x of I(a, b) has defect at most min(d(a,x), d(b,x)) <= d(a,b)//2
-    for k, a, b in () if _is_tree(G) else _pairs_by_distance(D, step):
-        if k // 2 <= best:
-            break
-        p, x = _interval_rows(D, a, b, best + 1)
-        if len(x):
-            best = max(best, int(_row_defects(rows, a[p], b[p], x, best).max()))
+    blocks = _scan_blocks(G)
     if not witness:
+        best = 0
+        for diam, B in blocks:
+            if diam // 2 <= best:
+                break
+            best = _rips_scan(B, _SourceRows(B, budget_mb), best)
         return Fraction(best)
     wit = ThinnessWitness(0, 0, 0, 0, 0)
+    if not blocks:
+        return Fraction(0), wit
+    rows = _SourceRows(G, budget_mb)
+    best = _rips_scan(G, rows, 0)
     if best > 0:
+        D = G.dist
+        step = max(1, BLOCK_CELLS // G.n)
         A, B = np.nonzero(np.triu(D >= 2 * best))
         for i in range(0, len(A), step):
             a, b = A[i : i + step], B[i : i + step]
@@ -363,35 +447,41 @@ def rips_delta(G: MetricGraph, budget_mb: float = DEFAULT_MATRIX_BUDGET_MB, witn
 def four_point_delta(G: MetricGraph) -> Fraction:
     """Gromov four-point condition: max defect / 2 over all quadruples.
 
-    The defect of a quadruple is at most min(d(a,b), d(c,d)) for its pairing
-    (a,b), (c,d) with the largest sum, so pairs are visited in order of
-    decreasing d(a,b) and the scan stops once d(a,b) <= the best defect.
-    Each pair visited costs n^2 cells; a scan that would pass
-    FOUR_POINT_MAX_CELLS raises ResourceExhausted with the best value so far
-    and the pairs visited as its progress.  A tree is 0 with no scan.
+    It is the largest over G's blocks that are not cliques, visited by
+    decreasing diameter; a block graph (a tree, a path) is 0 with no scan.
+    Within a block, the defect of a quadruple is at most min(d(a,b), d(c,d))
+    for its pairing (a,b), (c,d) with the largest sum, so pairs are visited
+    in order of decreasing d(a,b) and the scan stops once d(a,b) <= the best
+    defect, which also skips every later block.  Each pair visited costs m^2
+    cells, m its block's size; a scan whose cells, summed over blocks, would
+    pass FOUR_POINT_MAX_CELLS raises ResourceExhausted with the best value
+    so far and the pairs visited as its progress.
     """
-    n = G.n
-    D = G.dist
-    best = visited = 0
-    for k, a, b in () if _is_tree(G) else _pairs_by_distance(D, max(1, BLOCK_CELLS // (n * n))):
-        if k <= best:
+    best = cells = visited = 0
+    for diam, B in _scan_blocks(G):
+        if diam <= best:
             break
-        if (visited + len(a)) * n * n > FOUR_POINT_MAX_CELLS:
-            raise ResourceExhausted(
-                f"four-point scan needs more than {FOUR_POINT_MAX_CELLS:,} cells (|V| = {n}); "
-                f"delta >= {Fraction(best, 2)} after {visited} pairs",
-                progress={"best": Fraction(best, 2), "pairs": visited},
-            )
-        visited += len(a)
-        s1 = k + D  # d(a,b) + d(c,d) over (c, d)
-        # d(a,c) + d(b,d) over (pair, c, d); its transpose is d(b,c) + d(a,d)
-        s2 = D[a, :, None] + D[b, None, :]
-        s3 = s2.transpose(0, 2, 1)
-        hi, lo = np.maximum(s2, s3), np.minimum(s2, s3)
-        # largest minus middle of (s1, s2, s3)
-        np.maximum(lo, np.minimum(s1, hi), out=lo)
-        np.maximum(hi, s1, out=hi)
-        best = max(best, int((hi - lo).max()))
+        m, D = B.n, B.dist
+        for k, a, b in _pairs_by_distance(D, max(1, BLOCK_CELLS // (m * m))):
+            if k <= best:
+                break
+            if cells + len(a) * m * m > FOUR_POINT_MAX_CELLS:
+                raise ResourceExhausted(
+                    f"four-point scan needs more than {FOUR_POINT_MAX_CELLS:,} cells (|V| = {m}); "
+                    f"delta >= {Fraction(best, 2)} after {visited} pairs",
+                    progress={"best": Fraction(best, 2), "pairs": visited},
+                )
+            cells += len(a) * m * m
+            visited += len(a)
+            s1 = k + D  # d(a,b) + d(c,d) over (c, d)
+            # d(a,c) + d(b,d) over (pair, c, d); its transpose is d(b,c) + d(a,d)
+            s2 = D[a, :, None] + D[b, None, :]
+            s3 = s2.transpose(0, 2, 1)
+            hi, lo = np.maximum(s2, s3), np.minimum(s2, s3)
+            # largest minus middle of (s1, s2, s3)
+            np.maximum(lo, np.minimum(s1, hi), out=lo)
+            np.maximum(hi, s1, out=hi)
+            best = max(best, int((hi - lo).max()))
     return Fraction(best, 2)
 
 

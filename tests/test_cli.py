@@ -488,6 +488,24 @@ def test_hyp_trees_answer_both_deltas_at_once(capsys, family):
     assert report["results"]["rips_delta"] == [0, 1] == report["results"]["four_point_delta"]
 
 
+def test_hyp_block_graph_answers_both_deltas_at_once(tmp_path):
+    # a path with one triangle is no tree, but every block is a clique: both
+    # scans used to visit every pair (the four-point one stopped with exit 1)
+    edges = tmp_path / "path-with-chord.txt"
+    edges.write_text("".join(f"{i} {i + 1}\n" for i in range(249)) + "0 2\n")
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(oelab.__file__))
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    argv = ["hyp", "delta", "--edges", str(edges), "--four-point"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "oelab.cli", *argv], env=env, capture_output=True, text=True, timeout=10
+    )
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)["results"]
+    assert results["vertices"] == 250
+    assert results["rips_delta"] == [0, 1] == results["four_point_delta"]
+
+
 def test_hyp_extract_on_a_large_tree_is_not_applicable(capsys):
     code, report, _ = run_json(capsys, "hyp", "extract", "--family", "tree:2000:1")
     assert code == 0

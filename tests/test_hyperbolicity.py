@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from unittest import mock
@@ -103,18 +104,31 @@ def random_tree_with_chords(n, seed):
     return MetricGraph(n, edges + [(rng.randrange(n), rng.randrange(n)) for _ in range(n // 4)])
 
 
+def edges_of(G):
+    return [(u, v) for u in range(G.n) for v in G.adj[u] if u < v]
+
+
+def with_pendant_path(G, length):
+    """G with a path of ``length`` new vertices hung on vertex 0: blocks that are edges."""
+    n = G.n
+    return MetricGraph(n + length, edges_of(G) + [(0, n)] + [(n + i, n + i + 1) for i in range(length - 1)])
+
+
 def test_four_point_guard(monkeypatch):
-    # the guard counts the cells the scan visits, n^2 per pair: a 10-vertex
-    # path with the chord (0, 2) is no tree but has four-point delta 0, so it
-    # visits all 45 pairs, 4,500 cells, in batches of one distance each
-    G = MetricGraph(10, [(i, i + 1) for i in range(9)] + [(0, 2)])
-    monkeypatch.setattr(hyperbolicity, "FOUR_POINT_MAX_CELLS", 4_500)
-    assert four_point_delta(G) == 0
-    monkeypatch.setattr(hyperbolicity, "FOUR_POINT_MAX_CELLS", 4_499)
-    with pytest.raises(ResourceExhausted, match="4,499 cells") as exc:
-        four_point_delta(G)
-    # stopped before the last batch, the 10 pairs at distance 1
-    assert exc.value.progress == {"best": 0, "pairs": 35}
+    # the guard counts the cells the scan visits, m^2 per pair of an m-vertex
+    # block: the 2x6 ladder is one block with four-point delta 1 (defect 2),
+    # so it visits the 32 pairs at distance 6 down to 3, 32 * 12^2 = 4,608
+    # cells, in batches of one distance each
+    ladder = MetricGraph.grid_graph(2, 6)
+    # a pendant path adds only blocks that are edges, which cost no cell
+    for G in (ladder, with_pendant_path(ladder, 5)):
+        monkeypatch.setattr(hyperbolicity, "FOUR_POINT_MAX_CELLS", 4_608)
+        assert four_point_delta(G) == 1
+        monkeypatch.setattr(hyperbolicity, "FOUR_POINT_MAX_CELLS", 4_607)
+        with pytest.raises(ResourceExhausted, match=r"4,607 cells \(\|V\| = 12\)") as exc:
+            four_point_delta(G)
+        # stopped before the last batch, the 14 pairs at distance 3
+        assert exc.value.progress == {"best": 1, "pairs": 18}
 
 
 def test_four_point_runs_pruned_grids_and_stops_unpruned_graphs():
@@ -122,14 +136,20 @@ def test_four_point_runs_pruned_grids_and_stops_unpruned_graphs():
     # used to be refused by a vertex cap of 200
     for side in (15, 20):
         assert four_point_delta(MetricGraph.grid_graph(side, side)) == side - 1
-    # a tree with chords barely prunes; its scan stops at the cell bound
-    G = random_tree_with_chords(400, 1)
-    with pytest.raises(ResourceExhausted) as exc:
+    # this tree with chords stopped at the cell bound while the scan ran on the
+    # whole graph; its one block that is not an edge, 239 vertices of
+    # diameter 11, prunes (4, as the whole-graph scan gives without the bound)
+    assert four_point_delta(random_tree_with_chords(400, 1)) == 4
+    # a long ladder barely prunes: its defect is 2 at any length, so the scan
+    # of its block (240 vertices, diameter 120) stops at the cell bound
+    G = with_pendant_path(MetricGraph.grid_graph(120, 2), 30)
+    with pytest.raises(ResourceExhausted, match=r"\(\|V\| = 240\)") as exc:
         four_point_delta(G)
-    # it names a lower bound found before it stopped, one pair short of the bound
+    # it names a lower bound found before it stopped, one pair short of the
+    # bound, at m^2 cells per pair with m = 240 the block's size, not |V| = 270
     pairs = exc.value.progress["pairs"]
-    assert exc.value.progress["best"] > 0
-    assert pairs * G.n**2 <= hyperbolicity.FOUR_POINT_MAX_CELLS < (pairs + 1) * G.n**2
+    assert exc.value.progress["best"] == 1
+    assert pairs * 240**2 <= hyperbolicity.FOUR_POINT_MAX_CELLS < (pairs + 1) * 240**2
 
 
 def test_distance_matrix_budget_guard(monkeypatch):
@@ -472,6 +492,23 @@ def test_rips_delta_builds_only_the_sources_it_reads(monkeypatch):
     tree = MetricGraph.random_tree(30, 1)
     assert rips_delta(tree, witness=True) == (0, ThinnessWitness(0, 0, 0, 0, 0))
     assert built == []
+    # the scan reads only the largest block: 68 of the 167-vertex block of the
+    # bs:2 ball (191 vertices), 25 of the 26-vertex block of the ll:2 ball
+    # (84 vertices); the witness pass still scans the whole graph
+    for G, delta, slabs, whole in (
+        (MetricGraph.cayley_ball(BaumslagSolitar(2), 5), 5, 68, 95),
+        (MetricGraph.cayley_ball(Lamplighter(2), 5), 2, 25, 84),
+    ):
+        built.clear()
+        assert rips_delta(G) == delta and len(built) == slabs
+        built.clear()
+        assert rips_delta(G, witness=True)[0] == delta and len(built) == whole
+    # a path with a triangle is a block graph: 0 with no slab, with or without witness
+    G = MetricGraph(250, [(i, i + 1) for i in range(249)] + [(0, 2)])
+    built.clear()
+    assert rips_delta(G) == 0 and rips_delta(G, witness=True) == (0, ThinnessWitness(0, 0, 0, 0, 0))
+    assert four_point_delta(G) == 0
+    assert built == []
 
 
 @st.composite
@@ -488,6 +525,76 @@ def test_trees_answer_the_oracles_without_a_scan(G):
         assert rips_delta(G, witness=True) == (definition_rips(G.dist), ThinnessWitness(0, 0, 0, 0, 0))
         assert rips_delta(G) == 0
         assert four_point_delta(G) == brute_four_point(G.dist) == 0
+
+
+@st.composite
+def glued_graphs(draw, max_vertices=40):
+    """2-4 connected_graphs pieces, each glued at one of its vertices to a
+    vertex of the graph so far, then relabelled at random: cut vertices."""
+    pieces = draw(st.integers(2, 4))
+    n, edges = 1, []
+    for _ in range(pieces):
+        piece = draw(connected_graphs(max_vertices=max_vertices // pieces))
+        at = draw(st.integers(0, piece.n - 1))
+        to = draw(st.integers(0, n - 1))
+        # the piece's vertex `at` becomes `to`; the others are new vertices
+        label = [to if v == at else n + v - (v > at) for v in range(piece.n)]
+        edges += [(label[u], label[v]) for u, v in edges_of(piece)]
+        n += piece.n - 1
+    perm = draw(st.permutations(range(n)))
+    return MetricGraph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def networkx_blocks(G):
+    """(sorted vertices, edge count) of each biconnected component, by networkx."""
+    nx = pytest.importorskip("networkx")
+    g = nx.Graph(edges_of(G))
+    return sorted((sorted(b), g.subgraph(b).number_of_edges()) for b in nx.biconnected_components(g))
+
+
+@given(glued_graphs())
+@settings(max_examples=60, deadline=None)
+def test_block_scans_match_the_oracles_on_glued_graphs(G):
+    assert sorted(hyperbolicity._blocks(G)) == networkx_blocks(G)
+    assert rips_delta(G) == definition_rips(G.dist)
+    assert four_point_delta(G) == brute_four_point(G.dist)
+    # the witness pass scans the whole graph, as the scalar kernel does
+    assert rips_delta(G, witness=True) == scalar_rips(G)
+
+
+def hung_on_vertex_0(pieces):
+    """The pieces glued at their vertex 0, the others labelled piece by piece."""
+    n, edges = 1, []
+    for piece in pieces:
+        label = [0, *range(n, n + piece.n - 1)]
+        edges += [(label[u], label[v]) for u, v in edges_of(piece)]
+        n += piece.n - 1
+    return MetricGraph(n, edges)
+
+
+def test_blocks_are_scanned_by_decreasing_diameter():
+    # the search meets the blocks hung on vertex 0 in label order, so every
+    # order of these pieces comes up: a scan that stopped at the first block
+    # whose bound cannot beat the best so far would miss a later, wider block
+    # (the 8-cycle after two 4-cycles), and one that skipped a block whose
+    # bound only equals the best plus 1 would miss the 4-cycle after the diamond
+    diamond = MetricGraph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)])
+    pieces = [MetricGraph.cycle_graph(4), MetricGraph.cycle_graph(4), MetricGraph.cycle_graph(8), diamond]
+    for r in range(1, 5):
+        for order in itertools.permutations(pieces, r):
+            G = hung_on_vertex_0(order)
+            assert rips_delta(G) == definition_rips(G.dist)
+            assert four_point_delta(G) == brute_four_point(G.dist)
+
+
+@pytest.mark.parametrize(
+    "G", graph_zoo() + [MetricGraph(1, []), MetricGraph(2, [(0, 1)])], ids=lambda G: str(G.n)
+)
+def test_blocks_match_networkx(G):
+    blocks = hyperbolicity._blocks(G)
+    assert sorted(blocks) == networkx_blocks(G)
+    # each block's vertices come in G's order
+    assert all(V == sorted(V) for V, _ in blocks)
 
 
 @pytest.mark.parametrize("G", graph_zoo(), ids=lambda G: str(G.n))
