@@ -13,12 +13,14 @@ moments; induced_gradient_check measures both sides.
 The isoperimetric profile is one exhaustive, exact search over connected
 supports that maximizes |A| / ||grad 1_A||_1.  Weighting a support gains
 nothing: by the coarea formula ||f||_1 / ||grad f||_1 is a weighted mean of
-the ratios of f's level sets.  The search never translates a support: the
-enumeration carries out(A) = #{(g, s) : g in A, s g not in A}, so
-||grad 1_A||_1 = 2 out(A), and updates it from a per-call table of each
-element's neighbours as it adds one element; the tests recompute the
-gradient from scratch as its oracle.  On a finite group the whole group is
-a support with an empty boundary, which is a usage error.
+the ratios of f's level sets.  The search never translates a support: it
+carries out(A) = #{(g, s) : g in A, s g not in A}, so ||grad 1_A||_1 =
+2 out(A), and updates it from a per-call table of each element's
+neighbours as it adds one element; the tests recompute the gradient from
+scratch as its oracle.  Redelmeier's untried-set search gives the value
+and the count; the frozenset enumeration is replayed only up to the
+witness.  On a finite group the whole group is a support with an empty
+boundary, which is a usage error.
 """
 
 from __future__ import annotations
@@ -335,6 +337,108 @@ def _connected_supports(group: Group, max_size: int, budget: int):
                 stack.append((B, out + len(gens) - 2 * inside))
 
 
+def _untried_search(group: Group, n: int, budget: int):
+    """Best |A| / (2 out(A)) over connected A containing e with 1 <= |A| <= n.
+
+    Redelmeier's untried-set enumeration (Discrete Math. 36, 1981) visits
+    each such support once and keeps no set of the supports it has seen.
+    Elements are numbered the first time the search reaches them, with a
+    table of their left neighbours s g.  A support is the path of elements
+    added so far.  Its untried segment is the parent's still untried
+    elements followed by the neighbours the new element reached first; all
+    segments live in one list, which each depth truncates back on return.
+    cnt[x] = #{s : s x in A} gives out(A + x) = out(A) + |S| - 2 cnt[x] at
+    once, so a whole segment of size-n supports costs one pass over it.
+    Returns (numerator, denominator, supports searched).  Past ``budget``
+    supports ResourceExhausted carries the best ratio so far and the first
+    support, in this order, that reaches it.
+    """
+    gens = group.generators
+    S = len(gens)
+    mul = group.multiply
+    elements = [group.identity]
+    index = {group.identity: 0}
+    rows: list = [None]
+    cnt = [0]
+    marked = bytearray(b"\x01")  # in A, in an untried segment, or already tried
+    untried = [0]
+    chosen: list = []  # A, in the order its elements were added
+    stack = [[0, 1, 0]]  # per depth: next untried index, segment end, out(A)
+    searched = 0
+    num, den, best = 0, 1, []
+
+    def stop():
+        return ResourceExhausted(
+            f"profile search budget hit after {budget} supports",
+            progress={"best": Fraction(num, den), "witness": tuple(sorted(elements[i] for i in best))},
+        )
+
+    while stack:
+        frame = stack[-1]
+        i, end, out = frame
+        size = len(chosen) + 1
+        if i == end:
+            stack.pop()
+            if chosen:
+                for w in rows[chosen.pop()]:
+                    cnt[w] -= 1
+                top = stack[-1][1]
+                for w in untried[top:]:
+                    marked[w] = 0
+                del untried[top:]
+        elif size == n:
+            # every untried element completes a support of size n: take them at once
+            leaves = untried[i:end]
+            frame[0] = end
+            cut = searched + len(leaves) > budget
+            if cut:
+                del leaves[budget - searched :]
+            searched += len(leaves)
+            if leaves:
+                c = list(map(cnt.__getitem__, leaves))
+                o = out + S - 2 * max(c)
+                if o == 0:
+                    raise _unbounded(group, n)
+                if n * den > 2 * o * num:
+                    num, den, best = n, 2 * o, chosen + [leaves[c.index(max(c))]]
+            if cut:
+                raise stop()
+        else:
+            frame[0] = i + 1
+            v = untried[i]
+            searched += 1
+            if searched > budget:
+                raise stop()
+            o = out + S - 2 * cnt[v]
+            if o == 0:
+                raise _unbounded(group, size)
+            if size * den > 2 * o * num:
+                num, den, best = size, 2 * o, chosen + [v]
+            row = rows[v]
+            if row is None:
+                g = elements[v]
+                row = []
+                for s in gens:
+                    h = mul(s, g)
+                    j = index.get(h)
+                    if j is None:
+                        j = index[h] = len(elements)
+                        elements.append(h)
+                        rows.append(None)
+                        cnt.append(0)
+                        marked.append(0)
+                    row.append(j)
+                rows[v] = row = tuple(row)
+            for w in row:
+                cnt[w] += 1
+                if not marked[w]:
+                    marked[w] = 1
+                    untried.append(w)
+            chosen.append(v)
+            stack.append([i + 1, len(untried), o])
+    return num, den, searched
+
+
 def isoperimetric_profile(group: Group, n: int, budget: int | None = None) -> ProfileResult:
     """Exact profile lower bound over connected supports containing e.
 
@@ -343,9 +447,13 @@ def isoperimetric_profile(group: Group, n: int, budget: int | None = None) -> Pr
     separately, i.e. it is the ell^1 left gradient of the indicator,
     2 out(A)).  No f with values on such a support scores higher: by the
     coarea formula its ratio is a weighted mean of its level sets' ratios.
-    Past ``budget`` supports (default DEFAULT_PROFILE_BUDGET, read at call
-    time) ResourceExhausted carries the best so far.  A support with an
-    empty boundary (a whole finite group) is a usage error.
+    The value and the number of supports come from the untried-set search;
+    the witness is the first support in ``_connected_supports``' order
+    whose ratio equals the value, found by replaying that enumeration up to
+    it.  Past ``budget`` supports (default DEFAULT_PROFILE_BUDGET, read at
+    call time) ResourceExhausted carries the best so far and its first
+    support in the untried-set order.  A support with an empty boundary (a
+    whole finite group) is a usage error.
     """
     if n < 0:
         raise UsageError("profile needs n >= 0")
@@ -355,19 +463,12 @@ def isoperimetric_profile(group: Group, n: int, budget: int | None = None) -> Pr
     witness: tuple = ()
     searched = 0
     if n > 0:
-        try:
-            for A, out in _connected_supports(group, n, budget):
-                searched += 1
-                if out == 0:
-                    raise _unbounded(group, A)
-                # |A| / (2 out) > best, in integers
-                if len(A) * best.denominator > 2 * out * best.numerator:
-                    best, witness = Fraction(len(A), 2 * out), tuple(sorted(A))
-        except ResourceExhausted as exc:
-            raise ResourceExhausted(
-                f"profile search budget hit after {searched} supports",
-                progress={"best": best, "witness": witness},
-            ) from exc
+        num, den, searched = _untried_search(group, n, budget)
+        best = Fraction(num, den)
+        for A, out in _connected_supports(group, n, budget):
+            if len(A) * den == 2 * out * num:
+                witness = tuple(sorted(A))
+                break
     convention = (
         "denominator = ell^1 left gradient of the function "
         "(sum over generators s of sum_g |f(g) - f(s^-1 g)|); "
@@ -376,9 +477,9 @@ def isoperimetric_profile(group: Group, n: int, budget: int | None = None) -> Pr
     return ProfileResult(n, best, witness, convention, searched)
 
 
-def _unbounded(group: Group, A) -> UsageError:
+def _unbounded(group: Group, size: int) -> UsageError:
     return UsageError(
-        f"{group.name} is finite: its {len(A)} elements form a support with an empty "
+        f"{group.name} is finite: its {size} elements form a support with an empty "
         "boundary, so the profile ratio is unbounded; use n below the group order"
     )
 

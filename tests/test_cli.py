@@ -506,6 +506,19 @@ def test_hyp_block_graph_answers_both_deltas_at_once(tmp_path):
     assert results["rips_delta"] == [0, 1] == results["four_point_delta"]
 
 
+def test_profile_budget_stops_a_long_search_quickly():
+    # each step of the frozenset search cost O(n |S|), so this ran past 60 s
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(oelab.__file__))
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    argv = ["profile", "--group", "zn:2", "--n", "2000"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "oelab.cli", *argv], env=env, capture_output=True, text=True, timeout=10
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "profile search budget hit after 200000 supports" in proc.stderr
+
+
 def test_hyp_extract_on_a_large_tree_is_not_applicable(capsys):
     code, report, _ = run_json(capsys, "hyp", "extract", "--family", "tree:2000:1")
     assert code == 0

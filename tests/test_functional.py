@@ -10,6 +10,7 @@ from oelab.functional import (
     FiniteSupportFunction,
     TransitiveAction,
     _connected_supports,
+    _untried_search,
     folner_set_quality,
     induced_gradient_check,
     isoperimetric_profile,
@@ -274,16 +275,66 @@ def test_profile_search_matches_the_gradient_oracle(spec, N):
     for A, out in _connected_supports(group, N, 10**6):
         assert 2 * out == _indicator_gradient(group, A), A
     for n in range(1, N + 1):
+        best, witness, searched = _profile_oracle(group, n)
+        num, den, count = _untried_search(group, n, 10**6)
+        assert (Fraction(num, den), count) == (best, searched), n
         r = isoperimetric_profile(group, n)
-        assert (r.value, r.witness, r.subsets_searched) == _profile_oracle(group, n), n
+        assert (r.value, r.witness, r.subsets_searched) == (best, witness, searched), n
+
+
+def test_witness_replay_stops_at_the_first_maximizer(monkeypatch):
+    import oelab.functional as functional
+
+    pops = []
+
+    def counted(group, n, budget):
+        for A, out in _connected_supports(group, n, budget):
+            pops.append(len(A))
+            yield A, out
+
+    monkeypatch.setattr(functional, "_connected_supports", counted)
+    for spec, n, expected in [("heis", 7, 7), ("ll:2", 7, 7), ("zn:2", 8, 186)]:
+        pops.clear()
+        r = isoperimetric_profile(group_from_spec(spec), n)
+        assert len(pops) == expected, spec
+        assert pops[-1] == len(r.witness)
+
+
+# recorded from the frozenset enumeration alone, so a change of the witness rule shows
+_HEIS_9_WITNESS = [
+    "heis:-2,0,2", "heis:-2,1,0", "heis:-1,0,2", "heis:-1,1,0", "heis:-1,1,1",
+    "heis:-1,2,0", "heis:0,0,0", "heis:0,1,0", "heis:0,2,0",
+]
+
+
+def test_profile_heis_9_is_the_recorded_one():
+    heis = group_from_spec("heis")
+    r = isoperimetric_profile(heis, 9, budget=1_000_000)
+    assert (r.value, r.subsets_searched) == (Fraction(1, 4), 532_963)
+    assert [heis.format_element(g) for g in r.witness] == _HEIS_9_WITNESS
+
+
+def test_profile_search_memory_stays_small():
+    import tracemalloc
+
+    heis = group_from_spec("heis")
+    tracemalloc.start()
+    try:
+        r = isoperimetric_profile(heis, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.subsets_searched == 93_268
+    assert peak < 5 * 2**20, peak
 
 
 def test_profile_of_a_whole_finite_group_is_a_usage_error():
     # the whole group is a support with an empty boundary: the ratio is unbounded
     c5 = group_from_spec("cyclic:5")
     assert isoperimetric_profile(c5, 4).value > 0
-    with pytest.raises(UsageError, match="cyclic:5 is finite"):
-        isoperimetric_profile(c5, 5)
+    for n in (5, 6, 9):  # the whole group as the largest support and below it
+        with pytest.raises(UsageError, match="cyclic:5 is finite: its 5 elements"):
+            isoperimetric_profile(c5, n)
 
 
 def test_folner_quality_examples():
@@ -315,6 +366,27 @@ def test_tiles_are_folner_witnesses(tiling, K):
         assert q.quality <= S * eps, (tiling.name, k, q.quality, eps)
 
 
+def _untried_order(group, n):
+    """Oracle: the supports in the untried-set search's order, by recursion on lists of elements.
+
+    A child's untried list is its parent's untried elements after the one
+    added, then that element's neighbours s g reached for the first time.
+    """
+    reached = {group.identity}
+
+    def grow(A, untried):
+        for k, v in enumerate(untried):
+            B = A + [v]
+            yield B
+            if len(B) < n:
+                new = [h for h in (group.multiply(s, v) for s in group.generators) if h not in reached]
+                reached.update(new)
+                yield from grow(B, untried[k + 1 :] + new)
+                reached.difference_update(new)
+
+    yield from grow([], [group.identity])
+
+
 def test_profile_budget_carries_best_so_far():
     from oelab.errors import ResourceExhausted
 
@@ -322,3 +394,19 @@ def test_profile_budget_carries_best_so_far():
     with pytest.raises(ResourceExhausted) as exc:
         isoperimetric_profile(z2, 9, budget=50)
     assert exc.value.progress["best"] > 0
+    # the progress is the first maximizer among the first `budget` supports of the search's order
+    for spec, n in [("zn:2", 6), ("heis", 5), ("ll:2", 6), ("bs:2", 5)]:
+        group = group_from_spec(spec)
+        order = [tuple(sorted(A)) for A in _untried_order(group, n)]
+        assert sorted(order) == sorted(tuple(sorted(A)) for A in _oracle_supports(group, n))
+        total = len(order)
+        assert isoperimetric_profile(group, n, budget=total).subsets_searched == total
+        for budget in sorted({*range(1, 61), total // 3, total // 2, total - 2, total - 1}):
+            with pytest.raises(ResourceExhausted, match=f"budget hit after {budget} supports") as exc:
+                isoperimetric_profile(group, n, budget=budget)
+            best, witness = Fraction(0), ()
+            for A in order[:budget]:
+                val = Fraction(len(A), _indicator_gradient(group, A))
+                if val > best:
+                    best, witness = val, A
+            assert exc.value.progress == {"best": best, "witness": witness}, (spec, budget)
