@@ -396,11 +396,12 @@ def _untried_search(group: Group, n: int, budget: int):
             searched += len(leaves)
             if leaves:
                 c = list(map(cnt.__getitem__, leaves))
-                o = out + S - 2 * max(c)
+                most = max(c)
+                o = out + S - 2 * most
                 if o == 0:
                     raise _unbounded(group, n)
                 if n * den > 2 * o * num:
-                    num, den, best = n, 2 * o, chosen + [leaves[c.index(max(c))]]
+                    num, den, best = n, 2 * o, chosen + [leaves[c.index(most)]]
             if cut:
                 raise stop()
         else:
