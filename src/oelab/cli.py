@@ -468,8 +468,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"oelab {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    common = _Parser(add_help=False)
-    common.add_argument("--format", choices=["json", "csv"], default="json")
+    fmt = _Parser(add_help=False)  # the hyp commands read no seed
+    fmt.add_argument("--format", choices=["json", "csv"], default="json")
+    common = _Parser(add_help=False, parents=[fmt])
     common.add_argument("--seed", type=int, default=0)
 
     tiling = sub.add_parser("tiling", help="tiling construction and verification")
@@ -539,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("audit-cycle", cmd_hyp_audit_cycle),
         ("extract", cmd_hyp_extract),
     ):
-        hp = hsub.add_parser(name, parents=[common])
+        hp = hsub.add_parser(name, parents=[fmt])
         hp.add_argument("--family", help="grid:N | grid:WxH | cycle:N | path:N | tree:N:SEED | cayley-ball:GROUP:R")
         hp.add_argument("--edges", help="edge-list file, one 'u v' per line")
         hp.add_argument("--budget", type=_budget, default=None, help="interval-row budget in MB; default from OELAB_BUDGET_MB")

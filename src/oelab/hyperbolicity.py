@@ -343,16 +343,16 @@ def _blocks(G: MetricGraph) -> list[tuple[list[int], int]]:
     return blocks
 
 
-def _scan_blocks(G: MetricGraph) -> list[tuple[int, MetricGraph]]:
-    """(diameter, block) for every block of G that is not a clique, by
-    decreasing diameter.
+def _scan_blocks(G: MetricGraph) -> list[tuple[int, list[int], MetricGraph]]:
+    """(diameter, vertices in G's order, block) for every block of G that is
+    not a clique, by decreasing diameter.
 
     delta of a connected graph is the largest delta of its blocks, for the
     Rips and the four-point constant alike (Cohen, Coudert and Lancin, "On
     computing the Gromov hyperbolicity", ACM JEA 2015), and a clique's is 0.
     A block is convex: a geodesic that left it through a cut vertex would
     come back through the same vertex.  So a block's distances are a slice
-    of G.dist.  A block that spans G is G itself.
+    of G.dist, its vertex i is G's V[i], and a block that spans G is G.
     """
     out = []
     for V, edges in _blocks(G):
@@ -366,7 +366,7 @@ def _scan_blocks(G: MetricGraph) -> list[tuple[int, MetricGraph]]:
             B = MetricGraph.__new__(MetricGraph)
             B.n, B.dist = m, G.dist[np.ix_(V, V)]
             B.adj = [[local[w] for w in G.adj[v] if w in local] for v in V]
-        out.append((int(B.dist.max()), B))
+        out.append((int(B.dist.max()), V, B))
     out.sort(key=lambda block: -block[0])
     return out
 
@@ -407,41 +407,36 @@ def rips_delta(G: MetricGraph, budget_mb: float = DEFAULT_MATRIX_BUDGET_MB, witn
     the budget raises ResourceExhausted with the best delta so far and the
     sources of that block built.
 
-    With ``witness``, a graph whose blocks are all cliques answers
-    (0, ThinnessWitness(0, 0, 0, 0, 0)); any other is scanned whole, and the
-    witness is the first pair (a <= b) in lexicographic order that attains
-    delta, with the first (c, x) in row-major order inside it.
+    With ``witness``, it also returns a ThinnessWitness, read from the slabs
+    of the first block in that order that attains delta and mapped back to
+    G: the first pair (a <= b) in lexicographic order that attains delta,
+    with the first (c, x) in row-major order inside it;
+    (0, ThinnessWitness(0, 0, 0, 0, 0)) when every block is a clique.
     """
-    blocks = _scan_blocks(G)
-    if not witness:
-        best = 0
-        for diam, B in blocks:
-            if diam // 2 <= best:
-                break
-            best = _rips_scan(B, _SourceRows(B, budget_mb), best)
-        return Fraction(best)
-    wit = ThinnessWitness(0, 0, 0, 0, 0)
-    if not blocks:
-        return Fraction(0), wit
-    rows = _SourceRows(G, budget_mb)
-    best = _rips_scan(G, rows, 0)
-    if best > 0:
-        D = G.dist
-        step = max(1, BLOCK_CELLS // G.n)
-        A, B = np.nonzero(np.triu(D >= 2 * best))
-        for i in range(0, len(A), step):
-            a, b = A[i : i + step], B[i : i + step]
-            p, x = _interval_rows(D, a, b, best)
-            hit = np.flatnonzero(_row_defects(rows, a[p], b[p], x, best) == best)
-            if len(hit):
-                a, b = int(a[p[hit[0]]]), int(b[p[hit[0]]])
-                X = np.flatnonzero(G.interval(a, b))
-                # defect of x in side [a,b] against corner c, laid out (c, x)
-                m = np.minimum(rows.slab(a)[X], rows.slab(b)[X]).T
-                c, xi = np.unravel_index(int(m.argmax()), m.shape)
-                wit = ThinnessWitness(a, b, int(c), int(X[xi]), best)
-                break
-    return Fraction(best), wit
+    best, wit = 0, ThinnessWitness(0, 0, 0, 0, 0)
+    for diam, V, B in _scan_blocks(G):
+        if diam // 2 <= best:
+            break
+        rows = _SourceRows(B, budget_mb)
+        found = _rips_scan(B, rows, best)
+        if witness and found > best:
+            # the first pair a <= b, in lexicographic order, whose defect is found
+            D, step = B.dist, max(1, BLOCK_CELLS // B.n)
+            A, Z = np.nonzero(np.triu(D >= 2 * found))
+            for i in range(0, len(A), step):
+                a, b = A[i : i + step], Z[i : i + step]
+                p, x = _interval_rows(D, a, b, found)
+                hit = np.flatnonzero(_row_defects(rows, a[p], b[p], x, found) == found)
+                if len(hit):
+                    break
+            a, b = int(a[p[hit[0]]]), int(b[p[hit[0]]])
+            X = np.flatnonzero(B.interval(a, b))
+            # defect of x in side [a,b] against corner c, laid out (c, x)
+            m = np.minimum(rows.slab(a)[X], rows.slab(b)[X]).T
+            c, xi = np.unravel_index(int(m.argmax()), m.shape)
+            wit = ThinnessWitness(V[a], V[b], V[c], V[X[xi]], found)
+        best = found
+    return (Fraction(best), wit) if witness else Fraction(best)
 
 
 def four_point_delta(G: MetricGraph) -> Fraction:
@@ -458,7 +453,7 @@ def four_point_delta(G: MetricGraph) -> Fraction:
     so far and the pairs visited as its progress.
     """
     best = cells = visited = 0
-    for diam, B in _scan_blocks(G):
+    for diam, _, B in _scan_blocks(G):
         if diam <= best:
             break
         m, D = B.n, B.dist
@@ -629,8 +624,9 @@ def extract_fat_cycle(G: MetricGraph, budget_mb: float = DEFAULT_MATRIX_BUDGET_M
     the returned report carries the actual audited numbers, which are the
     only guarantees.
 
-    The triangle is rips_delta's witness, exact under the same budget; a
-    scan whose interval rows would pass it raises ResourceExhausted.
+    The triangle is rips_delta's witness, read from the block that attains
+    delta and exact under the same budget; a scan whose interval rows would
+    pass it raises ResourceExhausted.
     """
     delta, wit = rips_delta(G, budget_mb, witness=True)
     if delta == 0:

@@ -465,11 +465,21 @@ def test_hyp_extract(capsys):
 
 
 def test_hyp_extract_past_its_budget_exits_1(capsys):
-    # 299 vertices: the first page of interval rows passes 1 MB, and the
-    # extraction stops there with nothing on stdout; it samples no triangles
+    # 299 vertices, scanned in a block of 187: the first page of interval rows
+    # passes 1 MB, and the extraction stops there with nothing on stdout; it
+    # samples no triangles
     code, out, err = run_cli(capsys, "hyp", "extract", "--family", "cayley-ball:heis:5", "--budget", "1")
     assert code == 1 and not out
-    assert err.startswith("ResourceExhausted: interval rows need ~16.4 MB > budget 1 MB (|V| = 299)")
+    assert err.startswith("ResourceExhausted: interval rows need ~1.68 MB > budget 1 MB (|V| = 187)")
+
+
+def test_hyp_commands_take_no_seed(capsys):
+    # none of them reads randomness (tree:N:SEED carries its own seed)
+    code, out, err = run_cli(capsys, "hyp", "extract", "--family", "grid:4", "--seed", "3")
+    assert code == 1 and not out
+    assert err.startswith("usage error") and "--seed" in err
+    code, report, _ = run_json(capsys, "hyp", "delta", "--family", "grid:4")
+    assert code == 0 and report["seed"] is None and "seed" not in report["parameters"]
 
 
 def test_hyp_grid_40_is_exact_under_the_default_budget(capsys):
@@ -563,6 +573,21 @@ _README_HYP = [
 def test_readme_hyp_commands_keep_their_results(capsys, argv, results):
     code, report, _ = run_json(capsys, *argv)
     assert code == 0 and report["results"] == results
+
+
+def test_hyp_extract_reads_the_block_that_attains_delta(capsys):
+    # the ll:2 ball of radius 5 (84 vertices) attains delta 2 in its
+    # 26-vertex block; the cycle comes from that block's witness (0, 21, 3, 47)
+    code, report, _ = run_json(capsys, "hyp", "extract", "--family", "cayley-ball:ll:2:5")
+    assert code == 0
+    assert report["results"] == {
+        "delta": [2, 1],
+        "cycle_length": 8,
+        "cycle": [43, 47, 78, 73, 7, 11, 3, 0],
+        "distortion": {"n": 8, "a": [1, 1], "b": [1, 1], "witness_a": [0, 1], "witness_b": [0, 1]},
+        "discrete_slack": 2,
+        "self_audit": {"min_length": 1, "contraction_floor": [1, 35640], "pass": True},
+    }
 
 
 def test_usage_errors_exit_1(capsys):
@@ -795,11 +820,13 @@ _CHEAP_RUNS = [
 
 @pytest.mark.parametrize("command,argv", _CHEAP_RUNS, ids=[c for c, _ in _CHEAP_RUNS])
 def test_every_subcommand_reports_through_one_path(capsys, command, argv):
-    code, out, _ = run_cli(capsys, *argv, "--seed", "3")
+    # the hyp commands read no randomness and take no --seed; their seed is null
+    seed = None if command.startswith("hyp") else 3
+    code, out, _ = run_cli(capsys, *argv, *([] if seed is None else ["--seed", str(seed)]))
     assert code in (0, 2)
     # only the report is pinned here; test_selftest_quick pins a clean stdout
     report = json.loads(out[out.index("{"):])
     assert set(report) == {"command", "parameters", "seed", "results", "timing_seconds", "version"}
     assert report["command"] == command
-    assert report["seed"] == 3 == report["parameters"]["seed"]
+    assert report["seed"] == seed == report["parameters"].get("seed")
     assert report["parameters"]["format"] == "json"

@@ -423,6 +423,35 @@ def scalar_rips(G):
     return Fraction(best), best_wit
 
 
+def block_rips_oracle(G):
+    """(delta, witness) by the block rule: delta is scalar_rips on the whole
+    graph, and the witness is scalar_rips's on the first block, in _blocks
+    order stably sorted by decreasing diameter, whose scalar_rips value is
+    delta, mapped back to G's vertices.  A block is rebuilt from its edges,
+    so its distances come from its own BFS, not from a slice of G.dist."""
+    delta = scalar_rips(G)[0]
+    if delta == 0:
+        return delta, ThinnessWitness(0, 0, 0, 0, 0)
+    edges = edges_of(G)
+    for V in sorted((V for V, _ in hyperbolicity._blocks(G)), key=lambda V: -G.dist[np.ix_(V, V)].max()):
+        local = {v: i for i, v in enumerate(V)}
+        B = MetricGraph(len(V), [(local[u], local[v]) for u, v in edges if u in local and v in local])
+        value, wit = scalar_rips(B)
+        if value == delta:
+            return value, ThinnessWitness(V[wit.a], V[wit.b], V[wit.c], V[wit.x], wit.defect)
+    raise AssertionError("no block attains delta")
+
+
+def assert_witness_attains(G, value, wit):
+    """Read off G.dist alone: x lies in I(a, b), and d(x, I(a,c) u I(b,c)) is
+    the witness's defect and delta."""
+    D = G.dist
+    a, b, c, x = wit.a, wit.b, wit.c, wit.x
+    assert D[a, x] + D[x, b] == D[a, b]
+    union = (D[a] + D[c] == D[a, c]) | (D[b] + D[c] == D[b, c])
+    assert D[x, union].min() == wit.defect == value
+
+
 def definition_rips(D):
     """max over (a, b, c) and x in I(a, b) of d(x, I(a, c) u I(b, c))."""
     n = len(D)
@@ -471,7 +500,8 @@ def test_fast_kernels_match_oracles(G):
         assert rows.slab(a).dtype == np.int16
         assert np.array_equal(rows.slab(a), Ta.T)
     value, wit = rips_delta(G, witness=True)
-    assert (value, wit) == scalar_rips(G)
+    assert (value, wit) == block_rips_oracle(G)
+    assert_witness_attains(G, value, wit)
     assert value == definition_rips(G.dist)
     assert rips_delta(G) == value
     assert four_point_delta(G) == brute_four_point(G.dist)
@@ -494,15 +524,16 @@ def test_rips_delta_builds_only_the_sources_it_reads(monkeypatch):
     assert built == []
     # the scan reads only the largest block: 68 of the 167-vertex block of the
     # bs:2 ball (191 vertices), 25 of the 26-vertex block of the ll:2 ball
-    # (84 vertices); the witness pass still scans the whole graph
-    for G, delta, slabs, whole in (
-        (MetricGraph.cayley_ball(BaumslagSolitar(2), 5), 5, 68, 95),
-        (MetricGraph.cayley_ball(Lamplighter(2), 5), 2, 25, 84),
+    # (84 vertices); the witness pass reads that block's slabs too, and on
+    # the ll:2 ball one more source of it
+    for G, delta, slabs, with_witness in (
+        (MetricGraph.cayley_ball(BaumslagSolitar(2), 5), 5, 68, 68),
+        (MetricGraph.cayley_ball(Lamplighter(2), 5), 2, 25, 26),
     ):
         built.clear()
         assert rips_delta(G) == delta and len(built) == slabs
         built.clear()
-        assert rips_delta(G, witness=True)[0] == delta and len(built) == whole
+        assert rips_delta(G, witness=True)[0] == delta and len(built) == with_witness
     # a path with a triangle is a block graph: 0 with no slab, with or without witness
     G = MetricGraph(250, [(i, i + 1) for i in range(249)] + [(0, 2)])
     built.clear()
@@ -558,8 +589,10 @@ def test_block_scans_match_the_oracles_on_glued_graphs(G):
     assert sorted(hyperbolicity._blocks(G)) == networkx_blocks(G)
     assert rips_delta(G) == definition_rips(G.dist)
     assert four_point_delta(G) == brute_four_point(G.dist)
-    # the witness pass scans the whole graph, as the scalar kernel does
-    assert rips_delta(G, witness=True) == scalar_rips(G)
+    # the witness comes from the first block that attains delta
+    value, wit = rips_delta(G, witness=True)
+    assert (value, wit) == block_rips_oracle(G)
+    assert_witness_attains(G, value, wit)
 
 
 def hung_on_vertex_0(pieces):
@@ -597,9 +630,18 @@ def test_blocks_match_networkx(G):
     assert all(V == sorted(V) for V, _ in blocks)
 
 
-@pytest.mark.parametrize("G", graph_zoo(), ids=lambda G: str(G.n))
+# two ladders hung on vertex 0 tie at delta 1, and each is scanned, since
+# diameter//2 >= 3: the witness stays in the 2x7 one, scanned first though
+# its labels come second
+@pytest.mark.parametrize(
+    "G",
+    graph_zoo() + [hung_on_vertex_0([MetricGraph.grid_graph(2, 6), MetricGraph.grid_graph(2, 7)])],
+    ids=lambda G: str(G.n),
+)
 def test_rips_witness_matches_scalar_kernel_on_zoo(G):
-    assert rips_delta(G, witness=True) == scalar_rips(G)
+    value, wit = rips_delta(G, witness=True)
+    assert (value, wit) == block_rips_oracle(G)
+    assert_witness_attains(G, value, wit)
 
 
 def test_all_pairs_matches_per_source_bfs():
@@ -622,8 +664,9 @@ def test_all_pairs_matches_per_source_bfs():
 def test_rips_delta_peak_memory_follows_the_sources_read():
     import tracemalloc
 
-    # bs(1,2) reads 95 of its 191 sources, the 11x11 grid 4 of 121; the whole
-    # tensor of d(x, I(a, c)) would take 2 n^3 bytes
+    # with a witness, bs(1,2) reads 68 sources of its 167-vertex block (191
+    # vertices), the 11x11 grid 4 of 121; the whole tensor of d(x, I(a, c))
+    # would take 2 n^3 bytes
     for G, delta, share in (
         (MetricGraph.cayley_ball(BaumslagSolitar(2), 5), 5, 0.6),
         (MetricGraph.grid_graph(11, 11), 10, 0.1),
