@@ -293,7 +293,7 @@ class ProfileResult:
     subsets_searched: int
 
 
-def _connected_supports(group: Group, max_size: int, budget: int):
+def _connected_supports(group: Group, max_size: int):
     """All connected subsets A of the Cayley graph containing e, up to max_size.
 
     Yields (A, out(A)) with out(A) = #{(g, s) : g in A, s g not in A}, the
@@ -317,14 +317,8 @@ def _connected_supports(group: Group, max_size: int, budget: int):
     start = frozenset([e])
     seen = {start}
     stack = [(start, len(gens))]
-    count = 0
     while stack:
         A, out = stack.pop()
-        count += 1
-        if count > budget:
-            raise ResourceExhausted(
-                f"support enumeration exceeded {budget} subsets", progress=count
-            )
         yield A, out
         if len(A) == max_size:
             continue
@@ -466,7 +460,8 @@ def isoperimetric_profile(group: Group, n: int, budget: int | None = None) -> Pr
     if n > 0:
         num, den, searched = _untried_search(group, n, budget)
         best = Fraction(num, den)
-        for A, out in _connected_supports(group, n, budget):
+        # the same supports the search counted under the budget, so no budget here
+        for A, out in _connected_supports(group, n):
             if len(A) * den == 2 * out * num:
                 witness = tuple(sorted(A))
                 break

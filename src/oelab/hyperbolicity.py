@@ -284,13 +284,6 @@ def _pairs_by_distance(D: np.ndarray, step: int):
             yield k, A[i : i + step], B[i : i + step]
 
 
-def _interval_rows(D: np.ndarray, a: np.ndarray, b: np.ndarray, floor: int):
-    """(pair, x) for every x in I(a, b) with min(d(a,x), d(b,x)) >= floor."""
-    da, db = D[a], D[b]
-    keep = (da + db == D[a, b][:, None]) & (np.minimum(da, db) >= floor)
-    return np.nonzero(keep)
-
-
 def _row_defects(rows: _SourceRows, a: np.ndarray, b: np.ndarray, x: np.ndarray, best: int) -> np.ndarray:
     """max over c of min(d(x, I(a, c)), d(x, I(b, c))), one value per row."""
     rows.need(best, a, b)
@@ -371,21 +364,28 @@ def _scan_blocks(G: MetricGraph) -> list[tuple[int, list[int], MetricGraph]]:
     return out
 
 
-def _rips_scan(G: MetricGraph, rows: _SourceRows, best: int) -> int:
-    """The largest defect of G if it beats ``best``, else ``best``.
+def _rips_scan(G: MetricGraph, rows: _SourceRows, best: int) -> tuple[int, tuple[int, int] | None]:
+    """(the largest defect of G, the first pair whose interval holds it) if
+    it beats ``best``, else (``best``, None).
 
-    Pairs (a, b) come by decreasing d(a,b), and the scan stops once
-    d(a,b)//2, a bound on the defect of any x in I(a,b), cannot beat the
-    best found.
+    Pairs (a, b) come by decreasing d(a,b), then lexicographically, and the
+    scan stops once d(a,b)//2, a bound on the defect of any x in I(a,b),
+    cannot beat the best found.
     """
-    D = G.dist
+    D, pair = G.dist, None
     for k, a, b in _pairs_by_distance(D, max(1, BLOCK_CELLS // G.n)):
         if k // 2 <= best:
             break
-        p, x = _interval_rows(D, a, b, best + 1)
+        # (pair, x) for every x in I(a, b) whose defect, at most
+        # min(d(a,x), d(b,x)), could beat the best
+        da, db = D[a], D[b]
+        p, x = np.nonzero((da + db == k) & (np.minimum(da, db) > best))
         if len(x):
-            best = max(best, int(_row_defects(rows, a[p], b[p], x, best).max()))
-    return best
+            defects = _row_defects(rows, a[p], b[p], x, best)
+            i = int(defects.argmax())
+            if defects[i] > best:
+                best, pair = int(defects[i]), (int(a[p[i]]), int(b[p[i]]))
+    return best, pair
 
 
 def rips_delta(G: MetricGraph, budget_mb: float = DEFAULT_MATRIX_BUDGET_MB, witness: bool = False):
@@ -407,29 +407,21 @@ def rips_delta(G: MetricGraph, budget_mb: float = DEFAULT_MATRIX_BUDGET_MB, witn
     the budget raises ResourceExhausted with the best delta so far and the
     sources of that block built.
 
-    With ``witness``, it also returns a ThinnessWitness, read from the slabs
-    of the first block in that order that attains delta and mapped back to
-    G: the first pair (a <= b) in lexicographic order that attains delta,
-    with the first (c, x) in row-major order inside it;
-    (0, ThinnessWitness(0, 0, 0, 0, 0)) when every block is a clique.
+    With ``witness``, it also returns a ThinnessWitness from the first block
+    in that order that attains delta, mapped back to G: the pair whose scan
+    row raised the best to delta, with the first (c, x) in row-major order
+    inside it, read from the two slabs the scan built for that row, so a
+    witness builds no extra slab; (0, ThinnessWitness(0, 0, 0, 0, 0)) when
+    every block is a clique.
     """
     best, wit = 0, ThinnessWitness(0, 0, 0, 0, 0)
     for diam, V, B in _scan_blocks(G):
         if diam // 2 <= best:
             break
         rows = _SourceRows(B, budget_mb)
-        found = _rips_scan(B, rows, best)
-        if witness and found > best:
-            # the first pair a <= b, in lexicographic order, whose defect is found
-            D, step = B.dist, max(1, BLOCK_CELLS // B.n)
-            A, Z = np.nonzero(np.triu(D >= 2 * found))
-            for i in range(0, len(A), step):
-                a, b = A[i : i + step], Z[i : i + step]
-                p, x = _interval_rows(D, a, b, found)
-                hit = np.flatnonzero(_row_defects(rows, a[p], b[p], x, found) == found)
-                if len(hit):
-                    break
-            a, b = int(a[p[hit[0]]]), int(b[p[hit[0]]])
+        found, pair = _rips_scan(B, rows, best)
+        if witness and pair:
+            a, b = pair
             X = np.flatnonzero(B.interval(a, b))
             # defect of x in side [a,b] against corner c, laid out (c, x)
             m = np.minimum(rows.slab(a)[X], rows.slab(b)[X]).T
@@ -624,9 +616,9 @@ def extract_fat_cycle(G: MetricGraph, budget_mb: float = DEFAULT_MATRIX_BUDGET_M
     the returned report carries the actual audited numbers, which are the
     only guarantees.
 
-    The triangle is rips_delta's witness, read from the block that attains
-    delta and exact under the same budget; a scan whose interval rows would
-    pass it raises ResourceExhausted.
+    The triangle is rips_delta's witness, which builds no slab beyond the
+    scan's, so this raises ResourceExhausted on exactly the budgets
+    rips_delta(G) does.
     """
     delta, wit = rips_delta(G, budget_mb, witness=True)
     if delta == 0:

@@ -577,13 +577,13 @@ def test_readme_hyp_commands_keep_their_results(capsys, argv, results):
 
 def test_hyp_extract_reads_the_block_that_attains_delta(capsys):
     # the ll:2 ball of radius 5 (84 vertices) attains delta 2 in its
-    # 26-vertex block; the cycle comes from that block's witness (0, 21, 3, 47)
+    # 26-vertex block; the cycle comes from that block's witness (14, 52, 0, 22)
     code, report, _ = run_json(capsys, "hyp", "extract", "--family", "cayley-ball:ll:2:5")
     assert code == 0
     assert report["results"] == {
         "delta": [2, 1],
         "cycle_length": 8,
-        "cycle": [43, 47, 78, 73, 7, 11, 3, 0],
+        "cycle": [21, 22, 74, 73, 7, 8, 15, 14],
         "distortion": {"n": 8, "a": [1, 1], "b": [1, 1], "witness_a": [0, 1], "witness_b": [0, 1]},
         "discrete_slack": 2,
         "self_audit": {"min_length": 1, "contraction_floor": [1, 35640], "pass": True},

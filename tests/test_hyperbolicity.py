@@ -359,15 +359,18 @@ def test_rips_budget_charges_each_slab_built():
         rips_delta(G, budget_mb=fits - 1e-6)
     assert exc.value.progress == {"best": 0, "sources": 0}
     assert str(exc.value).endswith("; delta >= 0 after 0 sources")
-    # the 3x4 grid scans 4 sources for delta 2, and its witness pass reads 6
-    # more under the same budget: stopped there, its progress holds delta
+    # the 3x4 grid scans 4 sources for delta 2, and its witness is read from
+    # two of them: one budget boundary with and without a witness
     G = MetricGraph.grid_graph(3, 4)
-    scan, everything = 4 * 2 * 12**2 / 1e6, 10 * 2 * 12**2 / 1e6
+    scan = 4 * 2 * 12**2 / 1e6
     assert rips_delta(G, budget_mb=scan) == 2
-    assert rips_delta(G, budget_mb=everything, witness=True)[0] == 2
-    with pytest.raises(ResourceExhausted) as exc:
-        rips_delta(G, budget_mb=scan, witness=True)
-    assert exc.value.progress == {"best": 2, "sources": 4}
+    assert rips_delta(G, budget_mb=scan, witness=True)[0] == 2
+    progress = []
+    for witness in (False, True):
+        with pytest.raises(ResourceExhausted) as exc:
+            rips_delta(G, budget_mb=scan - 1e-6, witness=witness)
+        progress.append(exc.value.progress)
+    assert progress[0] == progress[1]
 
 
 def test_rips_delta_leaves_no_allocations_behind():
@@ -404,23 +407,23 @@ def scalar_interval_tensor(G):
 
 
 def scalar_rips(G):
-    """Every pair a <= b in lexicographic order; the first strict maximum wins."""
+    """Every pair a < b by decreasing d(a, b), then lexicographically: the
+    first pair whose interval holds a defect equal to the maximum over all
+    pairs wins, with the first (c, x) in row-major order inside it."""
     tensor = scalar_interval_tensor(G)
-    n = G.n
-    best = 0
-    best_wit = ThinnessWitness(0, 0, 0, 0, 0)
-    for a in range(n):
-        Ta = tensor[a]
-        for b in range(a, n):
-            X = np.flatnonzero(G.interval(a, b))
-            # defect of x in side [a,b] against corner c: min of the two
-            m = np.minimum(Ta[:, X], tensor[b][:, X])
-            here = int(m.max())
-            if here > best:
-                c, xi = np.unravel_index(int(m.argmax()), m.shape)
-                best = here
-                best_wit = ThinnessWitness(a, b, int(c), int(X[xi]), here)
-    return Fraction(best), best_wit
+    D = G.dist
+    order = sorted(((a, b) for a in range(G.n) for b in range(a + 1, G.n)), key=lambda ab: (-D[ab], ab))
+    found = []
+    for a, b in order:
+        X = np.flatnonzero(G.interval(a, b))
+        # defect of x in side [a,b] against corner c: min of the two
+        m = np.minimum(tensor[a][:, X], tensor[b][:, X])
+        c, xi = np.unravel_index(int(m.argmax()), m.shape)
+        found.append(ThinnessWitness(a, b, int(c), int(X[xi]), int(m.max())))
+    best = max((w.defect for w in found), default=0)
+    if best == 0:
+        return Fraction(0), ThinnessWitness(0, 0, 0, 0, 0)
+    return Fraction(best), next(w for w in found if w.defect == best)
 
 
 def block_rips_oracle(G):
@@ -524,16 +527,18 @@ def test_rips_delta_builds_only_the_sources_it_reads(monkeypatch):
     assert built == []
     # the scan reads only the largest block: 68 of the 167-vertex block of the
     # bs:2 ball (191 vertices), 25 of the 26-vertex block of the ll:2 ball
-    # (84 vertices); the witness pass reads that block's slabs too, and on
-    # the ll:2 ball one more source of it
-    for G, delta, slabs, with_witness in (
-        (MetricGraph.cayley_ball(BaumslagSolitar(2), 5), 5, 68, 68),
-        (MetricGraph.cayley_ball(Lamplighter(2), 5), 2, 25, 26),
+    # of radius 5 (84 vertices), 37 of the ll:2 ball of radius 6; a witness
+    # is read from the slabs of the pair that raised delta, so it builds none
+    for G, delta, slabs in (
+        (MetricGraph.cayley_ball(BaumslagSolitar(2), 5), 5, 68),
+        (MetricGraph.cayley_ball(Lamplighter(2), 5), 2, 25),
+        (MetricGraph.cayley_ball(Lamplighter(2), 6), 4, 37),
     ):
         built.clear()
         assert rips_delta(G) == delta and len(built) == slabs
+        without = sorted(built)
         built.clear()
-        assert rips_delta(G, witness=True)[0] == delta and len(built) == with_witness
+        assert rips_delta(G, witness=True)[0] == delta and sorted(built) == without
     # a path with a triangle is a block graph: 0 with no slab, with or without witness
     G = MetricGraph(250, [(i, i + 1) for i in range(249)] + [(0, 2)])
     built.clear()
