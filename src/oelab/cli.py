@@ -1,20 +1,23 @@
 """oelab command-line interface.
 
-Every subcommand prints a run report (JSON by default, CSV for tabular
-results) with the command echo, parameters, seed, results, timing, and
-version.  Reports are bit-for-bit deterministic given (command, seed,
-version): all randomness flows through counter-based streams.  JSON
-reports are strict: non-finite floats are written as the strings "nan",
-"inf" and "-inf", and Fractions as [p, q].  A report is written whole or
-not at all: a level whose row holds an int too long to print stops the
-run with ``ResourceExhausted``.  stdout carries the report alone:
-``selftest`` writes its PASS/FAIL check lines to stderr.  Monte Carlo
-``--samples`` must be at least 1 (``tiling verify --samples 0``, its
-default, skips the sampled diameter).  ``tiling verify --k``,
-``couple tail --k``, ``--max-depth`` and ``--strata-depth`` must be at
-least 0, every ``--budget`` at least 1, ``couple tail --k`` at most
-``--max-depth`` and ``bs-ll tail --M`` at least 2 (below that the bound
-k^(1-M) cannot fail); anything else is a usage error.
+Every subcommand prints a JSON run report with the command echo,
+parameters, seed, results, timing, and version (``--format csv`` prints the
+table of ``couple tail``, ``couple integrate`` and ``profile`` instead).
+Only the commands that draw take ``--seed``, and elsewhere the seed is
+null.  Reports are bit-for-bit deterministic given (command, seed,
+version): all randomness flows through counter-based streams.  JSON reports
+are strict: non-finite floats are written as the strings "nan", "inf" and
+"-inf", and Fractions as [p, q].  A report is written whole or not at all:
+a level whose row holds an int too long to print stops the run with
+``ResourceExhausted``.  stdout carries the report alone: ``selftest``
+writes its PASS/FAIL check lines to stderr.  Monte Carlo ``--samples`` must
+be at least 1 (``tiling verify --samples 0``, its default, skips the
+sampled diameter).  ``tiling verify --k``, ``couple tail --k``,
+``--max-depth`` and ``--strata-depth`` must be at least 0, every
+``--budget`` at least 1, ``couple tail --k`` at most ``--max-depth`` and
+``bs-ll tail --M`` at least 2 (below that the bound k^(1-M) cannot fail);
+anything else is a usage error, as is ``--samples`` with
+``--exact-diameter``, or ``hyp --family`` with ``--edges``.
 
 Exit codes: 0 success / audit passed, 2 audit failed (an inequality the run
 was checking is violated), 1 usage or resource errors.  Every malformed
@@ -130,7 +133,7 @@ def _emit(args, command: str, results, started: float, rows) -> None:
         "version": __version__,
     }
     out = io.StringIO()
-    if args.format == "csv" and rows is not None:
+    if getattr(args, "format", "json") == "csv":  # only the commands with a table take --format
         cell = lambda v: f"{v.numerator}/{v.denominator}" if isinstance(v, Fraction) else v
         csv.writer(out).writerows([map(cell, row) for row in rows])
     else:
@@ -140,29 +143,27 @@ def _emit(args, command: str, results, started: float, rows) -> None:
 
 
 def _graph_from_args(args) -> MetricGraph:
-    if args.family:
-        head, _, rest = args.family.partition(":")
-        family = f"--family {head}"
-        if head == "grid":
-            if "x" in rest:
-                a, _, b = rest.partition("x")
-                return MetricGraph.grid_graph(_int(a, family), _int(b, family))
-            return MetricGraph.grid_graph(_int(rest, family), _int(rest, family))
-        if head == "cycle":
-            return MetricGraph.cycle_graph(_int(rest, family))
-        if head == "path":
-            return MetricGraph.path_graph(_int(rest, family))
-        if head == "tree":
-            n, _, seed = rest.partition(":")
-            return MetricGraph.random_tree(_int(n, family), _int(seed or "0", family))
-        if head == "cayley-ball":
-            spec, _, radius = rest.rpartition(":")
-            return MetricGraph.cayley_ball(group_from_spec(spec), _int(radius, family))
-        raise UsageError(f"unknown graph family {args.family!r}")
-    if args.edges:
+    if args.edges is not None:  # argparse takes exactly one of --family and --edges
         with open(args.edges) as fh:
             return MetricGraph.from_edge_list(fh.read())
-    raise UsageError("need --family or --edges")
+    head, _, rest = args.family.partition(":")
+    family = f"--family {head}"
+    if head == "grid":
+        if "x" in rest:
+            a, _, b = rest.partition("x")
+            return MetricGraph.grid_graph(_int(a, family), _int(b, family))
+        return MetricGraph.grid_graph(_int(rest, family), _int(rest, family))
+    if head == "cycle":
+        return MetricGraph.cycle_graph(_int(rest, family))
+    if head == "path":
+        return MetricGraph.path_graph(_int(rest, family))
+    if head == "tree":
+        n, _, seed = rest.partition(":")
+        return MetricGraph.random_tree(_int(n, family), _int(seed or "0", family))
+    if head == "cayley-ball":
+        spec, _, radius = rest.rpartition(":")
+        return MetricGraph.cayley_ball(group_from_spec(spec), _int(radius, family))
+    raise UsageError(f"unknown graph family {args.family!r}")
 
 
 # -- subcommands -------------------------------------------------------------
@@ -179,6 +180,8 @@ def cmd_tiling_verify(args):
         )
     if args.k < 0:
         raise UsageError("--k must be >= 0")
+    if args.exact_diameter and args.samples:
+        raise UsageError("--exact-diameter scans every pair, so it takes no --samples")
     # ~250 bytes per materialized element including container overhead
     budget = args.budget if args.budget is not None else _budget_mb() * 4000
     # every tile within budget is proved disjoint, by sorted rows or by cardinality
@@ -261,11 +264,8 @@ def cmd_couple_integrate(args):
 def cmd_couple_return_time(args):
     c = _coupling_from_args(args)
     action = c.side(args.side)
-    patterns = []
-    for pat in args.x0.split(";"):
-        patterns.append(tuple(_int(p, "--x0") for p in pat.split(",")))
-    depth = len(patterns[0])
-    cyl = CylinderSet(depth, frozenset(patterns))
+    patterns = [tuple(_int(p, "--x0") for p in pat.split(",")) for pat in args.x0.split(";")]
+    cyl = CylinderSet(len(patterns[0]), frozenset(patterns))
     rep = return_time_density(action, cyl, args.n, args.samples, args.seed)
     # exhausted pairs count as non-returns, so they can only lower lhs: a pass
     # stands, but a failure that counting them as returns would reverse is undecided
@@ -363,8 +363,7 @@ def cmd_hyp_delta(args):
         "convention": "metric-interval Rips constant (exact for vertex intervals)",
     }
     if args.four_point:
-        fp = four_point_delta(G)
-        results["four_point_delta"] = fp
+        results["four_point_delta"] = four_point_delta(G)
     return results, True, None
 
 
@@ -468,14 +467,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"oelab {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    fmt = _Parser(add_help=False)  # the hyp commands read no seed
-    fmt.add_argument("--format", choices=["json", "csv"], default="json")
-    common = _Parser(add_help=False, parents=[fmt])
-    common.add_argument("--seed", type=int, default=0)
+    table = _Parser(add_help=False)  # only the commands that return a table take --format
+    table.add_argument("--format", choices=["json", "csv"], default="json")
+    draws = _Parser(add_help=False)  # only the commands that draw take --seed
+    draws.add_argument("--seed", type=int, default=0)
 
     tiling = sub.add_parser("tiling", help="tiling construction and verification")
     tsub = tiling.add_subparsers(dest="subcommand", required=True)
-    tv = tsub.add_parser("verify", parents=[common], help="verify disjointness, epsilon_k, diameters")
+    tv = tsub.add_parser("verify", parents=[draws], help="verify disjointness, epsilon_k, diameters")
     tv.add_argument("--builtin", required=True, help="zn:N | zn:N:grouped:M | heis | ll:M | zmatch:ll:M | zblocks:c0,c1,...")
     tv.add_argument("--group", help="optional group spec, cross-checked against the builtin")
     tv.add_argument("--k", type=int, required=True)
@@ -491,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("integrate", cmd_couple_integrate),
         ("return-time", cmd_couple_return_time),
     ):
-        cp = csub.add_parser(name, parents=[common])
+        cp = csub.add_parser(name, parents=[draws] if name == "return-time" else [table, draws])
         cp.add_argument("--left", required=True)
         cp.add_argument("--right", required=True)
         cp.add_argument("--side", choices=["left", "right"], default="left")
@@ -511,14 +510,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     bsll = sub.add_parser("bs-ll", help="lamplighter / BS(1,k) bi-infinite coupling")
     bsub = bsll.add_subparsers(dest="subcommand", required=True)
-    bt = bsub.add_parser("tail", parents=[common], help="exponential-tail audit")
+    bt = bsub.add_parser("tail", parents=[draws], help="exponential-tail audit")
     bt.add_argument("--k", type=int, required=True)
     bt.add_argument("--g", required=True, help="bs element, e.g. bs:a=1,s=0,n=0")
     bt.add_argument("--M", type=int, required=True)
     bt.add_argument("--samples", type=int, default=1_000_000)
     bt.set_defaults(fn=cmd_bsll_tail)
 
-    prof = sub.add_parser("profile", parents=[common], help="isoperimetric profile search")
+    prof = sub.add_parser("profile", parents=[table], help="isoperimetric profile search")
     prof.add_argument("--group", required=True)
     prof.add_argument("--n", type=int, required=True)
     prof.add_argument("--budget", type=_budget, default=DEFAULT_PROFILE_BUDGET)
@@ -526,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     wr = sub.add_parser("wreath", help="wreath coupling identity checks")
     wsub = wr.add_subparsers(dest="subcommand", required=True)
-    wc = wsub.add_parser("check", parents=[common])
+    wc = wsub.add_parser("check", parents=[draws])
     wc.add_argument("--base", required=True, help="left,right tiling specs")
     wc.add_argument("--lamp", required=True, help="left,right tiling specs")
     wc.add_argument("--samples", type=int, default=20)
@@ -540,9 +539,10 @@ def build_parser() -> argparse.ArgumentParser:
         ("audit-cycle", cmd_hyp_audit_cycle),
         ("extract", cmd_hyp_extract),
     ):
-        hp = hsub.add_parser(name, parents=[fmt])
-        hp.add_argument("--family", help="grid:N | grid:WxH | cycle:N | path:N | tree:N:SEED | cayley-ball:GROUP:R")
-        hp.add_argument("--edges", help="edge-list file, one 'u v' per line")
+        hp = hsub.add_parser(name)
+        graph = hp.add_mutually_exclusive_group(required=True)
+        graph.add_argument("--family", help="grid:N | grid:WxH | cycle:N | path:N | tree:N:SEED | cayley-ball:GROUP:R")
+        graph.add_argument("--edges", help="edge-list file, one 'u v' per line")
         hp.add_argument("--budget", type=_budget, default=None, help="interval-row budget in MB; default from OELAB_BUDGET_MB")
         if name == "delta":
             hp.add_argument("--four-point", action="store_true")
@@ -550,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
             hp.add_argument("--cycle", required=True, help="comma-separated vertex list")
         hp.set_defaults(fn=fn)
 
-    st = sub.add_parser("selftest", parents=[common], help="fast invariant checks")
+    st = sub.add_parser("selftest", help="fast invariant checks")
     st.add_argument("--quick", action="store_true")
     st.set_defaults(fn=cmd_selftest)
 

@@ -204,25 +204,26 @@ def test_couple_integrate_logpow_finishes():
     assert proc.returncode == 0, proc.stderr
 
 
+_TAIL_13 = ["couple", "tail", "--left", "zmatch:ll:2", "--right", "ll:2", "--gamma", "zn:1", "--k", "13",
+            "--max-depth", "13", "--samples", "10"]
 _UNPRINTABLE = [
     # --budget 64 keeps the disjointness proof to T_1 of ll:2
-    ["tiling", "verify", "--builtin", "ll:2", "--k", "13", "--budget", "64"],
-    ["tiling", "verify", "--builtin", "zmatch:ll:2", "--k", "13"],
-    ["couple", "tail", "--left", "zmatch:ll:2", "--right", "ll:2", "--gamma", "zn:1", "--k", "13",
-     "--max-depth", "13", "--samples", "10"],
+    pytest.param(["tiling", "verify", "--builtin", "ll:2", "--k", "13", "--budget", "64"], id="tiling verify --builtin ll:2"),
+    pytest.param(["tiling", "verify", "--builtin", "zmatch:ll:2", "--k", "13"], id="tiling verify --builtin zmatch:ll:2"),
+    # only couple tail has a table to write as CSV
+    *(pytest.param([*_TAIL_13, "--format", fmt], id=f"couple tail --left zmatch:ll:2-{fmt}") for fmt in ("json", "csv")),
 ]
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-@pytest.mark.parametrize("argv", _UNPRINTABLE, ids=lambda a: " ".join(a[:4]))
-def test_an_integer_too_long_to_print_is_resource_exhausted(capsys, argv, fmt):
+@pytest.mark.parametrize("argv", _UNPRINTABLE)
+def test_an_integer_too_long_to_print_is_resource_exhausted(capsys, argv):
     # level 13 holds integers of more digits than Python converts to text:
     # nothing is written, and the error names the level
-    code, out, err = run_cli(capsys, *argv, "--format", fmt)
+    code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("ResourceExhausted: level k=13 ")
     argv = [a if a != "13" else "12" for a in argv]
-    code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 0 and out
 
 
@@ -753,6 +754,11 @@ _OUT_OF_RANGE = [
     ("couple return-time --samples 0", ["couple", "return-time", *_COUPLE, "--x0", "0;1", "--samples", "0"]),
     # an option that was parsed and ignored
     ("bs-ll tail --cap", ["bs-ll", "tail", "--k", "2", "--g", "bs:a=1,s=0,n=0", "--M", "3", "--samples", "20", "--cap", "24"]),
+    # a flag that another one left unread: the exact diameter drew no samples,
+    # and --family never opened the --edges file
+    ("tiling verify --exact-diameter --samples 5", ["tiling", "verify", "--builtin", "zn:1", "--k", "1", "--exact-diameter", "--samples", "5"]),
+    ("hyp delta --family --edges", ["hyp", "delta", "--family", "path:4", "--edges", "/nonexistent"]),
+    ("hyp delta without a graph", ["hyp", "delta"]),
 ]
 
 
@@ -773,6 +779,7 @@ _REASONS = [
     (["couple", "integrate", *_COUPLE, "--gamma", "zn:1,0", "--gauge", "power:0", "--samples", "20"], "power gauge needs p > 0"),
     (["couple", "integrate", *_COUPLE, "--gamma", "zn:1,0", "--gauge", "power:x", "--samples", "20"], "bad gauge spec 'power:x'"),
     (["tiling", "verify", "--builtin", "zn:1", "--k", "1", "--samples", "-2"], "Monte Carlo needs samples >= 1, got -2"),
+    (["tiling", "verify", "--builtin", "zn:1", "--k", "1", "--samples", "2", "--exact-diameter"], "--exact-diameter scans every pair, so it takes no --samples"),
 ]
 
 
@@ -818,10 +825,14 @@ _CHEAP_RUNS = [
 ]
 
 
+# the subcommands that draw take --seed; those that return a table take --format
+_DRAWS = {"tiling verify", "couple tail", "couple integrate", "couple return-time", "bs-ll tail", "wreath check"}
+_TABLES = {"couple tail", "couple integrate", "profile"}
+
+
 @pytest.mark.parametrize("command,argv", _CHEAP_RUNS, ids=[c for c, _ in _CHEAP_RUNS])
 def test_every_subcommand_reports_through_one_path(capsys, command, argv):
-    # the hyp commands read no randomness and take no --seed; their seed is null
-    seed = None if command.startswith("hyp") else 3
+    seed = 3 if command in _DRAWS else None
     code, out, _ = run_cli(capsys, *argv, *([] if seed is None else ["--seed", str(seed)]))
     assert code in (0, 2)
     # only the report is pinned here; test_selftest_quick pins a clean stdout
@@ -829,4 +840,20 @@ def test_every_subcommand_reports_through_one_path(capsys, command, argv):
     assert set(report) == {"command", "parameters", "seed", "results", "timing_seconds", "version"}
     assert report["command"] == command
     assert report["seed"] == seed == report["parameters"].get("seed")
-    assert report["parameters"]["format"] == "json"
+    assert report["parameters"].get("format") == ("json" if command in _TABLES else None)
+
+
+@pytest.mark.parametrize("command,argv", _CHEAP_RUNS, ids=[c for c, _ in _CHEAP_RUNS])
+def test_an_option_is_taken_only_where_it_changes_the_run(capsys, command, argv):
+    code, out, err = run_cli(capsys, *argv, "--format", "csv")
+    if command in _TABLES:
+        assert code == 0 and not out.startswith("{") and "," in out.splitlines()[0]
+    else:
+        assert (code, out) == (1, "") and err.startswith("usage error") and "--format" in err
+    code, out, err = run_cli(capsys, *argv, "--seed", "3")
+    if command in _DRAWS:
+        assert code in (0, 2) and json.loads(out)["seed"] == 3
+    else:
+        assert (code, out) == (1, "") and err.startswith("usage error") and "--seed" in err
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and json.loads(out)["seed"] is None
