@@ -4,10 +4,11 @@ Every subcommand prints a JSON run report with the command echo,
 parameters, seed, results, timing, and version (``--format csv`` prints the
 table of ``couple tail``, ``couple integrate`` and ``profile`` instead).
 Only the commands that draw take ``--seed``, and elsewhere the seed is
-null.  Reports are bit-for-bit deterministic given (command, seed,
-version): all randomness flows through counter-based streams.  JSON reports
-are strict: non-finite floats are written as the strings "nan", "inf" and
-"-inf", and Fractions as [p, q].  A report is written whole or not at all:
+null; ``tiling verify`` draws only with ``--samples N`` (N >= 1).  Reports
+are bit-for-bit deterministic given (command, seed, version): all
+randomness flows through counter-based streams.  JSON reports are strict:
+non-finite floats are written as the strings "nan", "inf" and "-inf", and
+Fractions as [p, q].  A report is written whole or not at all:
 a level whose row holds an int too long to print stops the run with
 ``ResourceExhausted``.  stdout carries the report alone: ``selftest``
 writes its PASS/FAIL check lines to stderr.  Monte Carlo ``--samples`` must
@@ -17,7 +18,8 @@ sampled diameter).  ``tiling verify --k``, ``couple tail --k``,
 ``--budget`` at least 1, ``couple tail --k`` at most ``--max-depth`` and
 ``bs-ll tail --M`` at least 2 (below that the bound k^(1-M) cannot fail);
 anything else is a usage error, as is ``--samples`` with
-``--exact-diameter``, or ``hyp --family`` with ``--edges``.
+``--exact-diameter``, ``tiling verify --seed`` without ``--samples``, or
+``hyp --family`` with ``--edges``.
 
 Exit codes: 0 success / audit passed, 2 audit failed (an inequality the run
 was checking is violated), 1 usage or resource errors.  Every malformed
@@ -182,6 +184,10 @@ def cmd_tiling_verify(args):
         raise UsageError("--k must be >= 0")
     if args.exact_diameter and args.samples:
         raise UsageError("--exact-diameter scans every pair, so it takes no --samples")
+    if args.seed is not None and not args.samples:
+        raise UsageError("--seed seeds the sampled diameter, so it needs --samples N (N >= 1)")
+    if args.samples and args.seed is None:
+        args.seed = 0  # the report records the seed the pairs were drawn with
     # ~250 bytes per materialized element including container overhead
     budget = args.budget if args.budget is not None else _budget_mb() * 4000
     # every tile within budget is proved disjoint, by sorted rows or by cardinality
@@ -469,12 +475,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     table = _Parser(add_help=False)  # only the commands that return a table take --format
     table.add_argument("--format", choices=["json", "csv"], default="json")
-    draws = _Parser(add_help=False)  # only the commands that draw take --seed
+    draws = _Parser(add_help=False)  # only the commands that draw take --seed; tiling verify has its own
     draws.add_argument("--seed", type=int, default=0)
 
     tiling = sub.add_parser("tiling", help="tiling construction and verification")
     tsub = tiling.add_subparsers(dest="subcommand", required=True)
-    tv = tsub.add_parser("verify", parents=[draws], help="verify disjointness, epsilon_k, diameters")
+    tv = tsub.add_parser("verify", help="verify disjointness, epsilon_k, diameters")
+    tv.add_argument("--seed", type=int, default=None, help="seed of the sampled diameter; needs --samples")
     tv.add_argument("--builtin", required=True, help="zn:N | zn:N:grouped:M | heis | ll:M | zmatch:ll:M | zblocks:c0,c1,...")
     tv.add_argument("--group", help="optional group spec, cross-checked against the builtin")
     tv.add_argument("--k", type=int, required=True)

@@ -28,7 +28,9 @@ disjointness proof in :meth:`TilingSequence.prove_disjoint` and the sampled
 ``tile_diameter`` run a level on rows only after it proves int64 exact, and
 the scalar methods are the oracles.  ``ll:M``'s gate admits only the
 identity (a window row cannot hold t gamma^-1), so its rewrite depths stay
-scalar.
+scalar.  The proof stores each level's rows in the narrowest signed dtype
+that holds +-proven_bound (int8 for ``ll:M``), and builds and packs them in
+blocks of ROW_BLOCK = 2^15 rows; its products stay int64.
 :meth:`TilingSequence.grow_array` is the one place that reads the
 orientation on rows.  The sampled diameter draws each level's letter indices
 as one array, as ``depths`` does, and takes the largest ``distance_array``
@@ -59,6 +61,7 @@ from .errors import NotInTile, ResourceExhausted, TilingViolation, UsageError
 
 DEFAULT_TILE_BUDGET = 4_000_000
 INT64_SAFE = 1 << 62  # array hooks run only where int64_bound proves values stay below this
+ROW_BLOCK = 1 << 15  # rows per block of the disjointness proof
 
 
 class Orientation(Enum):
@@ -218,24 +221,42 @@ class TilingSequence:
         self.build_tiles(K, budget)
 
     def _tile_arrays(self, K: int):
-        """Yield T_k for k = 0..K as int64 arrays with rows in build_tiles's order.
+        """Yield T_k for k = 0..K as integer arrays with rows in build_tiles's order.
 
-        Level k is one broadcast grow_array(T_{k-1}, F_k), letter outer and
-        previous tile inner, so only the output is full size, and only the
-        previous level is held.  Only tilings with array hooks yield, each
-        level after proven_bound proves its values below 2^62; the generator
-        stops at the first level it cannot prove.
+        Level k is stored in the narrowest signed dtype that holds
+        +-proven_bound(identity, k): int8 for ``ll:M``, int16 for ``zn:3``'s T_5.
+        It is built in blocks of at most ROW_BLOCK rows, each one broadcast
+        grow_array(T_{k-1}, F_k) with letter outer and previous tile inner.
+        The letters stay int64, so every product runs in int64 and only the
+        stored rows are narrow; only the previous level is held.  A wrong
+        bound would only wrap the stored rows, and a wrapped row is a
+        function of its int64 row: the proof could then lose a level to
+        build_tiles but never pass a collision.  Only tilings with array
+        hooks yield, each level after proven_bound proves its values below
+        2^62; the generator stops at the first level it cannot prove.
         """
         prev = None
         for k in range(K + 1):
-            if self.proven_bound(self.group.identity, k) is None:
+            bound = self.proven_bound(self.group.identity, k)
+            if bound is None:
                 return
-            rows = self.letter_array(k, np.arange(self.letter_count(k), dtype=np.int64))
-            if prev is not None:
-                grown = self.grow_array(prev[None], rows[:, None])
-                rows = grown.reshape(-1, grown.shape[-1])
-            yield rows
-            prev = rows
+            dtype = next(d for d in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(d).max >= bound)
+            prev = self._level_rows(prev, k, dtype)
+            yield prev
+
+    def _level_rows(self, prev, k: int, dtype) -> np.ndarray:
+        """T_k as dtype rows: F_k, or grow_array(T_{k-1}, F_k) in blocks of at most ROW_BLOCK rows."""
+        letters = self.letter_array(k, np.arange(self.letter_count(k), dtype=np.int64))
+        if prev is None:
+            return letters.astype(dtype)
+        n, width = len(prev), self.grow_array(prev[:1], letters[:1]).shape[-1]
+        rows = np.empty((len(letters) * n, width), dtype)
+        span, per = min(n, ROW_BLOCK), max(1, ROW_BLOCK // n)  # rows of T_{k-1} and letters per block
+        for j in range(0, len(letters), per):
+            for i in range(0, n, span):
+                block = self.grow_array(prev[None, i : i + span], letters[j : j + per, None]).reshape(-1, width)
+                rows[j * n + i : j * n + i + len(block)] = block  # wraps only past a wrong bound
+        return rows
 
     def folner_constant(self, k: int) -> "ClaimReport":
         """max over generators s of the exact boundary ratio of T_k.
@@ -297,21 +318,27 @@ class TilingSequence:
 
 
 def _distinct_rows(rows: np.ndarray) -> bool:
-    """Whether sorting proves the rows of an (N, d) int64 array distinct.
+    """Whether sorting proves the rows of an (N, d) integer array distinct.
 
     Column c takes values in [lo_c, hi_c], its observed min and max, so each
     row packs into one mixed-radix int64 key with radix hi_c - lo_c + 1,
-    which is injective on the rows.  False when two keys are equal, or when
-    the product of the radices reaches 2^62 and the keys could leave int64.
+    which is injective on the rows.  The keys are packed ROW_BLOCK rows at a
+    time into one int64 array, each column widened and its low subtracted
+    in int64.  False when two keys are equal, or when the product of the
+    radices reaches 2^62 and the keys could leave int64.
     """
     columns = rows.T  # 1-D reductions per column: far faster than axis 0 on C-ordered rows
-    lows = [column.min() for column in columns]
-    radices = [int(column.max()) - int(lo) + 1 for column, lo in zip(columns, lows)]
+    lows = [int(column.min()) for column in columns]
+    radices = [int(column.max()) - low + 1 for column, low in zip(columns, lows)]
     if math.prod(radices) >= INT64_SAFE:
         return False
     key = np.zeros(len(rows), dtype=np.int64)
-    for column, low, radix in zip(columns, lows, radices):
-        key = key * radix + (column - low)
+    for start in range(0, len(rows), ROW_BLOCK):
+        part = key[start : start + ROW_BLOCK]
+        for column, low, radix in zip(columns, lows, radices):
+            part *= radix
+            part += column[start : start + ROW_BLOCK]
+            part -= low
     key.sort()
     return not (key[1:] == key[:-1]).any()
 

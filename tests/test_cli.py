@@ -811,7 +811,7 @@ def test_couple_return_time_band_survives_zero_stderr(capsys, samples):
 
 
 _CHEAP_RUNS = [
-    ("tiling verify", ["tiling", "verify", "--builtin", "zn:1", "--k", "1"]),
+    ("tiling verify", ["tiling", "verify", "--builtin", "zn:1", "--k", "1", "--samples", "10"]),
     ("couple tail", ["couple", "tail", *_COUPLE, "--gamma", "zn:1,0", "--k", "1", "--samples", "20"]),
     ("couple integrate", ["couple", "integrate", *_COUPLE, "--gamma", "zn:1,0", "--samples", "20"]),
     ("couple return-time", ["couple", "return-time", *_COUPLE, "--x0", "0;1", "--n", "1", "--samples", "5"]),
@@ -856,4 +856,11 @@ def test_an_option_is_taken_only_where_it_changes_the_run(capsys, command, argv)
     else:
         assert (code, out) == (1, "") and err.startswith("usage error") and "--seed" in err
         code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and json.loads(out)["seed"] is None
+    if command == "tiling verify":
+        # it draws only with --samples N (N >= 1), so --seed needs it, and a run without it has no seed
+        bare = argv[: argv.index("--samples")]
+        code, out, err = run_cli(capsys, *bare, "--seed", "3")
+        assert (code, out) == (1, "") and err.startswith("usage error") and "--samples" in err
+        code, out, _ = run_cli(capsys, *bare)
         assert code == 0 and json.loads(out)["seed"] is None

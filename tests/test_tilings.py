@@ -3,12 +3,14 @@ import math
 import random
 from fractions import Fraction
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oelab import _rng
+from oelab import _rng, tilings
 from oelab.errors import NotInTile, ResourceExhausted, TilingViolation, UsageError
 from oelab.tilings import (
     DEFAULT_TILE_BUDGET,
@@ -452,18 +454,83 @@ def _element(t, row):
     return tuple(row)
 
 
+def _narrowest(bound):
+    """The smallest signed dtype holding both -bound and bound: a signed min is -max - 1."""
+    return np.min_scalar_type(-bound - 1)
+
+
+def _spy_on_products(t, monkeypatch):
+    """Record the dtypes of every grow_array call's letters and product."""
+    real, seen = t.grow_array, []
+
+    def spy(rows, letters):
+        out = real(rows, letters)
+        seen.append((letters.dtype, out.dtype))
+        return out
+
+    monkeypatch.setattr(t, "grow_array", spy)
+    return seen
+
+
 @pytest.mark.parametrize("t", ARRAY_HOOKED, ids=lambda t: t.name)
 def test_tile_arrays_match_build_tiles(t, monkeypatch):
     K = _largest_k(t)
     tiles = t.build_tiles(K)
+    products = _spy_on_products(t, monkeypatch)
     levels = list(t._tile_arrays(K))
     assert len(levels) == K + 1
     for k, rows in enumerate(levels):
         # the same tiles in the same order: letter outer, previous tile inner
         assert [_element(t, r) for r in rows] == tiles[k], k
-        assert int(np.abs(rows).max()) <= t.proven_bound(t.group.identity, k)
+        bound = t.proven_bound(t.group.identity, k)
+        assert int(np.abs(rows).max()) <= bound and rows.dtype == _narrowest(bound), k
+    # only the stored rows are narrow: the letters and every product stay int64
+    assert products and set(products) == {(np.dtype(np.int64), np.dtype(np.int64))}
+    # blocks of 7 rows split the letters and the previous tile alike and give the same rows
+    monkeypatch.setattr(tilings, "ROW_BLOCK", 7)
+    for k, rows in enumerate(t._tile_arrays(K)):
+        assert rows.dtype == levels[k].dtype and np.array_equal(rows, levels[k]), k
     monkeypatch.setattr(t, "build_tiles", lambda *a: pytest.fail("took the scalar proof"))
     t.prove_disjoint(K)
+
+
+@pytest.mark.parametrize(
+    "t,K,width,itemsize", [(ZnTiling(3), 5, 3, 2), (LamplighterTiling(2), 3, 17, 1)], ids=["zn:3", "ll:2"]
+)
+def test_prove_disjoint_holds_the_last_tile_and_its_keys_alone(t, K, width, itemsize, monkeypatch):
+    # T_K's narrow rows and one int64 key per row, plus blocks of ROW_BLOCK
+    # rows; the full-width int64 level and its key temporaries took 13 and 168 MB
+    monkeypatch.setattr(t, "build_tiles", lambda *a: pytest.fail("took the scalar proof"))
+    tracemalloc.start()
+    try:
+        t.prove_disjoint(K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < t.tile_size(K) * (width * itemsize + 8) + (2 << 20)
+
+
+def test_a_bound_too_small_for_the_rows_only_sends_the_proof_to_build_tiles(monkeypatch):
+    t = ZnTiling(1)  # T_k = [0, 2^(k+1)): from k = 7 the int8 rows wrap
+    monkeypatch.setattr(t, "int64_bound", lambda gamma, k: 1)
+    products = _spy_on_products(t, monkeypatch)
+    real, calls = t.build_tiles, []
+    monkeypatch.setattr(t, "build_tiles", lambda K, budget: calls.append(K) or real(K, budget))
+    *_, rows = t._tile_arrays(8)
+    assert rows.dtype == np.int8 and np.array_equal(rows[:, 0], np.arange(512).astype(np.int8))
+    assert set(products) == {(np.dtype(np.int64), np.dtype(np.int64))}
+    # T_7's 256 values wrap one to one, and T_8's 512 collide in pairs: a
+    # wrapped row is a function of the int64 row, so only T_8 needs the tuples
+    t.prove_disjoint(7)
+    assert calls == []
+    t.prove_disjoint(8)
+    assert calls == [8]
+    # a real collision still raises the build_tiles witness
+    c = Collides([2, 2])
+    monkeypatch.setattr(c, "int64_bound", lambda gamma, k: 0)
+    with pytest.raises(TilingViolation) as exc:
+        c.prove_disjoint(1)
+    assert (exc.value.k, exc.value.witness) == (1, (((1,), (0,)), ((0,), (1,)), (1,)))
 
 
 def test_lamplighter_t3_rows_follow_build_tiles_order(monkeypatch):
@@ -562,6 +629,20 @@ def test_distinct_rows_proves_only_what_the_packed_key_can_hold():
     assert _distinct_rows(np.array([[0, 0], [(1 << 31) - 1, (1 << 31) - 2]]))
     # an offset the old [-bound, bound] box could not hold
     assert _distinct_rows(rows + (1 << 61))
+
+
+def test_distinct_rows_subtracts_each_low_in_int64():
+    # column 1 spans [-100, 100], radix 201: 28 - (-100) = 128 leaves int8, and
+    # wrapped to -128 it would pack (1, 28) onto the key of (0, -27)
+    rows = np.array([[1, 28], [0, -27], [0, -100], [0, 100]], dtype=np.int8)
+    assert _distinct_rows(rows)
+    assert not _distinct_rows(np.concatenate([rows, rows[:1]]))
+    rng = np.random.default_rng(8)
+    for dtype in (np.int8, np.int16):
+        info = np.iinfo(dtype)
+        wide = np.unique(rng.integers(info.min, info.max + 1, size=(3000, 2)), axis=0)
+        assert _distinct_rows(wide.astype(dtype))
+        assert not _distinct_rows(np.concatenate([wide, wide[-1:]]).astype(dtype))
 
 
 _INT64 = st.integers(-4, 4) | st.integers(-(1 << 63), (1 << 63) - 1)
