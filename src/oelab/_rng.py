@@ -121,14 +121,19 @@ def randbelow_array(n: int, seeds, *counters) -> np.ndarray:
     return (v % np.uint64(n)).reshape(shape)
 
 
+def check_samples(samples: int) -> None:
+    """Fewer than one Monte Carlo sample is a usage error."""
+    if samples < 1:
+        raise UsageError(f"Monte Carlo needs samples >= 1, got {samples}")
+
+
 def sample_blocks(samples: int, draw_block):
     """draw_block(start, stop) for consecutive blocks of at most BLOCK indices in [0, samples).
 
     Lazy: a block is drawn when the caller asks for it.  Fewer than one
     sample is a usage error, raised by this call before any draw.
     """
-    if samples < 1:
-        raise UsageError(f"Monte Carlo needs samples >= 1, got {samples}")
+    check_samples(samples)
     return (draw_block(start, min(start + BLOCK, samples)) for start in range(0, samples, BLOCK))
 
 

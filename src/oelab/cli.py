@@ -10,7 +10,8 @@ randomness flows through counter-based streams.  JSON reports are strict:
 non-finite floats are written as the strings "nan", "inf" and "-inf", and
 Fractions as [p, q].  A report is written whole or not at all:
 a level whose row holds an int too long to print stops the run with
-``ResourceExhausted``.  stdout carries the report alone: ``selftest``
+``ResourceExhausted`` (``tiling verify`` stops at the first such level,
+before it forms the next).  stdout carries the report alone: ``selftest``
 writes its PASS/FAIL check lines to stderr.  Monte Carlo ``--samples`` must
 be at least 1 (``tiling verify --samples 0``, its default, skips the
 sampled diameter).  ``tiling verify --k``, ``couple tail --k``,
@@ -43,7 +44,7 @@ from dataclasses import asdict, replace
 from fractions import Fraction
 
 from . import __version__
-from ._rng import binomial_band, derive, per_sample, sample_blocks
+from ._rng import binomial_band, check_samples, derive, per_sample, sample_blocks
 from .bsll import BsLamplighterCoupling
 from .coupling import (
     DEFAULT_MAX_DEPTH,
@@ -118,13 +119,18 @@ def _strict(x):
     return x
 
 
+def _printable(k: int, row) -> None:
+    """Raise ResourceExhausted if level k's row holds an int too long to print."""
+    try:
+        json.dumps(_strict(row))
+    except ValueError as exc:  # Python prints no int longer than sys.get_int_max_str_digits()
+        raise ResourceExhausted(f"level k={k} cannot be printed: {exc}", progress=k - 1) from None
+
+
 def _emit(args, command: str, results, started: float, rows) -> None:
     """Write the whole report, or nothing if a level's row holds an int too long to print."""
     for k, row in enumerate(results if isinstance(results, list) else []):
-        try:
-            json.dumps(_strict(row))
-        except ValueError as exc:  # Python prints no int longer than sys.get_int_max_str_digits()
-            raise ResourceExhausted(f"level k={k} cannot be printed: {exc}", progress=k - 1) from None
+        _printable(k, row)
     clean = {k: v for k, v in vars(args).items() if k not in ("fn", "command", "subcommand")}
     report = {
         "command": command,
@@ -186,16 +192,19 @@ def cmd_tiling_verify(args):
         raise UsageError("--exact-diameter scans every pair, so it takes no --samples")
     if args.seed is not None and not args.samples:
         raise UsageError("--seed seeds the sampled diameter, so it needs --samples N (N >= 1)")
-    if args.samples and args.seed is None:
-        args.seed = 0  # the report records the seed the pairs were drawn with
+    if args.samples:
+        check_samples(args.samples)  # before any level: the diameter is drawn after the last
+        if args.seed is None:
+            args.seed = 0  # the report records the seed the pairs were drawn with
     # ~250 bytes per materialized element including container overhead
     budget = args.budget if args.budget is not None else _budget_mb() * 4000
-    # every tile within budget is proved disjoint, by sorted rows or by cardinality
-    fits = max((k for k in range(args.k + 1) if t.tile_size(k) <= budget), default=-1)
-    if fits >= 0:
-        t.prove_disjoint(fits, budget)
+    # every tile within budget is proved disjoint, by sorted rows or by
+    # cardinality; tile sizes only grow, so the walk stops at the first too large
+    fits = -1
+    while fits < args.k and t.tile_size(fits + 1) <= budget:
+        fits += 1
+    levels = t.prove_disjoint(fits, budget) if fits >= 0 else None
     results = []
-    ok = True
     for k in range(args.k + 1):
         fol = t.folner_constant(k)
         row = {
@@ -205,15 +214,17 @@ def cmd_tiling_verify(args):
             "epsilon_claimed": fol.claimed,
             "ok": fol.within_claim,
         }
-        if args.exact_diameter or args.samples:
-            mode = "exact" if args.exact_diameter else "sampled"
-            diam = t.tile_diameter(k, mode=mode, samples=args.samples, seed=args.seed, budget=budget)
-            row["diameter" if args.exact_diameter else "diameter_lower_bound"] = diam.value
-            row["radius_claimed"] = diam.claimed
-            row["ok"] = row["ok"] and diam.within_claim
-        ok = ok and row["ok"]
+        if args.exact_diameter:
+            diam = t.tile_diameter(k, mode="exact", budget=budget)
+            row.update(diameter=diam.value, radius_claimed=diam.claimed, ok=row["ok"] and diam.within_claim)
+        _printable(k, row)  # stop at the first level the report could not hold
         results.append(row)
-    return results, ok, None
+    if args.samples:
+        # one walk over the proved rows serves every level
+        for row, value in zip(results, t.sampled_diameters(args.k, args.samples, args.seed, levels)):
+            claimed = t.claimed_radius(row["k"])
+            row.update(diameter_lower_bound=value, radius_claimed=claimed, ok=row["ok"] and value <= claimed)
+    return results, all(row["ok"] for row in results), None
 
 
 def _coupling_from_args(args) -> MatchedCoupling:

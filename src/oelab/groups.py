@@ -294,20 +294,23 @@ class Lamplighter(Group):
         return (ls, pos)
 
     def multiply_array(self, g, h):
-        """multiply on rows (cursor, lamp digits on [0, W)), or broadcastable rows.
+        """multiply on rows (cursor, lamp digits in [0, m) on [0, W)), or broadcastable rows.
 
         The product has g's window: h's digits, shifted by g's cursor, must
         land inside it, which holds for f t with f a lamplighter letter and
-        t in the tile below.
+        t in the tile below.  They are added as one slice per distinct cursor
+        of g, and only that slice is reduced mod m.
         """
         shape = np.broadcast_shapes(g.shape[:-1], h.shape[:-1])
         out = np.empty(shape + g.shape[-1:], dtype=np.int64)
         out[...] = g
         out[..., 0] += h[..., 0]
-        rows = np.indices(shape, sparse=True)
-        for q in range(1, h.shape[-1]):
-            out[(*rows, g[..., 0] + q)] += h[..., q]  # one digit column at a time: no full-size index
-        out[..., 1:] %= self.m
+        cursor, digits = g[..., :1], h[..., 1:]
+        for c in np.flatnonzero(np.bincount(cursor.ravel())).tolist():  # np.unique would import numpy.ma
+            # h's digits land on g's window from position c: one slice per distinct cursor
+            window, here = out[..., 1 + c : 1 + c + digits.shape[-1]], cursor == c
+            np.add(window, digits, out=window, where=here)
+            np.subtract(window, self.m, out=window, where=window >= self.m)  # two digits sum below 2m
         return out
 
     def distance_array(self, u, v):

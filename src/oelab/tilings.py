@@ -24,18 +24,24 @@ arrays (an ``ll:M`` row is the cursor, then the lamp digits on
 [0, 2^(k+1))), and bound those values, the group's products and its
 ``distance_array`` through ``int64_bound``.  ``proven_bound`` is the one
 gate: the batched rewrite-depth kernel in ``coupling``, the sorted-row
-disjointness proof in :meth:`TilingSequence.prove_disjoint` and the sampled
-``tile_diameter`` run a level on rows only after it proves int64 exact, and
-the scalar methods are the oracles.  ``ll:M``'s gate admits only the
-identity (a window row cannot hold t gamma^-1), so its rewrite depths stay
-scalar.  The proof stores each level's rows in the narrowest signed dtype
-that holds +-proven_bound (int8 for ``ll:M``), and builds and packs them in
-blocks of ROW_BLOCK = 2^15 rows; its products stay int64.
+disjointness proof in :meth:`TilingSequence.prove_disjoint`, the sampled
+diameter and ``heis``'s column ends run a level on rows only after it
+proves int64 exact, and the scalar methods are the oracles.  ``ll:M``'s
+gate admits only the identity (a window row cannot hold t gamma^-1), so
+its rewrite depths stay scalar.  The proof stores each level's rows in the
+narrowest signed dtype that holds +-proven_bound (int8 for ``ll:M``), and
+builds them in blocks of ROW_BLOCK = 2^15 int64 rows, each checked against
+that dtype's range before it is stored: a stored row always equals its
+int64 row, and a level that would wrap goes to ``build_tiles``.  It sorts
+keys of the narrowest dtype that holds their span (at most int32 for the
+built-ins' tiles under the default budget), and returns the proved levels.
 :meth:`TilingSequence.grow_array` is the one place that reads the
-orientation on rows.  The sampled diameter draws each level's letter indices
-as one array, as ``depths`` does, and takes the largest ``distance_array``
-over each engine block of pairs; a tiling that fails the gate at some level
-up to k multiplies per point instead.
+orientation on rows.  :meth:`TilingSequence.sampled_diameters` is the one
+sampled path: each block of pairs walks T_0..T_K once, drawing each
+level's letter indices as one array, as ``depths`` does, gathering its
+points from the proved rows and growing them past those; a level that
+fails the gate multiplies per point.  ``heis`` reads both cross terms of
+an escape chunk from one cross table, one integer matrix product.
 
 A box tiling's ``_levels`` list grows level by level on demand and ``grow``
 is cached on first use; with a wreath point's realized lamps, that is all
@@ -206,19 +212,22 @@ class TilingSequence:
             tiles.append(new)
         return tiles
 
-    def prove_disjoint(self, K: int, budget: int = DEFAULT_TILE_BUDGET) -> None:
+    def prove_disjoint(self, K: int, budget: int = DEFAULT_TILE_BUDGET) -> list[np.ndarray] | None:
         """The tiling condition of :meth:`build_tiles` up to level K, on arrays where possible.
 
-        Each level of :meth:`_tile_arrays` must sort into distinct rows.  When
-        K < 0, |T_K| exceeds the budget, or a level fails its gate or the
-        sort, the whole proof goes through build_tiles, which raises the same
-        errors and the same TilingViolation witness.
+        Each level of :meth:`_tile_arrays` must sort into distinct rows, and
+        then the proved levels T_0..T_K are returned, for the sampled
+        diameter to gather from.  When K < 0, |T_K| exceeds the budget, or a
+        level fails its gate, its range check or the sort, the whole proof
+        goes through build_tiles, which raises the same errors and the same
+        TilingViolation witness, and None is returned.
         """
         if 0 <= K and self.tile_size(K) <= budget:
-            proved = itertools.takewhile(_distinct_rows, self._tile_arrays(K))
-            if sum(1 for _ in proved) == K + 1:
-                return
+            levels = list(itertools.takewhile(_distinct_rows, self._tile_arrays(K)))
+            if len(levels) == K + 1:
+                return levels
         self.build_tiles(K, budget)
+        return None
 
     def _tile_arrays(self, K: int):
         """Yield T_k for k = 0..K as integer arrays with rows in build_tiles's order.
@@ -226,14 +235,15 @@ class TilingSequence:
         Level k is stored in the narrowest signed dtype that holds
         +-proven_bound(identity, k): int8 for ``ll:M``, int16 for ``zn:3``'s T_5.
         It is built in blocks of at most ROW_BLOCK rows, each one broadcast
-        grow_array(T_{k-1}, F_k) with letter outer and previous tile inner.
-        The letters stay int64, so every product runs in int64 and only the
-        stored rows are narrow; only the previous level is held.  A wrong
-        bound would only wrap the stored rows, and a wrapped row is a
-        function of its int64 row: the proof could then lose a level to
-        build_tiles but never pass a collision.  Only tilings with array
-        hooks yield, each level after proven_bound proves its values below
-        2^62; the generator stops at the first level it cannot prove.
+        grow_array(T_{k-1}, F_k) with letter outer and previous tile inner,
+        so row r_k = i_k |T_{k-1}| + r_{k-1} is letter i_k grown on row
+        r_{k-1}.  The letters stay int64, so every product runs in int64 and
+        only the stored rows are narrow.  Each int64 block is checked against
+        the dtype's range before it is stored, so a stored row always equals
+        its int64 row: a wrong bound can only stop the generator and send the
+        proof to build_tiles.  Only tilings with array hooks yield, each level
+        after proven_bound proves its values below 2^62; the generator stops
+        at the first level it cannot prove or store.
         """
         prev = None
         for k in range(K + 1):
@@ -242,20 +252,33 @@ class TilingSequence:
                 return
             dtype = next(d for d in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(d).max >= bound)
             prev = self._level_rows(prev, k, dtype)
+            if prev is None:
+                return
             yield prev
 
-    def _level_rows(self, prev, k: int, dtype) -> np.ndarray:
-        """T_k as dtype rows: F_k, or grow_array(T_{k-1}, F_k) in blocks of at most ROW_BLOCK rows."""
+    def _level_rows(self, prev, k: int, dtype) -> np.ndarray | None:
+        """T_k as dtype rows: F_k, or grow_array(T_{k-1}, F_k) in blocks of at most ROW_BLOCK rows.
+
+        None when some int64 block leaves dtype's range.
+        """
+        info = np.iinfo(dtype)
+
+        def fits(block):
+            return dtype is np.int64 or (info.min <= block.min() and block.max() <= info.max)
+
         letters = self.letter_array(k, np.arange(self.letter_count(k), dtype=np.int64))
         if prev is None:
-            return letters.astype(dtype)
+            return letters.astype(dtype) if fits(letters) else None
         n, width = len(prev), self.grow_array(prev[:1], letters[:1]).shape[-1]
         rows = np.empty((len(letters) * n, width), dtype)
         span, per = min(n, ROW_BLOCK), max(1, ROW_BLOCK // n)  # rows of T_{k-1} and letters per block
         for j in range(0, len(letters), per):
             for i in range(0, n, span):
                 block = self.grow_array(prev[None, i : i + span], letters[j : j + per, None]).reshape(-1, width)
-                rows[j * n + i : j * n + i + len(block)] = block  # wraps only past a wrong bound
+                if not fits(block):
+                    return None
+                rows[j * n + i : j * n + i + len(block)] = block
+                del block  # freed before the next block is built
         return rows
 
     def folner_constant(self, k: int) -> "ClaimReport":
@@ -278,32 +301,57 @@ class TilingSequence:
         box tilings and ``ll:M``, the column ends of T_k for ``heis`` once
         T_0..T_k are proved disjoint under ``budget``, and otherwise the
         scalar loop over every quotient of build_tiles's T_k, their oracle.
-        "sampled" is the maximum over ``samples`` seeded pairs, a lower
-        bound.  It runs on int64 rows when levels 0..k all pass
-        proven_bound(identity, .), and per point otherwise; both draw the
-        same pairs and give the same maximum.
+        "sampled" is entry k of :meth:`sampled_diameters`, the maximum over
+        ``samples`` seeded pairs, a lower bound.
         """
         if mode == "exact":
             return ClaimReport(self._exact_diameter(k, budget), self.claimed_radius(k))
         if mode != "sampled":
             raise UsageError(f"diameter mode must be exact|sampled, got {mode!r}")
+        return ClaimReport(self.sampled_diameters(k, samples, seed)[k], self.claimed_radius(k))
+
+    def sampled_diameters(self, K: int, samples: int, seed: int, levels: list | None = None) -> list[int]:
+        """The largest |u^-1 v| over ``samples`` seeded pairs of T_k, for each k = 0..K.
+
+        Pair i joins the points drawn at counters 2i and 2i + 1, and point c
+        of T_k is the product of the letters random_letter_index(j, seed, c)
+        for j <= k, so one walk per block of pairs serves every level.  Each
+        level's letter indices are drawn as one array, as ``depths`` does.
+        While levels pass proven_bound(identity, .) the walk runs on int64
+        rows: on a level of ``levels`` (the rows :meth:`prove_disjoint`
+        returned) it gathers row r_k = i_k |T_{k-1}| + r_{k-1} and casts it to
+        int64, past them it grows the last points by grow_array; and
+        distance_array gives each level's maximum.  From the first level that
+        fails the gate it multiplies per point.  Every path gives the same
+        maxima.
+        """
+        levels = levels or []
+        on_rows = next((j for j in range(K + 1) if self.proven_bound(self.group.identity, j) is None), K + 1)
         mul, inv, length = self.group.multiply, self.group.inverse, self.group.word_length
-        on_rows = all(self.proven_bound(self.group.identity, j) is not None for j in range(k + 1))
 
         def pairs(start, stop):
-            # pair i joins the points drawn at counters 2i and 2i + 1
             counters = np.arange(2 * start, 2 * stop)
-            if on_rows:
-                points = None
-                for j in range(k + 1):
-                    f = self.letter_array(j, self.random_letter_indices(j, seed, counters).astype(np.int64))
+            draws = [self.random_letter_indices(j, seed, counters) for j in range(K + 1)]
+            out, points, index = [], None, None
+            for j in range(on_rows):
+                i = draws[j].astype(np.int64)
+                if j < len(levels):
+                    index = i if index is None else i * len(levels[j - 1]) + index
+                    points = levels[j][index].astype(np.int64)
+                else:
+                    f = self.letter_array(j, i)
                     points = f if points is None else self.grow_array(points, f)
-                return int(self.group.distance_array(points[0::2], points[1::2]).max())
-            levels = [self.random_letter_indices(j, seed, counters).tolist() for j in range(k + 1)]
-            points = map(self.prefix_product, zip(*levels))
-            return max(length(mul(inv(u), v)) for u, v in zip(points, points))
+                out.append(int(self.group.distance_array(points[0::2], points[1::2]).max()))
+            points = None
+            for j in range(on_rows, K + 1):
+                if points is None:
+                    points = list(map(self.prefix_product, zip(*(d.tolist() for d in draws[: j + 1]))))
+                else:
+                    points = [self.grow(g, self.letter(j, i)) for g, i in zip(points, draws[j].tolist())]
+                out.append(max(length(mul(inv(u), v)) for u, v in zip(points[0::2], points[1::2])))
+            return out
 
-        return ClaimReport(max(sample_blocks(samples, pairs)), self.claimed_radius(k))
+        return [max(level) for level in zip(*sample_blocks(samples, pairs))]
 
     def _exact_diameter(self, k: int, budget: int) -> int:
         """The scalar oracle: the largest word length over every quotient u^-1 v of build_tiles's T_k."""
@@ -321,24 +369,29 @@ def _distinct_rows(rows: np.ndarray) -> bool:
     """Whether sorting proves the rows of an (N, d) integer array distinct.
 
     Column c takes values in [lo_c, hi_c], its observed min and max, so each
-    row packs into one mixed-radix int64 key with radix hi_c - lo_c + 1,
-    which is injective on the rows.  The keys are packed ROW_BLOCK rows at a
-    time into one int64 array, each column widened and its low subtracted
-    in int64.  False when two keys are equal, or when the product of the
-    radices reaches 2^62 and the keys could leave int64.
+    row packs into one mixed-radix key with radix hi_c - lo_c + 1, which is
+    injective on the rows.  The keys are in [0, span), span the product of
+    the radices, and are held in the narrowest signed dtype that holds
+    span: at most int32 for the built-ins' tiles under the default budget,
+    which sorts far faster than int64.  They are packed ROW_BLOCK rows at a
+    time, and each column's low is subtracted, in a dtype that holds both
+    the rows and the keys, before the column is added, so no partial key
+    leaves [0, span).  False when two keys are equal, or when span reaches
+    2^62 and the keys could leave int64.
     """
     columns = rows.T  # 1-D reductions per column: far faster than axis 0 on C-ordered rows
     lows = [int(column.min()) for column in columns]
     radices = [int(column.max()) - low + 1 for column, low in zip(columns, lows)]
-    if math.prod(radices) >= INT64_SAFE:
+    span = math.prod(radices)
+    if span >= INT64_SAFE:
         return False
-    key = np.zeros(len(rows), dtype=np.int64)
+    key = np.zeros(len(rows), dtype=next(d for d in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(d).max >= span))
+    wide = np.promote_types(rows.dtype, key.dtype)  # holds every value and low, so each difference is exact
     for start in range(0, len(rows), ROW_BLOCK):
         part = key[start : start + ROW_BLOCK]
         for column, low, radix in zip(columns, lows, radices):
             part *= radix
-            part += column[start : start + ROW_BLOCK]
-            part -= low
+            part += np.subtract(column[start : start + ROW_BLOCK], low, dtype=wide)
     key.sort()
     return not (key[1:] == key[:-1]).any()
 
@@ -528,11 +581,21 @@ class HeisTiling(TilingSequence):
 
     @staticmethod
     def _cross_array(x, y, k: int):
-        """_cross over int64 arrays with entries in [0, 2^(k+1))."""
+        """_cross over int64 arrays with entries in [0, 2^(k+1)), element by element."""
         total = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)), dtype=np.int64)
         for i in range(1, k + 1):
             total += ((x >> i) & 1) * ((y & ((1 << i) - 1)) << i)
         return total
+
+    @staticmethod
+    def _cross_table(xs, ys, k: int):
+        """_cross(x, y) for x in xs (rows) and y in ys (columns), entries in [0, 2^(k+1)).
+
+        One exact integer product: the bits x_i (i = 1..k) of each x times
+        (y mod 2^i) 2^i of each y.
+        """
+        i = np.arange(1, k + 1)
+        return ((xs[:, None] >> i) & 1) @ ((ys[:, None] & ((1 << i) - 1)) << i).T
 
     def contains(self, g, k):
         x, y, z = g
@@ -577,9 +640,14 @@ class HeisTiling(TilingSequence):
         return 10 << (k + 2)
 
     def escape_fraction(self, gamma, k):
-        # gamma (X, Y, Z) = (X+p, Y+q, Z + r + q X) with Z = w + cross(X, Y):
-        # a column (X, Y) whose image leaves the square loses all W values
-        # of w, and one that stays loses min(W, |delta|) of them
+        """Exact escape fraction of gamma from T_k, column by column.
+
+        gamma (X, Y, Z) = (X+p, Y+q, Z + r + q X) with Z = w + cross(X, Y):
+        a column (X, Y) whose image leaves the square loses all W values of
+        w, and one that stays loses min(W, |delta|) of them.  Each chunk of
+        X reads cross(X, Y) and cross(X + p, Y + q) as slices of one
+        :meth:`_cross_table` over the rows X and X + p and the columns [0, L).
+        """
         p, q, r = gamma
         L = 1 << (k + 1)
         W = L * L
@@ -593,9 +661,18 @@ class HeisTiling(TilingSequence):
         # |delta - r| < 2W, so clipping r to +-4W keeps every min(W, |delta|)
         r = max(-4 * W, min(4 * W, r))
         rows = max(1, (1 << 12) // L)  # a fixed number of columns per numpy pass
-        for start in range(0, len(xs) if len(ys) else 0, rows):
-            X = xs[start : start + rows, None]
-            delta = r + q * X + self._cross_array(X, ys, k) - self._cross_array(X + p, ys + q, k)
+        y, m = int(ys[0]) if len(ys) else 0, len(ys)  # ys and ys + q: columns y.. and y + q.. of [0, L)
+        for start in range(0, len(xs) if m else 0, rows):
+            X = xs[start : start + rows]
+            n = len(X)
+            # X and X + p are row runs of one table: one run of n + |p| rows when they overlap
+            if abs(p) < n:
+                table = self._cross_table(np.arange(X[0] + min(0, p), X[0] + max(0, p) + n), np.arange(L), k)
+                a, b = max(0, -p), max(0, p)
+            else:
+                table = self._cross_table(np.concatenate([X, X + p]), np.arange(L), k)
+                a, b = 0, n
+            delta = r + q * X[:, None] + table[a : a + n, y : y + m] - table[b : b + n, y + q : y + q + m]
             esc += int(np.minimum(W, np.abs(delta)).sum())
         return Fraction(esc, L * L * W)
 
@@ -618,11 +695,21 @@ class HeisTiling(TilingSequence):
         only the last coordinate moves, with z' - z over an interval whose
         ends pair a floor with a top.  |(x, y, z)| is quasi-convex in z, so
         the ends hold the maximum, and |g^-1| = |g| turns each top-to-floor
-        pair into a floor-to-top one.
+        pair into a floor-to-top one.  When proven_bound(identity, k) holds,
+        distance_array scans the L^2 x L^2 floor-top pairs in blocks of
+        floors; otherwise the scalar quotient loop does.
         """
         L = 1 << (k + 1)
         floors = [(x, y, self._cross(x, y)) for x in range(L) for y in range(L)]
-        return self._largest_quotient(floors, [(x, y, z + L * L - 1) for x, y, z in floors])
+        if self.proven_bound(self.group.identity, k) is None:
+            return self._largest_quotient(floors, [(x, y, z + L * L - 1) for x, y, z in floors])
+        floors = np.array(floors, dtype=np.int64)
+        tops = floors + (0, 0, L * L - 1)
+        per = max(1, (1 << 16) // len(tops))  # floors per block: 2^16 pairs
+        return max(
+            int(self.group.distance_array(floors[i : i + per, None], tops[None, :]).max())
+            for i in range(0, len(floors), per)
+        )
 
 
 class LamplighterTiling(TilingSequence):

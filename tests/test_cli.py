@@ -215,6 +215,21 @@ _UNPRINTABLE = [
 ]
 
 
+@pytest.mark.parametrize("spec", ["ll:2", "zmatch:ll:2"])
+def test_tiling_verify_stops_at_the_first_level_it_cannot_print(spec):
+    # the tile sizes are doubly exponential in k: formed up to k = 30 they
+    # took seconds to minutes before the report refused level 13
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(oelab.__file__))
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    argv = ["tiling", "verify", "--builtin", spec, "--k", "30"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "oelab.cli", *argv], env=env, capture_output=True, text=True, timeout=5
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("ResourceExhausted: level k=13 cannot be printed: ")
+
+
 @pytest.mark.parametrize("argv", _UNPRINTABLE)
 def test_an_integer_too_long_to_print_is_resource_exhausted(capsys, argv):
     # level 13 holds integers of more digits than Python converts to text:
@@ -323,8 +338,11 @@ def test_profile_results_are_the_recorded_ones(capsys):
     assert report["results"] == _HEIS_PROFILE_7
 
 
-# the results of two exact-cli commands, recorded before the exact diameter
-# moved to rows and before the key ranges became column reductions
+# the results of the exact-cli tiling commands, recorded before the exact
+# diameter moved to rows and before the key ranges became column reductions
+# (heis-k1-exact, zn3-k5), and before the sampled diameter gathered from the
+# proved rows, the keys narrowed and the heis escapes read one cross table
+# (the others)
 _HEIS_K1_EXACT_DIAMETER = [
     {"k": 0, "size": 16, "epsilon_computed": [9, 16], "epsilon_claimed": [1, 1], "ok": True,
      "diameter": 8, "radius_claimed": 40},
@@ -336,13 +354,44 @@ _ZN3_K5 = [
     for k in range(6)
 ]
 _HEIS_K1_ARGV = ["tiling", "verify", "--builtin", "heis", "--k", "1", "--exact-diameter"]
+_LL2_K2_SAMPLED = [
+    {"k": k, "size": size, "epsilon_computed": [1, 2 << k], "epsilon_claimed": [1, 2 << k], "ok": True,
+     "diameter_lower_bound": d, "radius_claimed": 6 << k}
+    for k, size, d in ((0, 8, 4), (1, 64, 10), (2, 2048, 22))
+]
+_HEIS_EPSILON = [[9, 16], [39, 128], [163, 1024], [667, 8192], [2699, 65536], [10859, 524288], [43563, 4194304]]
+_HEIS_K6 = [
+    {"k": k, "size": 16 ** (k + 1), "epsilon_computed": eps, "epsilon_claimed": [1, 1 << k], "ok": True}
+    for k, eps in enumerate(_HEIS_EPSILON)
+]
+_ZMATCH_K2 = [
+    {"k": k, "size": size, "epsilon_computed": [1, size], "epsilon_claimed": [1, size // 2], "ok": True}
+    for k, size in enumerate((8, 64, 2048))
+]
+_HEIS_K3_EXACT = [dict(row, diameter=d, radius_claimed=40 << k) for k, (row, d) in enumerate(zip(_HEIS_K6, (8, 17, 35, 73)))]
+# --budget 5000 proves T_0..T_2 only: the sampled diameter gathers from those
+# rows, then grows T_3's points from T_2's
+_HEIS_K3_PAST_THE_PROOF = [
+    dict(row, diameter_lower_bound=d, radius_claimed=40 << k) for k, (row, d) in enumerate(zip(_HEIS_K6, (8, 17, 31, 64)))
+]
+_RECORDED = {
+    "heis-k1-exact": (_HEIS_K1_ARGV, _HEIS_K1_EXACT_DIAMETER),
+    "zn3-k5": (["tiling", "verify", "--builtin", "zn:3", "--k", "5"], _ZN3_K5),
+    "ll2-k2-sampled": (
+        ["tiling", "verify", "--builtin", "ll:2", "--k", "2", "--samples", "3000", "--seed", "3735928559"],
+        _LL2_K2_SAMPLED,
+    ),
+    "heis-k6": (["tiling", "verify", "--builtin", "heis", "--k", "6", "--budget", "70000"], _HEIS_K6),
+    "zmatch-ll2-k2": (["tiling", "verify", "--builtin", "zmatch:ll:2", "--k", "2"], _ZMATCH_K2),
+    "heis-k3-exact": (["tiling", "verify", "--builtin", "heis", "--k", "3", "--exact-diameter"], _HEIS_K3_EXACT),
+    "heis-k3-sampled-past-the-proof": (
+        ["tiling", "verify", "--builtin", "heis", "--k", "3", "--samples", "500", "--seed", "5", "--budget", "5000"],
+        _HEIS_K3_PAST_THE_PROOF,
+    ),
+}
 
 
-@pytest.mark.parametrize(
-    "argv,results",
-    [(_HEIS_K1_ARGV, _HEIS_K1_EXACT_DIAMETER), (["tiling", "verify", "--builtin", "zn:3", "--k", "5"], _ZN3_K5)],
-    ids=["heis-k1-exact", "zn3-k5"],
-)
+@pytest.mark.parametrize("argv,results", list(_RECORDED.values()), ids=list(_RECORDED))
 def test_tiling_verify_results_are_the_recorded_ones(capsys, argv, results):
     code, report, _ = run_json(capsys, *argv)
     assert code == 0

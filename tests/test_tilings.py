@@ -511,20 +511,19 @@ def test_prove_disjoint_holds_the_last_tile_and_its_keys_alone(t, K, width, item
 
 
 def test_a_bound_too_small_for_the_rows_only_sends_the_proof_to_build_tiles(monkeypatch):
-    t = ZnTiling(1)  # T_k = [0, 2^(k+1)): from k = 7 the int8 rows wrap
+    t = ZnTiling(1)  # T_k = [0, 2^(k+1)): from k = 7 the int8 rows would wrap
     monkeypatch.setattr(t, "int64_bound", lambda gamma, k: 1)
     products = _spy_on_products(t, monkeypatch)
     real, calls = t.build_tiles, []
     monkeypatch.setattr(t, "build_tiles", lambda K, budget: calls.append(K) or real(K, budget))
-    *_, rows = t._tile_arrays(8)
-    assert rows.dtype == np.int8 and np.array_equal(rows[:, 0], np.arange(512).astype(np.int8))
+    # the range check stops the rows at T_6, the last level int8 holds: a
+    # stored row always equals its int64 row, so the sampled diameter can gather it
+    levels = list(t._tile_arrays(8))
+    assert len(levels) == 7 and all(rows.dtype == np.int8 for rows in levels)
+    assert np.array_equal(levels[-1][:, 0], np.arange(128))
     assert set(products) == {(np.dtype(np.int64), np.dtype(np.int64))}
-    # T_7's 256 values wrap one to one, and T_8's 512 collide in pairs: a
-    # wrapped row is a function of the int64 row, so only T_8 needs the tuples
-    t.prove_disjoint(7)
-    assert calls == []
-    t.prove_disjoint(8)
-    assert calls == [8]
+    assert [len(rows) for rows in t.prove_disjoint(6)] == [2 << k for k in range(7)] and calls == []
+    assert t.prove_disjoint(7) is None and calls == [7]
     # a real collision still raises the build_tiles witness
     c = Collides([2, 2])
     monkeypatch.setattr(c, "int64_bound", lambda gamma, k: 0)
@@ -629,6 +628,13 @@ def test_distinct_rows_proves_only_what_the_packed_key_can_hold():
     assert _distinct_rows(np.array([[0, 0], [(1 << 31) - 1, (1 << 31) - 2]]))
     # an offset the old [-bound, bound] box could not hold
     assert _distinct_rows(rows + (1 << 61))
+    # key spans just below and just above 2^31, int32 and int64 keys: each
+    # low is subtracted before its column joins the key, which never leaves
+    # [0, span) however far the columns sit from 0
+    for a, b in ((1 << 16, (1 << 15) - 1), (1 << 16, (1 << 15) + 1), (2, (1 << 30) - 1), (2, (1 << 30) + 1)):
+        corners = np.array([[0, 0], [a - 1, b - 1], [a - 1, 0], [0, b - 1], [a // 2, b // 3]]) + (-(1 << 50), 1 << 40)
+        assert _distinct_rows(corners), (a, b)
+        assert not _distinct_rows(np.concatenate([corners, corners[1:2]])), (a, b)
 
 
 def test_distinct_rows_subtracts_each_low_in_int64():
@@ -694,6 +700,28 @@ def test_sampled_diameter_matches_per_point_draws(monkeypatch, spec, k, draws):
         assert rep.value == _sampled_diameter_per_point(builtin(spec), k, samples, seed), (samples, seed)
 
 
+_WALKS = [("heis", 3, 1), ("zn:2", 5, 2), ("ll:2", 3, 1), ("ll:2", 6, 2), ("zmatch:ll:2", 3, 2), ("zn:3", 2, 2)]
+
+
+@pytest.mark.parametrize("spec,K,fits", _WALKS, ids=[f"{s}-K{K}-fits{f}" for s, K, f in _WALKS])
+def test_sampled_walk_gathers_the_proved_rows_then_grows(monkeypatch, spec, K, fits):
+    t = builtin(spec)
+    levels = t.prove_disjoint(fits)
+    assert [len(rows) for rows in levels] == [t.tile_size(k) for k in range(fits + 1)]
+    # one walk: gathers on the proved levels, one grow_array per block on each
+    # later level the gate admits (ll:2 up to k = 5), per point after that
+    on_rows = next((k for k in range(K + 1) if t.proven_bound(t.group.identity, k) is None), K + 1)
+    real, grown = t.grow_array, []
+    monkeypatch.setattr(t, "grow_array", lambda rows, f: grown.append(len(rows)) or real(rows, f))
+    monkeypatch.setattr(_rng, "BLOCK", 7)  # 40 pairs in 6 blocks
+    for samples, seed in ((1, 0), (40, -3)):
+        grown.clear()
+        got = t.sampled_diameters(K, samples, seed, levels)
+        assert len(grown) == (on_rows - fits - 1) * -(-samples // 7)
+        assert got == t.sampled_diameters(K, samples, seed)  # grown from level 0
+        assert got == [_sampled_diameter_per_point(builtin(spec), k, samples, seed) for k in range(K + 1)]
+
+
 def test_exact_diameter_builds_its_tile_under_the_budget():
     with pytest.raises(ResourceExhausted, match="exceeds budget 10"):
         HeisTiling().tile_diameter(0, mode="exact", budget=10)
@@ -724,6 +752,19 @@ def test_exact_diameter_on_rows_matches_the_quotient_loop(monkeypatch, spec, k, 
     assert t.tile_diameter(k, mode="exact").value == recorded
     if t.tile_size(k) <= 400:  # the loop is quadratic: heis T_2 has 4,096 elements, ll:2 T_2 2,048
         assert _loop_diameter(spec, k) == recorded
+
+
+def test_heis_column_ends_on_rows_match_the_quotient_loop(monkeypatch):
+    t = HeisTiling()
+    for k in range(4):
+        L = 1 << (k + 1)
+        floors = [(x, y, t._cross(x, y)) for x in range(L) for y in range(L)]
+        tops = [(x, y, z + L * L - 1) for x, y, z in floors]
+        assert t._column_end_diameter(k) == t._largest_quotient(floors, tops) == _EXACT_DIAMETERS["heis"][k], k
+    # a level the gate refuses runs the scalar loop
+    monkeypatch.setattr(t, "int64_bound", lambda gamma, k: INT64_SAFE)
+    monkeypatch.setattr(t.group, "distance_array", lambda *a: pytest.fail("read rows past the gate"))
+    assert t._column_end_diameter(2) == 35
 
 
 def test_heisenberg_length_is_quasi_convex_in_z():
