@@ -10,8 +10,9 @@ randomness flows through counter-based streams.  JSON reports are strict:
 non-finite floats are written as the strings "nan", "inf" and "-inf", and
 Fractions as [p, q].  A report is written whole or not at all:
 a level whose row holds an int too long to print stops the run with
-``ResourceExhausted`` (``tiling verify`` stops at the first such level,
-before it forms the next).  stdout carries the report alone: ``selftest``
+``ResourceExhausted`` (``tiling verify`` and ``couple tail`` stop at the
+first such level, before they form the next, and ``couple tail`` before it
+draws).  stdout carries the report alone: ``selftest``
 writes its PASS/FAIL check lines to stderr.  Monte Carlo ``--samples`` must
 be at least 1 (``tiling verify --samples 0``, its default, skips the
 sampled diameter).  ``tiling verify --k``, ``couple tail --k``,
@@ -239,12 +240,18 @@ def cmd_couple_tail(args):
     c = _coupling_from_args(args)
     action = c.side(args.side)
     gamma = action.group.parse_element(args.gamma)
+    check_samples(args.samples)
+    if args.k > args.max_depth:
+        raise UsageError(f"tail k={args.k} exceeds max_depth={args.max_depth}")
+    exacts = []
+    for k in range(args.k + 1):
+        exacts.append(action.exact_tail(gamma, k))
+        _printable(k, exacts[-1])  # stop at the first level the report could not hold, before drawing
     freqs = mc_tail_frequencies(action, gamma, range(args.k + 1), args.samples, args.seed)
     rows = [("k", "exact_tail", "mc_freq", "stderr")]
     results = []
     ok = True
-    for k in range(args.k + 1):
-        exact = action.exact_tail(gamma, k)
+    for k, exact in enumerate(exacts):
         freq, se = freqs[k]
         # the band is 4 sigma at the exact p: the plug-in se is 0 whenever
         # no sample lands in a rare tail, which would leave no band at all

@@ -15,38 +15,51 @@ Points are a finite prefix of letter indices plus a seeded tail, so a point
 of the infinite product is finitely representable and every estimate is
 reproducible from (seed, counters).
 
-The tail estimator reads rewrite depths one block of the sample engine
-(``_rng``) at a time through :meth:`TilingAction.depths`.  On tilings
-with row hooks (the box tilings ``zn:N``, ``zn:N:grouped:M``, ``zblocks``
-and ``zmatch``, ``heis``, and ``ll:M`` for the identity alone) it walks
-the levels over a whole block of samples in numpy int64, growing each
-prefix through ``TilingSequence.grow_array``, each level only after
-``proven_bound`` has proved, with Python ints, that no value there
-reaches 2^62.  The samples still unresolved at the first level that
-fails the proof finish through the scalar :meth:`act`, and every other
-tiling runs :meth:`act` per sample: ``ll:M``'s gate admits no gamma but
-the identity, whose depth is 0 without a level, so its rewrite depths
-(and ``couple tail`` on an ``ll`` side) stay scalar.  The scalar ``act``
-stays in place as the oracle of the kernel: both give the same depth for
-every sample.
+One level walk, :meth:`TilingAction.walk`, serves the batched estimators.
+It takes rows (gamma, point), grows each row's prefix product g_n in numpy
+int64 through the tiling's ``letter_array``, ``grow_array`` and
+``contains_array``, and at each level n yields the rows whose gamma g_n
+first lands in T_n.  It runs a level only after ``proven_bound`` has
+proved, with Python ints, that no value there reaches 2^62 for any gamma
+of the batch; the rows still unresolved at the first level it refuses
+finish through the scalar :meth:`act`.  Its two users take one engine
+block (``_rng``) of samples at a time:
+
+- :meth:`TilingAction.depths`, behind ``mc_tail_frequencies``, is its
+  first-hit reduction for one gamma and no prefix;
+- :func:`return_rows`, behind ``return_time_density``, walks the
+  (sample, ball element) rows from each sample's pattern, rewrites the
+  hits through the tiling's ``decode_array`` and tests membership in X0
+  by mixed-radix keys.
+
+The box tilings (``zn:N``, ``zn:N:grouped:M``, ``zblocks`` and
+``zmatch``) and ``heis`` have every hook.  ``ll:M``'s gate admits only the
+identity, whose depth is 0 without a level, so its rewrite depths (and
+``couple tail`` on an ``ll`` side) stay scalar; ``ll:M`` and ``cyclic:Q``
+have no ``decode_array``, so their return times run :meth:`act` per
+(sample, ball element) pair.  ``mc_integrability`` and
+``induced_gradient_check`` still run :meth:`act` per sample.  The scalar
+``act`` stays in place as the oracle of the walk: both give the same
+depth and the same rewritten point for every row.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from ._rng import Moments, derive, derive_array, per_sample, proportion, randbelow, sample_blocks
+from ._rng import Moments, derive, derive_array, per_sample, proportion, randbelow, randbelow_array, sample_blocks
 from .errors import DepthExhausted, UsageError
-from .tilings import TilingSequence
+from .tilings import INT64_SAFE, TilingSequence
 
 DEFAULT_MAX_DEPTH = 32
 CHECK_LEVELS = 8  # letter counts compared up front; deeper levels as acts reach them
+WALK_ROWS = 1 << 13  # (sample, gamma) rows per walk of return_rows: about 2 MB of int64 temporaries
 
 
 @dataclass(frozen=True)
@@ -177,36 +190,71 @@ class TilingAction:
                 return CouplingPoint(new, x.tail_seed), n
         raise DepthExhausted(self.max_depth)
 
+    def walk(self, gammas, seeds, which=None, prefix=None):
+        """The level walk on rows: where each row's rewrite lands, level by level.
+
+        Row r acts by gammas[which[r]] (gammas[0] when which is None) on the
+        point whose coordinates below prefix's width are prefix[r] and whose
+        deeper ones are drawn from the tail seed seeds[r], as ``coordinate``
+        draws them.  For each level n that proven_bound admits for every
+        gamma, it grows the prefix products g_n on int64 rows and yields
+        (n, hit, cand): the rows whose product first lands in T_n at n, and
+        their products gamma g_n (the argument of ``decode``).  At the first
+        level it refuses it yields (n, rest, None): the rows still unresolved,
+        which the caller finishes through the scalar :meth:`act`.  Rows still
+        unresolved past max_depth are never yielded: they exhaust it.
+        """
+        t = self.tiling
+        width = 0 if prefix is None else prefix.shape[1]
+        active = np.arange(len(seeds))  # the rows not yet rewritten
+        prod = h = None
+        for n in range(self.max_depth + 1):
+            if not len(active):
+                return
+            if any(t.proven_bound(gamma, n) is None for gamma in gammas):
+                yield n, active, None
+                return
+            if n < width:
+                idx = prefix[active, n]
+            else:
+                idx = t.random_letter_indices(n, seeds[active]).astype(np.int64)
+            f = t.letter_array(n, idx)
+            if prod is None:  # level 0: every row is active, and the gate bounds every gamma
+                h = np.array([t.oriented(gamma) for gamma in gammas], dtype=np.int64)
+                h = h[0] if which is None else h[which]
+                prod = f
+            else:
+                prod = t.grow_array(prod, f)
+            cand = t.grow_array(h, prod)
+            hit = t.contains_array(cand, n)
+            yield n, active[hit], cand[hit]
+            keep = ~hit
+            active, prod = active[keep], prod[keep]
+            if which is not None:
+                h = h[keep]
+
     def depths(self, gamma, tail_seeds) -> np.ndarray:
         """The rewrite depth of gamma at CouplingPoint((), s) for each s in tail_seeds.
 
-        A point that exhausts max_depth gets max_depth + 1, beyond every
-        tested k.  Equal, sample for sample, to act (see the module notes).
-        Its arrays hold a few values per seed, so callers pass one engine
-        block of seeds at a time to keep memory flat.
+        The first hit of each row of :meth:`walk`.  A point that exhausts
+        max_depth gets max_depth + 1, beyond every tested k.  Equal, sample
+        for sample, to act (see the module notes).  Its arrays hold a few
+        values per seed, so callers pass one engine block of seeds at a time
+        to keep memory flat.
         """
-        t = self.tiling
         seeds = np.asarray(tail_seeds, dtype=np.uint64)
         if gamma == self.group.identity:
             return np.zeros(len(seeds), dtype=np.int64)  # as act: the identity rewrites nothing
         depth = np.full(len(seeds), self.max_depth + 1, dtype=np.int64)
-        active = np.arange(len(seeds))  # the samples not yet rewritten
-        prod = None
-        for n in range(self.max_depth + 1):
-            if not len(active):
-                break
-            if t.proven_bound(gamma, n) is None:
-                for i in active:
-                    try:
-                        depth[i] = self.act(gamma, CouplingPoint((), int(seeds[i])))[1]
-                    except DepthExhausted:
-                        pass  # stays max_depth + 1
-                break
-            f = t.letter_array(n, t.random_letter_indices(n, seeds[active]).astype(np.int64))
-            prod = f if prod is None else t.grow_array(prod, f)
-            hit = t.contains_array(t.grow_array(np.asarray(t.oriented(gamma), dtype=np.int64), prod), n)
-            depth[active[hit]] = n
-            active, prod = active[~hit], prod[~hit]
+        for n, rows, cand in self.walk([gamma], seeds):
+            if cand is not None:
+                depth[rows] = n
+                continue
+            for i in rows:
+                try:
+                    depth[i] = self.act(gamma, CouplingPoint((), int(seeds[i])))[1]
+                except DepthExhausted:
+                    pass  # stays max_depth + 1
         return depth
 
     def exact_tail(self, gamma, k: int) -> Fraction:
@@ -362,10 +410,15 @@ def mc_tail_frequencies(
 
 @dataclass(frozen=True)
 class CylinderSet:
-    """Finite union of prefix cylinders {x : (x_0..x_{d-1}) in patterns}."""
+    """Finite union of prefix cylinders {x : (x_0..x_{d-1}) in patterns}.
+
+    ``table`` holds the patterns once, sorted: a sample's pattern is drawn
+    from it by index.
+    """
 
     depth: int
     patterns: frozenset[tuple[int, ...]]
+    table: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.depth < 1:
@@ -375,6 +428,7 @@ class CylinderSet:
                 raise UsageError("all patterns must have length == depth")
         if not self.patterns:
             raise UsageError("cylinder set must be nonempty")
+        object.__setattr__(self, "table", tuple(sorted(self.patterns)))
 
     def measure(self, tiling: TilingSequence) -> Fraction:
         return Fraction(len(self.patterns), tiling.tile_size(self.depth - 1))
@@ -383,9 +437,7 @@ class CylinderSet:
         return tuple(action.coordinates(x, self.depth - 1)) in self.patterns
 
     def sample(self, seed: int, i: int) -> CouplingPoint:
-        pats = sorted(self.patterns)
-        pick = pats[randbelow(len(pats), seed, i, 0)]
-        return CouplingPoint(tuple(pick), derive(seed, i, 1))
+        return CouplingPoint(self.table[randbelow(len(self.table), seed, i, 0)], derive(seed, i, 1))
 
 
 @dataclass
@@ -425,29 +477,23 @@ def return_time_density(
     """Estimate int_{X0} |R_X0(x) n B(e,n)| / V(n) dmu against 2 mu(X0) - 1.
 
     R_X0(x) is the return-time set {gamma : gamma.x in X0}; the integral is
-    estimated by sampling x uniformly in X0 and counting returns over the
-    exact ball B(e, n).
+    estimated by sampling x uniformly in X0 (sample i is x0.sample(seed, i))
+    and counting returns over the exact ball B(e, n), one engine block of
+    samples at a time through :func:`return_rows`.
     """
     ball = sorted(action.group.ball(n))
     V = len(ball)
     mu = float(x0.measure(action.tiling))
     exhausted = 0
 
-    def draw(i):
+    def draw_block(start: int, stop: int) -> list:
         nonlocal exhausted
-        x = x0.sample(seed, i)
-        count = 0
-        for gamma in ball:
-            try:
-                y, _ = action.act(gamma, x)
-            except DepthExhausted:
-                exhausted += 1  # one element of the ball; the sample still counts
-                continue
-            if x0.contains(action, y):
-                count += 1
-        return count / V
+        i = np.arange(start, stop)
+        back = return_rows(action, x0, ball, randbelow_array(len(x0.table), seed, i, 0), derive_array(seed, i, 1))
+        exhausted += int(np.count_nonzero(back < 0))  # counted as non-returns; the sample still counts
+        return [count / V for count in np.count_nonzero(back > 0, axis=1).tolist()]
 
-    loop = Moments(sample_blocks(samples, per_sample(draw)))
+    loop = Moments(sample_blocks(samples, draw_block))
     return ReturnTimeReport(
         lhs=mu * loop.mean,
         lhs_stderr=mu * loop.stderr,
@@ -457,3 +503,61 @@ def return_time_density(
         samples=samples,
         exhausted_fraction=exhausted / (samples * V),
     )
+
+
+def return_rows(action: TilingAction, x0: CylinderSet, gammas: Sequence, picks, tail_seeds) -> np.ndarray:
+    """Whether gamma_j . x_s lies in X0, for x_s = CouplingPoint(x0.table[picks[s]], tail_seeds[s]).
+
+    An (S, G) int8 array: 1 for a return, 0 for none, -1 where act exhausts
+    max_depth.  On a tiling with ``decode_array``, and patterns of letter
+    indices whose mixed-radix keys stay below 2^62, the (sample, gamma) rows
+    run on :meth:`TilingAction.walk`, WALK_ROWS rows at a time: a row that
+    hits at level n keeps x's own coordinates n < j < d and takes the others
+    from ``decode_array``, and X0 membership compares mixed-radix keys.
+    Every other row (each row, on the other tilings) runs the scalar act
+    and ``x0.contains``, the kernel's oracle.
+    """
+    t, d = action.tiling, x0.depth
+    S, G = len(picks), len(gammas)
+    out = np.zeros((S, G), dtype=np.int8)
+    flat = out.reshape(-1)  # row r = s G + j
+
+    def scalar(rows):
+        for r in rows:
+            s, j = divmod(int(r), G)
+            try:
+                y, _ = action.act(gammas[j], CouplingPoint(x0.table[picks[s]], int(tail_seeds[s])))
+            except DepthExhausted:
+                flat[r] = -1
+                continue
+            flat[r] = x0.contains(action, y)
+
+    counts = [t.letter_count(j) for j in range(d)]
+    # a pattern that is no letter index goes to act, which rejects it where it reads it
+    if not (
+        hasattr(t, "decode_array")
+        and math.prod(counts) < INT64_SAFE
+        and all(0 <= a < c for p in x0.table for a, c in zip(p, counts))
+    ):
+        scalar(range(S * G))
+        return out
+    radix = np.array([math.prod(counts[:j]) for j in range(d)], dtype=np.int64)
+    table = np.array(x0.table, dtype=np.int64)
+    keys = table @ radix
+    picks = np.asarray(picks).astype(np.intp)
+    tail_seeds = np.asarray(tail_seeds, dtype=np.uint64)
+    per = max(1, WALK_ROWS // max(1, G))  # samples per walk
+    for a in range(0, S, per):
+        rows = np.arange(a * G, min(S, a + per) * G)
+        sample = rows // G
+        prefix = table[picks[sample]]
+        flat[rows] = -1  # a row the walk never yields exhausts max_depth
+        for n, hit, cand in action.walk(gammas, tail_seeds[sample], rows % G, prefix):
+            if cand is None:
+                scalar(rows[hit])
+                break
+            coords = prefix[hit]
+            m = min(d, n + 1)
+            coords[:, :m] = t.decode_array(cand, n)[:, :m]
+            flat[rows[hit]] = np.isin(coords @ radix, keys)
+    return out

@@ -22,8 +22,9 @@ one class with one alphabet, :class:`_BoxTiling`.  They, ``heis`` and ``ll:M``
 have row hooks: they unrank letters and test membership on (N, d) int64
 arrays (an ``ll:M`` row is the cursor, then the lamp digits on
 [0, 2^(k+1))), and bound those values, the group's products and its
-``distance_array`` through ``int64_bound``.  ``proven_bound`` is the one
-gate: the batched rewrite-depth kernel in ``coupling``, the sorted-row
+``distance_array`` through ``int64_bound``; the box tilings and ``heis``
+also decode rows of T_k (``decode_array``).  ``proven_bound`` is the one
+gate: the level walk in ``coupling``, the sorted-row
 disjointness proof in :meth:`TilingSequence.prove_disjoint`, the sampled
 diameter and ``heis``'s column ends run a level on rows only after it
 proves int64 exact, and the scalar methods are the oracles.  ``ll:M``'s
@@ -43,9 +44,11 @@ points from the proved rows and growing them past those; a level that
 fails the gate multiplies per point.  ``heis`` reads both cross terms of
 an escape chunk from one cross table, one integer matrix product.
 
-A box tiling's ``_levels`` list grows level by level on demand and ``grow``
-is cached on first use; with a wreath point's realized lamps, that is all
-oelab changes after construction.
+A box tiling's ``_levels`` list grows level by level on demand, ``grow``
+is cached on first use, and ``heis`` remembers the deepest level it proved
+disjoint and that its live T_0 check passed, so ``tiling verify
+--exact-diameter`` proves each tile once; with a wreath point's realized
+lamps, that is all oelab changes after construction.
 oelab is single-threaded: share a tiling, coupling or point under a lock.
 """
 
@@ -468,6 +471,12 @@ class _BoxTiling(TilingSequence):
         c, scale, _ = self._level(k)
         return idx[:, None] // c ** np.arange(self.n) % c * scale
 
+    def decode_array(self, g, k):
+        """decode on int64 rows of T_k: the (N, k + 1) letter indices, unchecked."""
+        levels = np.array([self._level(i)[:2] for i in range(k + 1)], dtype=np.int64)
+        c, scale = levels[:, :1], levels[:, 1:]  # c_i and side(i - 1), one level per row
+        return (g[:, None] // scale % c * c ** np.arange(self.n)).sum(axis=2)
+
     def decode(self, g, k):
         if not self.contains(g, k):
             raise NotInTile(f"{g} not in T_{k} of {self.name}")
@@ -553,6 +562,8 @@ class HeisTiling(TilingSequence):
     def __init__(self):
         self.group = groups.Heisenberg()
         self.name = "heis"
+        self._proved = -1  # the deepest level prove_disjoint has proved
+        self._ends_checked = False  # whether the column ends gave the quotient loop's diameter on T_0
 
     def letter_count(self, k):
         return 16
@@ -633,6 +644,13 @@ class HeisTiling(TilingSequence):
             out.append(xi | (yi << 1) | (zi << 2))
         return tuple(out)
 
+    def decode_array(self, g, k):
+        """decode on int64 rows of T_k: the (N, k + 1) letter indices, unchecked."""
+        x, y, z = g.T[:, :, None]
+        w = z - self._cross_array(x, y, k)
+        i = np.arange(k + 1)
+        return ((x >> i) & 1) | (((y >> i) & 1) << 1) | (((w >> (2 * i)) & 3) << 2)
+
     def claimed_epsilon(self, k):
         return Fraction(1, 1 << k) if k >= 1 else Fraction(1)
 
@@ -676,14 +694,23 @@ class HeisTiling(TilingSequence):
             esc += int(np.minimum(W, np.abs(delta)).sum())
         return Fraction(esc, L * L * W)
 
+    def prove_disjoint(self, K, budget=DEFAULT_TILE_BUDGET):
+        levels = super().prove_disjoint(K, budget)
+        self._proved = max(self._proved, K)
+        return levels
+
     def _exact_diameter(self, k, budget):
+        # a level proved once stays proved; otherwise, or past the budget,
         # build_tiles raises the budget error or the collision witness first
-        self.prove_disjoint(k, budget)
-        # a live oracle, as in tail_bound_sweep: on T_0 the column ends must
-        # give the quotient loop's value
-        ends, loop = self._column_end_diameter(0), super()._exact_diameter(0, budget)
-        if ends != loop:
-            raise RuntimeError(f"the column ends give diameter {ends} on T_0 where the quotient loop gives {loop}")
+        if not 0 <= k <= self._proved or self.tile_size(k) > budget:
+            self.prove_disjoint(k, budget)
+        if not self._ends_checked:
+            # a live oracle, as in tail_bound_sweep: on T_0 the column ends must
+            # give the quotient loop's value
+            ends, loop = self._column_end_diameter(0), super()._exact_diameter(0, budget)
+            if ends != loop:
+                raise RuntimeError(f"the column ends give diameter {ends} on T_0 where the quotient loop gives {loop}")
+            self._ends_checked = True
         return self._column_end_diameter(k)
 
     def _column_end_diameter(self, k: int) -> int:

@@ -9,8 +9,10 @@ from fractions import Fraction
 import pytest
 
 import oelab
+from oelab import cli
 from oelab.cli import _emit, build_parser, main
 from oelab.errors import ResourceExhausted
+from oelab.tilings import HeisTiling
 
 
 def run_cli(capsys, *argv):
@@ -74,6 +76,17 @@ def test_exact_diameter_reads_each_tilings_structure(capsys):
     # ll:M's closed form builds no tile, so |T_3| = 2^20 above the budget does not stop it
     code, report, _ = run_json(capsys, *argv, "ll:2", "--k", "4", "--budget", "100000")
     assert code == 0 and [row["diameter"] for row in report["results"]] == [4, 10, 22, 46, 94]
+
+
+def test_exact_diameter_proves_each_tile_once(capsys, monkeypatch):
+    # tiling verify proves T_0..T_k, and heis's column ends reuse that proof
+    proofs, builds = [], []
+    real_arrays, real_build = HeisTiling._tile_arrays, HeisTiling.build_tiles
+    monkeypatch.setattr(HeisTiling, "_tile_arrays", lambda t, K: proofs.append(K) or real_arrays(t, K))
+    monkeypatch.setattr(HeisTiling, "build_tiles", lambda t, K, budget: builds.append(K) or real_build(t, K, budget))
+    code, report, _ = run_json(capsys, "tiling", "verify", "--builtin", "heis", "--k", "3", "--exact-diameter")
+    assert code == 0 and [row["diameter"] for row in report["results"]] == [8, 17, 35, 73]
+    assert proofs == [3] and builds == [0]
 
 
 def test_couple_tail_csv_and_exit(capsys):
@@ -228,6 +241,25 @@ def test_tiling_verify_stops_at_the_first_level_it_cannot_print(spec):
     )
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("ResourceExhausted: level k=13 cannot be printed: ")
+
+
+def test_couple_tail_stops_at_the_first_level_it_cannot_print_before_drawing(monkeypatch):
+    # drawn first, the zmatch:ll:2 letters past level 5 (about 2^(k+1) bits
+    # each) ran past 12 s before the report refused level 13
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(oelab.__file__))
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    argv = [a if a != "13" else "30" for a in _TAIL_13]
+    proc = subprocess.run(
+        [sys.executable, "-m", "oelab.cli", *argv], env=env, capture_output=True, text=True, timeout=5
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("ResourceExhausted: level k=13 cannot be printed: ")
+    monkeypatch.setattr(cli, "mc_tail_frequencies", lambda *a: pytest.fail("drew samples"))
+    args = build_parser().parse_args(argv)
+    with pytest.raises(ResourceExhausted) as exc:
+        args.fn(args)
+    assert exc.value.progress == 12
 
 
 @pytest.mark.parametrize("argv", _UNPRINTABLE)

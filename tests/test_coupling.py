@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oelab._rng import BLOCK, derive, derive_array
+from oelab._rng import BLOCK, derive, derive_array, randbelow, randbelow_array
 from oelab.coupling import (
     CouplingPoint,
     CylinderSet,
@@ -18,9 +18,11 @@ from oelab.coupling import (
     TilingAction,
     mc_integrability,
     mc_tail_frequencies,
+    return_rows,
     return_time_density,
 )
 from oelab.errors import DepthExhausted, UsageError
+from oelab import coupling
 from oelab.tilings import HeisTiling, LamplighterTiling, ZBlocksTiling, ZnGroupedTiling, ZnTiling, builtin
 
 
@@ -272,6 +274,91 @@ def test_depths_match_act_per_sample(case, max_depth, seed):
         except DepthExhausted:
             want = max_depth + 1
         assert got[i] == want, (spec, gamma, max_depth, i)
+
+
+# the box tilings and heis walk their rows; zmatch's gate refuses level 5
+# (its letters leave int64), and ll:2 has no decode_array
+_RETURN_SPECS = ["zn:2", "zn:1:grouped:2", "zn:4", "heis", "zmatch:ll:2", "ll:2"]
+
+
+@st.composite
+def _return_case(draw):
+    spec = draw(st.sampled_from(_RETURN_SPECS))
+    t = builtin(spec)
+    group = t.group
+    if group.name.startswith("ll:"):
+        element = st.sampled_from(sorted(group.ball(2)))
+    else:
+        element = st.one_of(st.just(group.identity), st.tuples(*[_ENTRY] * len(group.identity)))
+    gammas = draw(st.lists(element, min_size=1, max_size=4))
+    # a product of small letter sets, so that returns are common
+    depth = draw(st.integers(1, 4))
+    letters = [draw(st.sets(st.integers(0, t.letter_count(j) - 1), min_size=1, max_size=3)) for j in range(depth)]
+    return spec, gammas, CylinderSet(depth, frozenset(itertools.product(*letters)))
+
+
+def _scalar_return(action, x0, gamma, x):
+    """Oracle: 1 when gamma . x lies in X0, 0 when not, -1 when act exhausts max_depth."""
+    try:
+        y, _ = action.act(gamma, x)
+    except DepthExhausted:
+        return -1
+    return int(x0.contains(action, y))
+
+
+@given(case=_return_case(), max_depth=st.sampled_from([0, 1, 2, 3, 5, 40]), seed=st.integers(0, (1 << 64) - 1))
+@example(case=("heis", [(0, 0, 0), (1, 0, 0), (0, 0, 1 << 61)], CylinderSet(1, frozenset({(0,), (5,)}))), max_depth=40, seed=1)
+@example(case=("zn:2", [(1, 0), (-1 << 62, 0)], CylinderSet(1, frozenset({(0,), (1,)}))), max_depth=40, seed=2)
+@example(case=("zmatch:ll:2", [(3,), (1 << 40,)], CylinderSet(2, frozenset({(0, 1), (3, 1)}))), max_depth=40, seed=3)
+@example(case=("zn:1:grouped:2", [(1,), (-2,)], CylinderSet(4, frozenset({(0, 0, 0, 0), (1, 0, 0, 0)}))), max_depth=1, seed=4)
+@example(case=("ll:2", [((), 0), ((), 1)], CylinderSet(1, frozenset({(0,), (4,)}))), max_depth=3, seed=5)
+@settings(max_examples=80, deadline=None)
+def test_return_rows_match_act_per_pair(case, max_depth, seed):
+    spec, gammas, x0 = case
+    action = TilingAction(builtin(spec), max_depth)
+    samples = 40
+    picks = randbelow_array(len(x0.table), seed, np.arange(samples), 0)
+    tails = derive_array(seed, np.arange(samples), 1)
+    got = return_rows(action, x0, gammas, picks, tails)
+    assert got.shape == (samples, len(gammas))
+    for s in range(samples):
+        x = CouplingPoint(x0.table[picks[s]], int(tails[s]))
+        assert x == x0.sample(seed, s)
+        for j, gamma in enumerate(gammas):
+            assert got[s, j] == _scalar_return(action, x0, gamma, x), (spec, gamma, max_depth, s)
+
+
+def test_return_rows_run_on_the_walk(monkeypatch):
+    # the box tilings and heis never call the scalar act while every level
+    # passes the gate, and walk past the WALK_ROWS rows of one walk
+    ball = sorted(builtin("zn:2").group.ball(3))
+    x0 = CylinderSet(2, frozenset({(0, 1), (2, 3), (3, 0)}))
+    picks, tails = randbelow_array(3, 7, np.arange(1500), 0), derive_array(7, np.arange(1500), 1)
+    action = TilingAction(builtin("zn:2"), 40)
+    want = return_rows(action, x0, ball, picks, tails)
+    monkeypatch.setattr(action, "act", lambda *a: pytest.fail("ran the scalar act"))
+    assert (return_rows(action, x0, ball, picks, tails) == want).all()
+    assert 1500 * len(ball) > coupling.WALK_ROWS and (want > 0).any() and (want == 0).any()
+    for s in range(0, 1500, 97):
+        x = CouplingPoint(x0.table[picks[s]], int(tails[s]))
+        assert [_scalar_return(TilingAction(builtin("zn:2"), 40), x0, g, x) for g in ball] == list(want[s])
+
+
+def test_return_time_patterns_outside_the_letters_go_to_act(z2z):
+    # act reads coordinate 0 of every point for gamma != e, and zn:2 has 4 letters
+    x0 = CylinderSet(1, frozenset({(0,), (9,)}))
+    with pytest.raises(UsageError, match="letter index 9 out of range"):
+        return_time_density(z2z.left, x0, 1, 5, 0)
+    # the identity alone reads no coordinate, so every point returns
+    assert return_time_density(z2z.left, x0, 0, 5, 0).lhs == float(x0.measure(z2z.left.tiling))
+
+
+def test_cylinder_table_is_sorted_once():
+    x0 = CylinderSet(2, frozenset({(3, 0), (0, 1), (2, 3)}))
+    assert x0.table == ((0, 1), (2, 3), (3, 0)) and "table" not in repr(x0)
+    # sample draws its pattern from the table, as it drew from the sorted patterns
+    for i in range(50):
+        assert x0.sample(4, i) == CouplingPoint(sorted(x0.patterns)[randbelow(3, 4, i, 0)], derive(4, i, 1))
 
 
 def test_depth_kernel_guard_and_blocks():

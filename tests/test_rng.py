@@ -176,6 +176,9 @@ _ENGINE_RUNS = {
     "return_time_density": lambda: return_time_density(
         _shallow_llz().left, CylinderSet(1, frozenset({(0,), (1,)})), 1, 10, 4
     ),
+    "return_time_density, row walk": lambda: return_time_density(
+        TilingAction(ZnTiling(2), 2), CylinderSet(2, frozenset({(0, 1), (2, 3), (3, 0)})), 3, 10, 9
+    ),
     "induced_gradient_check": lambda: induced_gradient_check(
         MatchedCoupling(ZnTiling(2), ZnGroupedTiling(1, 2), max_depth=1),
         "left", FiniteSupportFunction(ZN(1), {(0,): 1.0, (3,): -1.0}), 2, 30, 6,

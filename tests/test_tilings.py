@@ -234,6 +234,15 @@ def test_finite_cyclic_tiling():
     assert t.decode(3, 2) == (3, 0, 0)
 
 
+@pytest.mark.parametrize("t", [t for t in BUILTINS if hasattr(t, "decode_array")], ids=lambda t: t.name)
+def test_decode_array_matches_decode(t):
+    # every element of T_0, T_1 and T_2, as int64 rows
+    for k, tile in enumerate(t.build_tiles(2)):
+        got = t.decode_array(np.array(tile, dtype=np.int64), k)
+        assert got.dtype == np.int64 and got.tolist() == [list(t.decode(g, k)) for g in tile], k
+    assert t.decode_array(np.zeros((0, len(t.group.identity)), dtype=np.int64), 2).shape == (0, 3)
+
+
 def test_decode_roundtrip_hypothesis():
     from hypothesis import given, settings
     from hypothesis import strategies as st
@@ -765,6 +774,23 @@ def test_heis_column_ends_on_rows_match_the_quotient_loop(monkeypatch):
     monkeypatch.setattr(t, "int64_bound", lambda gamma, k: INT64_SAFE)
     monkeypatch.setattr(t.group, "distance_array", lambda *a: pytest.fail("read rows past the gate"))
     assert t._column_end_diameter(2) == 35
+
+
+def test_heis_exact_diameter_reuses_its_proof(monkeypatch):
+    t = HeisTiling()
+    proofs, builds = [], []
+    real_arrays, real_build = t._tile_arrays, t.build_tiles
+    monkeypatch.setattr(t, "_tile_arrays", lambda K: proofs.append(K) or real_arrays(K))
+    monkeypatch.setattr(t, "build_tiles", lambda K, budget: builds.append(K) or real_build(K, budget))
+    t.prove_disjoint(2)
+    assert [t.tile_diameter(k, mode="exact").value for k in range(4)] == _EXACT_DIAMETERS["heis"]
+    # T_0..T_2 were proved once, T_3 once more, and the live T_0 check built T_0 once
+    assert proofs == [2, 3] and builds == [0]
+    # a proved level still honours a smaller budget
+    with pytest.raises(ResourceExhausted, match=r"\|T_2\| = 4096 exceeds budget 10"):
+        t.tile_diameter(2, mode="exact", budget=10)
+    with pytest.raises(UsageError):
+        t.tile_diameter(-1, mode="exact")
 
 
 def test_heisenberg_length_is_quasi_convex_in_z():
